@@ -2,19 +2,36 @@
 
 A presented algebra is the tensor algebra on gen_dim generators modulo
 the two-sided ideal generated by the relation subspaces.  Everything is
-computed degree by degree with exact linear algebra: the degree-n ideal
-component is the sum of all positional embeddings of the relations, the
-graded dimension is the codimension, and normal forms reduce against the
-canonical echelon basis of the ideal component.
+computed degree by degree on the quotient side with exact linear algebra.
+The normal words B_n of degree n are the words that are not leading
+words of the canonical echelon basis of the ideal component I_n, and A_n
+has them as a basis.  Since
 
-Components are memoized per instance; instances are intended to be
-confined to one thread (the caches are not locked).
+    I_n = I_{n-1}⊗V + sum over relation degrees m of V^{n-m}⊗R_m
+
+and V^{n-m} = span(B_{n-m}) + I_{n-m}, the new part of I_n modulo
+I_{n-1}⊗V is spanned by the products b·r with b in B_{n-m} and r a basis
+row of R_m, each rewritten word by word as u·x -> NF_{n-1}(u)⊗x.  One
+elimination in the coordinates B_{n-1}×V then gives B_n and the rewrite
+rules of degree n (the diamond-lemma recursion; Bergman 1978,
+Polishchuk-Positselski, Quadratic Algebras, ch. 1).  Leading words of a
+sum split as lead(J + H) = lead(J) ⊔ lead(H mod J), so B_n and the normal
+forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
+The ambient component I_n is assembled from them only when a caller asks
+for it.
+
+Algebras built from a component_rule (the circle product) have no finite
+presentation to recurse on; their components are computed in the ambient
+space and their normal words read off the echelon basis.
+
+Degrees and components are memoized per instance; instances are intended
+to be confined to one thread (the caches are not locked).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -26,7 +43,7 @@ from .linalg import (
 )
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes
-from .tensors import embed_at, pull_row, phi_table
+from .tensors import pull_row, phi_table
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -43,13 +60,48 @@ class FreeElement:
     coords: tuple[Scalar, ...]
 
 
+class _Degree:
+    """Normal words of one degree and the rewrite rules of the other words.
+
+    Built from an echelon basis whose column c stands for the word
+    codes[c]: words are the codes of the non-pivot columns, ascending, and
+    rewrites maps each pivot word to its normal form, a dict from normal
+    words to nonzero coefficients.  Rewrites of further words are added as
+    they are met.
+    """
+
+    __slots__ = ("words", "index", "rewrites")
+
+    def __init__(self, span: Subspace, codes: Sequence[int]):
+        pivots = span.pivot_columns()
+        pivot_set = set(pivots)
+        free = [c for c in range(len(codes)) if c not in pivot_set]
+        self.words = [codes[c] for c in free]
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.rewrites: dict[int, dict[int, Scalar]] = {
+            codes[p]: {codes[c]: -row[c] for c in free if row[c] != 0}
+            for row, p in zip(span.basis.cells, pivots)
+        }
+
+    def reduce(self, terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+        """Normal form of a combination of words that are normal or rewritten."""
+        acc: dict[int, Scalar] = {}
+        for w, c in terms:
+            if w in self.index:
+                acc[w] = acc.get(w, 0) + c
+            else:
+                for t, e in self.rewrites[w].items():
+                    acc[t] = acc.get(t, 0) + c * e
+        return {w: c for w, c in acc.items() if c != 0}
+
+
 class PresentedAlgebra:
     """Quotient of the free algebra on gen_dim generators.
 
     relations maps degree m >= 2 to a Subspace of gen_dim^m.  A
-    component_rule callback replaces the standard embed-and-sum ideal
-    components for algebras that are not given by a finite presentation
-    (the circle product uses this).
+    component_rule callback gives the ideal components directly for
+    algebras that are not given by a finite presentation (the circle
+    product uses this).
     """
 
     def __init__(
@@ -74,9 +126,9 @@ class PresentedAlgebra:
         self.degree_cap = degree_cap
         self._component_rule = component_rule
         self._components: dict[int, Subspace] = {}
+        self._degrees: dict[int, _Degree] = {}
 
-    def ideal_component(self, n: int) -> Subspace:
-        """Degree-n slice of the two-sided ideal generated by the relations."""
+    def _check_degree(self, n: int) -> None:
         if n < 0:
             raise ValueError("degree must be nonnegative")
         if n > self.degree_cap:
@@ -84,51 +136,118 @@ class PresentedAlgebra:
                 f"degree {n} exceeds cap {self.degree_cap}; "
                 "construct the algebra with a larger degree_cap"
             )
+
+    def _degree(self, n: int) -> _Degree:
+        self._check_degree(n)
+        deg = self._degrees.get(n)
+        if deg is None:
+            if n == 0:
+                deg = _Degree(Subspace.zero(1), (0,))
+            elif self._component_rule is not None:
+                deg = _Degree(self.ideal_component(n), range(self.gen_dim**n))
+            else:
+                deg = self._next_degree(n)
+            self._degrees[n] = deg
+        return deg
+
+    def _next_degree(self, n: int) -> _Degree:
+        """B_n and the rewrite rules of degree n from those of lower degrees."""
+        d = self.gen_dim
+        prev = self._degree(n - 1)
+        codes = [b * d + x for b in prev.words for x in range(d)]
+        rows: list[list[Scalar]] = []
+        for m, rel in sorted(self.relations.items()):
+            if m > n or rel.dim == 0:
+                continue
+            shift = d**m
+            for b in self._degree(n - m).words:
+                for r in rel.basis.cells:
+                    row: list[Scalar] = [0] * len(codes)
+                    for s, c in enumerate(r):
+                        if c == 0:
+                            continue
+                        u, x = divmod(b * shift + s, d)
+                        for t, e in self._word_nf(n - 1, u).items():
+                            row[prev.index[t] * d + x] += c * e
+                    rows.append(row)
+        return _Degree(Subspace.from_rows(len(codes), rows), codes)
+
+    def _word_nf(self, n: int, w: int) -> dict[int, Scalar]:
+        """Normal form of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x)."""
+        deg = self._degree(n)
+        if w in deg.index:
+            return {w: 1}
+        nf = deg.rewrites.get(w)
+        if nf is None:
+            d = self.gen_dim
+            u, x = divmod(w, d)
+            nf = deg.reduce((b * d + x, c) for b, c in self._word_nf(n - 1, u).items())
+            deg.rewrites[w] = nf
+        return nf
+
+    def ideal_component(self, n: int) -> Subspace:
+        """Degree-n slice of the two-sided ideal generated by the relations.
+
+        For a presentation its canonical basis is the rows e_w - NF(w) for
+        the words w outside B_n, in word order, so no elimination is needed.
+        """
+        self._check_degree(n)
         cached = self._components.get(n)
         if cached is not None:
             return cached
+        size = self.gen_dim**n
         if n <= 1:
-            comp = Subspace.zero(self.gen_dim**n)
+            comp = Subspace.zero(size)
         elif self._component_rule is not None:
             comp = self._component_rule(n)
         else:
-            rows: list[Sequence[Scalar]] = []
-            for m, rel in sorted(self.relations.items()):
-                if m > n or rel.dim == 0:
+            normal = self._degree(n).index
+            rows = []
+            for w in range(size):
+                if w in normal:
                     continue
-                for pos in range(n - m + 1):
-                    rows.extend(embed_at(rel, n, pos, self.gen_dim).basis.cells)
-            comp = Subspace.from_rows(self.gen_dim**n, rows)
+                row: list[Scalar] = [0] * size
+                row[w] = 1
+                for t, c in self._word_nf(n, w).items():
+                    row[t] = -c
+                rows.append(row)
+            comp = Subspace(size, Matrix(rows, cols=size))
         self._components[n] = comp
         return comp
 
     def graded_dim(self, n: int) -> int:
-        return self.gen_dim**n - self.ideal_component(n).dim
+        return len(self._degree(n).words)
 
     def hilbert(self, max_degree: int) -> list[int]:
         return [self.graded_dim(n) for n in range(max_degree + 1)]
 
     def complement_words(self, n: int) -> list[int]:
-        """Word indices spanning the canonical complement of the ideal."""
-        pivots = set(self.ideal_component(n).pivot_columns())
-        return [w for w in range(self.gen_dim**n) if w not in pivots]
+        """Word indices spanning the canonical complement of the ideal (B_n)."""
+        return list(self._degree(n).words)
 
     def normal_form(self, x: FreeElement) -> tuple[Scalar, ...]:
         """Coordinates of x on the complement words, after killing the ideal.
 
         Linear in x and vanishes exactly on the ideal component.
         """
-        comp = self.ideal_component(x.degree)
-        residue = comp.reduce_vector(x.coords)
-        return tuple(residue[w] for w in self.complement_words(x.degree))
+        n = x.degree
+        deg = self._degree(n)
+        if len(x.coords) != self.gen_dim**n:
+            raise ValueError("ambient dimension mismatch")
+        nf: dict[int, Scalar] = {}
+        for w, c in enumerate(x.coords):
+            if c != 0:
+                for t, e in self._word_nf(n, w).items():
+                    nf[t] = nf.get(t, 0) + c * e
+        return tuple(nf.get(w, 0) for w in deg.words)
 
 
-def apply_U(V: EquippedSpace) -> PresentedAlgebra:
+def apply_U(V: EquippedSpace, degree_cap: int = DEFAULT_DEGREE_CAP) -> PresentedAlgebra:
     """Quotient of the tensor algebra by the ideal generated by Im R_n."""
     relations = {
         n: column_space(mat) for n, mat in V.structure_items() if n >= 2
     }
-    return PresentedAlgebra(V.dim, relations)
+    return PresentedAlgebra(V.dim, relations, degree_cap)
 
 
 def ideal_component(A: PresentedAlgebra, n: int) -> Subspace:
@@ -147,12 +266,15 @@ def normal_form(A: PresentedAlgebra, x: FreeElement) -> tuple[Scalar, ...]:
     return A.normal_form(x)
 
 
-def circ_product(A: PresentedAlgebra, B: PresentedAlgebra) -> PresentedAlgebra:
+def circ_product(
+    A: PresentedAlgebra, B: PresentedAlgebra, degree_cap: int | None = None
+) -> PresentedAlgebra:
     """Subalgebra of A⊗B generated by the degree-one parts.
 
     Its degree-n ideal component is φ⁻¹(I_A(n)⊗full + full⊗I_B(n)); the
     components are computed on demand because this algebra need not be
-    finitely presented even when A and B are.
+    finitely presented even when A and B are.  degree_cap defaults to the
+    smaller cap of the two factors.
     """
     dA, dB = A.gen_dim, B.gen_dim
 
@@ -171,7 +293,7 @@ def circ_product(A: PresentedAlgebra, B: PresentedAlgebra) -> PresentedAlgebra:
 
     return PresentedAlgebra(
         dA * dB,
-        degree_cap=min(A.degree_cap, B.degree_cap),
+        degree_cap=min(A.degree_cap, B.degree_cap) if degree_cap is None else degree_cap,
         component_rule=component,
     )
 
@@ -185,13 +307,8 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    left = apply_U(boxtimes(V, W))
-    left.degree_cap = max(left.degree_cap, N)
-    UV, UW = apply_U(V), apply_U(W)
-    UV.degree_cap = max(UV.degree_cap, N)
-    UW.degree_cap = max(UW.degree_cap, N)
-    circ = circ_product(UV, UW)
-    circ.degree_cap = max(circ.degree_cap, N)
+    left = apply_U(boxtimes(V, W), degree_cap=N)
+    circ = circ_product(apply_U(V, degree_cap=N), apply_U(W, degree_cap=N))
     dims: dict[str, int] = {}
     for n in range(2, N + 1):
         inner = left.ideal_component(n)

@@ -114,9 +114,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
         )
         return EXIT_CAP
     V = read_space(args.space)
-    algebra = apply_U(V)
-    algebra.degree_cap = max(algebra.degree_cap, args.max_degree)
-    series = algebra.hilbert(args.max_degree)
+    series = apply_U(V, degree_cap=args.max_degree).hilbert(args.max_degree)
     sys.stdout.write(" ".join(str(x) for x in series) + "\n")
     if args.out:
         record = VerificationReport(
@@ -131,6 +129,10 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.epi_degree < 2:
+        raise SpaceFormatError("--epi-degree must be at least 2")
+    if args.trials < 0:
+        raise SpaceFormatError("--trials must be nonnegative")
     V = read_space(args.v)
     W = read_space(args.w)
     U: EquippedSpace | None = read_space(args.u) if args.u else None

@@ -37,6 +37,11 @@ def format_rational(value: Scalar) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _is_int(value: Any) -> bool:
+    """True for a JSON integer and False for a JSON boolean (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_from_lists(rows: Any, expected: int) -> Matrix:
     if not isinstance(rows, list) or len(rows) != expected:
         raise SpaceFormatError(f"matrix must be a list of {expected} rows")
@@ -56,7 +61,7 @@ def space_from_dict(data: Any) -> EquippedSpace:
     if not isinstance(data, dict):
         raise SpaceFormatError("space file must hold a JSON object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SpaceFormatError("'dim' must be a positive integer")
     entries = data.get("structure", [])
     if not isinstance(entries, list):
@@ -66,7 +71,7 @@ def space_from_dict(data: Any) -> EquippedSpace:
         if not isinstance(entry, dict):
             raise SpaceFormatError("structure entries must be objects")
         degree = entry.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise SpaceFormatError("'degree' must be a positive integer")
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
@@ -115,9 +120,9 @@ def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
         raise SpaceFormatError("relation file must hold a JSON object")
     dim = data.get("dim")
     degree = data.get("degree", 2)
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SpaceFormatError("'dim' must be a positive integer")
-    if not isinstance(degree, int) or degree < 2:
+    if not _is_int(degree) or degree < 2:
         raise SpaceFormatError("'degree' must be an integer >= 2")
     basis = data.get("basis")
     if not isinstance(basis, list):

@@ -9,7 +9,7 @@ for subspace equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -276,31 +276,21 @@ def rank(m: Matrix) -> int:
     return rref(m).rows
 
 
-def _pivot_columns(basis: Matrix) -> list[int]:
-    cols = []
-    for row in basis.cells:
-        for c, x in enumerate(row):
-            if x != 0:
-                cols.append(c)
-                break
-    return cols
-
-
-def _is_canonical_basis(basis: Matrix) -> bool:
-    """Cheap structural check that a matrix is an RREF with no zero rows."""
+def _canonical_pivots(basis: Matrix) -> tuple[int, ...] | None:
+    """Pivot columns of a matrix that is an RREF with no zero rows, else None."""
     prev = -1
     pivots = []
     for row in basis.cells:
         lead = next((c for c, x in enumerate(row) if x != 0), None)
         if lead is None or lead <= prev or row[lead] != 1:
-            return False
+            return None
         pivots.append(lead)
         prev = lead
     for i, row in enumerate(basis.cells):
         for p in pivots[:i] + pivots[i + 1 :]:
             if row[p] != 0:
-                return False
-    return True
+                return None
+    return tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -313,12 +303,15 @@ class Subspace:
 
     ambient_dim: int
     basis: Matrix
+    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.basis.cols != self.ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        if not _is_canonical_basis(self.basis):
+        pivots = _canonical_pivots(self.basis)
+        if pivots is None:
             raise ValueError("basis is not in reduced row-echelon form")
+        object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -337,14 +330,14 @@ class Subspace:
         return self.basis.rows
 
     def pivot_columns(self) -> list[int]:
-        return _pivot_columns(self.basis)
+        return list(self._pivots)
 
     def reduce_vector(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Residue of vec after eliminating all pivot coordinates."""
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         res = list(vec)
-        for row, p in zip(self.basis.cells, self.pivot_columns()):
+        for row, p in zip(self.basis.cells, self._pivots):
             c = res[p]
             if c != 0:
                 res = [x - c * y for x, y in zip(res, row)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, Scalar, Subspace, kronecker
+from .linalg import Matrix, Scalar
 
 
 def encode_digits(digits: Sequence[int], radix: int) -> int:
@@ -122,22 +122,3 @@ def tau23(dA: int, dB: int) -> Matrix:
     """Permutation matrix of the middle-two swap (a,a',b,b') -> (a,b,a',b')."""
     return permutation_matrix(tau23_table(dA, dB))
 
-
-def embed_at(rel: Subspace, n: int, pos: int, d: int) -> Subspace:
-    """The subspace V^{⊗pos} ⊗ rel ⊗ V^{⊗(n-k-pos)} inside V^{⊗n}.
-
-    rel must live in V^{⊗k} with d^k = rel.ambient_dim.
-    """
-    k = 0
-    size = 1
-    while size < rel.ambient_dim:
-        size *= d
-        k += 1
-    if size != rel.ambient_dim:
-        raise ValueError("relation ambient dimension is not a power of d")
-    if pos < 0 or pos > n - k:
-        raise ValueError(f"position {pos} out of range for degree {n}")
-    left = Matrix.identity(d**pos)
-    right = Matrix.identity(d ** (n - k - pos))
-    rows = kronecker(kronecker(left, rel.basis), right)
-    return Subspace.from_rows(d**n, rows.cells)

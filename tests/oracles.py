@@ -4,10 +4,17 @@ Deliberately naive and separate from the package implementation: plain
 Fraction Gauss-Jordan elimination and explicit loops over tensor word
 indices.  Derived constants asserted in the tests were produced by these
 routines and are re-derived here wherever that stays cheap.
+
+embed_at and embed_and_sum_component are the exception: they keep the
+package's former ambient-space ideal components (every positional
+embedding of the relations, summed with the package's elimination) as the
+reference for the normal-word recursion that replaced them.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from eqspace.linalg import Matrix, Subspace, kronecker
 
 
 def naive_rref(rows, ncols):
@@ -79,3 +86,65 @@ def oracle_graded_dims(gen_dim, relations, max_degree):
                 rows.extend(embedding_rows(rel_rows, m, n, gen_dim))
         dims.append(gen_dim**n - oracle_rank(rows))
     return dims
+
+
+def embed_at(rel, n, pos, d):
+    """The subspace V^{⊗pos} ⊗ rel ⊗ V^{⊗(n-k-pos)} inside V^{⊗n}.
+
+    rel must live in V^{⊗k} with d^k = rel.ambient_dim.
+    """
+    k = 0
+    size = 1
+    while size < rel.ambient_dim:
+        size *= d
+        k += 1
+    if size != rel.ambient_dim:
+        raise ValueError("relation ambient dimension is not a power of d")
+    if pos < 0 or pos > n - k:
+        raise ValueError(f"position {pos} out of range for degree {n}")
+    left = Matrix.identity(d**pos)
+    right = Matrix.identity(d ** (n - k - pos))
+    rows = kronecker(kronecker(left, rel.basis), right)
+    return Subspace.from_rows(d**n, rows.cells)
+
+
+def embed_and_sum_component(gen_dim, relations, n):
+    """Degree-n ideal component as the span of every positional embedding.
+
+    relations maps degree to Subspace.  This is the ambient-space reference
+    for the normal-word recursion of PresentedAlgebra.
+    """
+    rows = []
+    for m, rel in sorted(relations.items()):
+        if m > n or rel.dim == 0:
+            continue
+        for pos in range(n - m + 1):
+            rows.extend(embed_at(rel, n, pos, gen_dim).basis.cells)
+    return Subspace.from_rows(gen_dim**n, rows)
+
+
+def oracle_normal_forms(relations, gen_dim, n, vectors):
+    """Complement words and the residues of vectors modulo the degree-n ideal.
+
+    relations maps degree to plain relation rows.  The ideal is spanned by
+    the naive embeddings and reduced by plain Gauss-Jordan elimination; the
+    complement words are its non-pivot columns.
+    """
+    ncols = gen_dim**n
+    rows = []
+    for m, rel_rows in relations.items():
+        if m <= n:
+            rows.extend(embedding_rows(rel_rows, m, n, gen_dim))
+    red = naive_rref(rows, ncols) if rows else []
+    pivots = [next(c for c, x in enumerate(r) if x != 0) for r in red]
+    pivot_set = set(pivots)
+    words = [w for w in range(ncols) if w not in pivot_set]
+    residues = []
+    for vec in vectors:
+        res = [Fraction(x) for x in vec]
+        for row, p in zip(red, pivots):
+            c = res[p]
+            if c != 0:
+                res = [x - c * y for x, y in zip(res, row)]
+        residues.append(tuple(res[w] for w in words))
+    return words, residues

@@ -20,8 +20,8 @@ from eqspace import (
     unit_K,
 )
 from eqspace.sampling import random_quadratic
-from conftest import QP_MATRIX
-from oracles import oracle_graded_dims
+from conftest import QP_MATRIX, cubic_matrix
+from oracles import embed_and_sum_component, oracle_graded_dims, oracle_normal_forms
 
 QP_REL = Subspace.from_rows(4, [[0, 1, -2, 0]])
 
@@ -130,6 +130,71 @@ class TestNormalForm:
                 vec = [x + c * y for x, y in zip(vec, row)]
             nf = A.normal_form(FreeElement(3, tuple(vec)))
             assert all(x == 0 for x in nf)
+
+
+def random_rows(rng, width, count):
+    return [
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(width)]
+        for _ in range(count)
+    ]
+
+
+def assert_matches_oracles(rng, gen_dim, rows_by_degree, max_degree):
+    """Hilbert series, ideal components, complement words and normal forms
+    of the presentation agree with the embed-and-sum reference and the
+    brute-force oracles in every degree up to max_degree."""
+    relations = {
+        m: Subspace.from_rows(gen_dim**m, rows) for m, rows in rows_by_degree.items()
+    }
+    A = PresentedAlgebra(gen_dim, relations, degree_cap=max_degree)
+    assert A.hilbert(max_degree) == oracle_graded_dims(gen_dim, rows_by_degree, max_degree)
+    for n in range(max_degree + 1):
+        assert A.ideal_component(n) == embed_and_sum_component(gen_dim, relations, n)
+        size = gen_dim**n
+        vectors = [tuple(int(i == w) for i in range(size)) for w in range(size)]
+        vectors += [tuple(row) for row in random_rows(rng, size, 2)]
+        words, residues = oracle_normal_forms(rows_by_degree, gen_dim, n, vectors)
+        assert A.complement_words(n) == words
+        for vec, expected in zip(vectors, residues):
+            assert A.normal_form(FreeElement(n, vec)) == expected
+
+
+class TestRecursionMatchesOracles:
+    def test_random_quadratic_dim_two(self):
+        rng = random.Random(47)
+        for _ in range(6):
+            rows = random_rows(rng, 4, rng.randint(0, 4))
+            assert_matches_oracles(rng, 2, {2: rows}, 5)
+
+    def test_sampled_quadratic_spaces_dim_two(self):
+        rng = random.Random(53)
+        for _ in range(3):
+            rel = apply_U(random_quadratic(rng, 2)).relations[2]
+            assert_matches_oracles(rng, 2, {2: [list(r) for r in rel.basis.cells]}, 5)
+
+    def test_random_quadratic_dim_three(self):
+        rng = random.Random(59)
+        for _ in range(3):
+            rows = random_rows(rng, 9, rng.randint(1, 3))
+            assert_matches_oracles(rng, 3, {2: rows}, 4)
+
+    def test_cubic_fixture(self, cubic):
+        rel = apply_U(cubic).relations[3]
+        assert_matches_oracles(random.Random(61), 2, {3: [list(r) for r in rel.basis.cells]}, 6)
+
+    def test_mixed_degrees_two_and_three(self):
+        rng = random.Random(67)
+        for _ in range(3):
+            rows = {2: random_rows(rng, 4, 1), 3: random_rows(rng, 8, rng.randint(1, 3))}
+            assert_matches_oracles(rng, 2, rows, 5)
+
+    def test_zero_and_full_spans(self):
+        rng = random.Random(71)
+        identity = lambda size: [[int(i == j) for j in range(size)] for i in range(size)]
+        assert_matches_oracles(rng, 2, {2: []}, 5)
+        assert_matches_oracles(rng, 2, {2: identity(4)}, 5)
+        assert_matches_oracles(rng, 3, {2: identity(9)}, 4)
+        assert_matches_oracles(rng, 2, {2: [], 3: identity(8)}, 5)
 
 
 class TestCircProduct:

@@ -60,6 +60,24 @@ class TestSpaceFiles:
         with pytest.raises(SpaceFormatError):
             space_from_dict({"dim": 2, "structure": [entry, dict(entry)]})
 
+    def test_boolean_dim_and_degree_rejected(self):
+        matrix = [["0"] * 4 for _ in range(4)]
+        with pytest.raises(SpaceFormatError):
+            space_from_dict({"dim": True, "structure": []})
+        with pytest.raises(SpaceFormatError):
+            space_from_dict(
+                {"dim": 2, "structure": [{"degree": True, "matrix": [["0", "0"]] * 2}]}
+            )
+        with pytest.raises(SpaceFormatError):
+            space_from_dict({"dim": 2, "structure": [{"degree": 2.0, "matrix": matrix}]})
+
+    def test_boolean_dim_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bool_dim.json"
+        path.write_text(json.dumps({"dim": True, "structure": []}))
+        assert main(["dual", str(path), "--out", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+        capsys.readouterr()
+
     def test_bad_matrix_shape_rejected(self):
         with pytest.raises(SpaceFormatError):
             space_from_dict(
@@ -99,6 +117,16 @@ class TestConstructionCommands:
         data = json.loads(out.read_text())
         assert data["dim"] == 4
         assert "j*dim_v + i" in data["generators"]
+
+    def test_project_rejects_boolean_dim_and_degree(self, tmp_path, capsys):
+        for dim, degree in ((True, 2), (2, True)):
+            rel = {"dim": dim, "degree": degree, "basis": [["0", "1", "-2", "0"]]}
+            rel_path = tmp_path / "rel.json"
+            rel_path.write_text(json.dumps(rel))
+            out = tmp_path / "proj.json"
+            assert main(["project", str(rel_path), "--out", str(out)]) == 2
+            assert not out.exists()
+        capsys.readouterr()
 
     def test_project_rebuilds_quantum_plane(self, tmp_path):
         rel = {
@@ -291,6 +319,18 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["hilbert", str(path)]) == 3
         capsys.readouterr()
+
+    def test_epi_degree_below_two_exits_two(self, tmp_path, capsys):
+        qp_path = write_qp(tmp_path / "qp.json")
+        argv = ["verify", qp_path, qp_path, "--suite", "epi", "--trials", "0"]
+        assert main(argv + ["--epi-degree", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_trials_exits_two(self, tmp_path, capsys):
+        qp_path = write_qp(tmp_path / "qp.json")
+        argv = ["verify", qp_path, qp_path, "--suite", "rigidity", "--trials", "-5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eqspace import Matrix, Subspace, embed_at, flip, kronecker, phi_iso, tau23
+from eqspace import Matrix, Subspace, flip, kronecker, phi_iso, tau23
 from eqspace.tensors import (
     decode_index,
     encode_digits,
@@ -13,6 +13,7 @@ from eqspace.tensors import (
     push_row,
     tau23_table,
 )
+from oracles import embed_at
 
 
 def is_permutation(m: Matrix) -> bool:
