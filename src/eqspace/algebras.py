@@ -140,15 +140,19 @@ class PresentedAlgebra:
     def _degree(self, n: int) -> _Degree:
         self._check_degree(n)
         deg = self._degrees.get(n)
-        if deg is None:
-            if n == 0:
-                deg = _Degree(Subspace.zero(1), (0,))
-            elif self._component_rule is not None:
-                deg = _Degree(self.ideal_component(n), range(self.gen_dim**n))
-            else:
-                deg = self._next_degree(n)
+        if deg is not None:
+            return deg
+        if self._component_rule is not None:
+            deg = _Degree(self.ideal_component(n), range(self.gen_dim**n))
             self._degrees[n] = deg
-        return deg
+            return deg
+        # Degrees of a presentation are built in order, so the cache holds
+        # 0..k and each step finds every lower degree it needs.
+        for k in range(len(self._degrees), n + 1):
+            self._degrees[k] = (
+                _Degree(Subspace.zero(1), (0,)) if k == 0 else self._next_degree(k)
+            )
+        return self._degrees[n]
 
     def _next_degree(self, n: int) -> _Degree:
         """B_n and the rewrite rules of degree n from those of lower degrees."""
@@ -173,15 +177,28 @@ class PresentedAlgebra:
         return _Degree(Subspace.from_rows(len(codes), rows), codes)
 
     def _word_nf(self, n: int, w: int) -> dict[int, Scalar]:
-        """Normal form of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x)."""
-        deg = self._degree(n)
-        if w in deg.index:
-            return {w: 1}
-        nf = deg.rewrites.get(w)
-        if nf is None:
-            d = self.gen_dim
-            u, x = divmod(w, d)
-            nf = deg.reduce((b * d + x, c) for b, c in self._word_nf(n - 1, u).items())
+        """Normal form of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x).
+
+        Walks down the prefixes of w to the longest one whose normal form is
+        known (every word of degree <= 1 is normal), then rewrites back up
+        one letter at a time.
+        """
+        d = self.gen_dim
+        pending: list[tuple[_Degree, int]] = []
+        while True:
+            deg = self._degree(n)
+            if w in deg.index:
+                nf = {w: 1}
+                break
+            known = deg.rewrites.get(w)
+            if known is not None:
+                nf = known
+                break
+            pending.append((deg, w))
+            n, w = n - 1, w // d
+        for deg, w in reversed(pending):
+            x = w % d
+            nf = deg.reduce((b * d + x, c) for b, c in nf.items())
             deg.rewrites[w] = nf
         return nf
 
@@ -266,15 +283,12 @@ def normal_form(A: PresentedAlgebra, x: FreeElement) -> tuple[Scalar, ...]:
     return A.normal_form(x)
 
 
-def circ_product(
-    A: PresentedAlgebra, B: PresentedAlgebra, degree_cap: int | None = None
-) -> PresentedAlgebra:
+def circ_product(A: PresentedAlgebra, B: PresentedAlgebra) -> PresentedAlgebra:
     """Subalgebra of A⊗B generated by the degree-one parts.
 
     Its degree-n ideal component is φ⁻¹(I_A(n)⊗full + full⊗I_B(n)); the
     components are computed on demand because this algebra need not be
-    finitely presented even when A and B are.  degree_cap defaults to the
-    smaller cap of the two factors.
+    finitely presented even when A and B are.
     """
     dA, dB = A.gen_dim, B.gen_dim
 
@@ -293,7 +307,7 @@ def circ_product(
 
     return PresentedAlgebra(
         dA * dB,
-        degree_cap=min(A.degree_cap, B.degree_cap) if degree_cap is None else degree_cap,
+        degree_cap=min(A.degree_cap, B.degree_cap),
         component_rule=component,
     )
 

@@ -20,7 +20,7 @@ from eqspace import (
     unit_K,
 )
 from eqspace.sampling import random_quadratic
-from conftest import QP_MATRIX, cubic_matrix
+from conftest import QP_MATRIX
 from oracles import embed_and_sum_component, oracle_graded_dims, oracle_normal_forms
 
 QP_REL = Subspace.from_rows(4, [[0, 1, -2, 0]])
@@ -86,6 +86,17 @@ class TestHilbert:
             ]
             A = PresentedAlgebra(2, {2: Subspace.from_rows(4, rel_rows)})
             assert A.hilbert(3) == oracle_graded_dims(2, {2: rel_rows}, 3)
+
+    def test_first_call_at_high_degree(self):
+        # The lower degrees and the normal forms of prefixes are built in
+        # loops, so a first call far above the cached degrees stays shallow.
+        free = PresentedAlgebra(1, degree_cap=2000)
+        assert free.graded_dim(1500) == 1
+        assert PresentedAlgebra(1, degree_cap=2000).normal_form(FreeElement(1500, (1,))) == (1,)
+        killed = PresentedAlgebra(1, {2: Subspace.from_rows(1, [[1]])}, degree_cap=2000)
+        assert killed.ideal_component(1500).dim == 1
+        assert killed.graded_dim(1500) == 0
+        assert killed.normal_form(FreeElement(1500, (1,))) == ()
 
 
 class TestNormalForm:
