@@ -3,7 +3,8 @@
 Constructs monoidal products, duals and internal homs of linear spaces
 equipped with graded structure maps, presents the associated quotient
 algebras, and verifies quantum matrix algebra identities by exact finite
-linear algebra.
+linear algebra.  The package root exports the documented library API;
+helpers are imported from their modules.
 """
 
 from .algebras import (
@@ -14,49 +15,25 @@ from .algebras import (
     check_U_epi,
     check_algebra_morphism,
     circ_product,
-    graded_dim,
-    hilbert,
-    ideal_component,
-    normal_form,
     structure_projector,
 )
 from .frt import (
-    Comultiplication,
-    TensorLegElement,
     check_comult_well_defined,
     check_manin_epi,
     coassociativity_check,
-    comultiplication,
     corep_delta_check,
     counit_check,
     counit_law_check,
-    frt_relation_generators,
     frt_relations,
     frt_relations_conic,
     manin_hom_relations,
     verify_hom_equals_frt,
-    yang_baxter_diagnostic,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    column_space,
-    kernel,
-    kronecker,
-    rank,
-    rref,
-    subspace_contains,
-    subspace_equal,
-    subspace_sum,
-    transpose,
-)
+from .linalg import Matrix, Subspace, column_space
 from .report import VerificationReport
 from .spaces import (
     EquippedSpace,
-    LinearMorphism,
-    MorphismError,
     boxtimes,
-    boxtimes_degree,
     check_morphism,
     coev_map,
     dagger,
@@ -64,23 +41,17 @@ from .spaces import (
     hom_space,
     unit_K,
 )
-from .tensors import flip, phi_iso, tau23
 
 __all__ = [
-    "Comultiplication",
     "DegreeCapExceeded",
     "EquippedSpace",
     "FreeElement",
-    "LinearMorphism",
     "Matrix",
-    "MorphismError",
     "PresentedAlgebra",
     "Subspace",
-    "TensorLegElement",
     "VerificationReport",
     "apply_U",
     "boxtimes",
-    "boxtimes_degree",
     "check_U_epi",
     "check_algebra_morphism",
     "check_comult_well_defined",
@@ -90,34 +61,16 @@ __all__ = [
     "coassociativity_check",
     "coev_map",
     "column_space",
-    "comultiplication",
     "corep_delta_check",
     "counit_check",
     "counit_law_check",
     "dagger",
     "ev_map",
-    "flip",
-    "frt_relation_generators",
     "frt_relations",
     "frt_relations_conic",
-    "graded_dim",
-    "hilbert",
     "hom_space",
-    "ideal_component",
-    "kernel",
-    "kronecker",
     "manin_hom_relations",
-    "normal_form",
-    "phi_iso",
-    "rank",
-    "rref",
     "structure_projector",
-    "subspace_contains",
-    "subspace_equal",
-    "subspace_sum",
-    "tau23",
-    "transpose",
     "unit_K",
     "verify_hom_equals_frt",
-    "yang_baxter_diagnostic",
 ]

@@ -33,16 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import (
-    Matrix,
-    Scalar,
-    Subspace,
-    column_space,
-    kronecker,
-    subspace_contains,
-)
+from .linalg import Matrix, Scalar, Subspace, column_space, kronecker
 from .report import VerificationReport
-from .spaces import EquippedSpace, boxtimes
+from .spaces import EquippedSpace, _tensor_power, boxtimes
 from .tensors import pull_row, phi_table
 
 DEFAULT_DEGREE_CAP = 4
@@ -267,22 +260,6 @@ def apply_U(V: EquippedSpace, degree_cap: int = DEFAULT_DEGREE_CAP) -> Presented
     return PresentedAlgebra(V.dim, relations, degree_cap)
 
 
-def ideal_component(A: PresentedAlgebra, n: int) -> Subspace:
-    return A.ideal_component(n)
-
-
-def graded_dim(A: PresentedAlgebra, n: int) -> int:
-    return A.graded_dim(n)
-
-
-def hilbert(A: PresentedAlgebra, max_degree: int) -> list[int]:
-    return A.hilbert(max_degree)
-
-
-def normal_form(A: PresentedAlgebra, x: FreeElement) -> tuple[Scalar, ...]:
-    return A.normal_form(x)
-
-
 def circ_product(A: PresentedAlgebra, B: PresentedAlgebra) -> PresentedAlgebra:
     """Subalgebra of A⊗B generated by the degree-one parts.
 
@@ -329,14 +306,12 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
         outer = circ.ideal_component(n)
         dims[f"product_ideal_{n}"] = inner.dim
         dims[f"circle_ideal_{n}"] = outer.dim
-        if not subspace_contains(outer, inner):
-            bad = next(
-                row for row in inner.basis.cells if not outer.contains_vector(row)
-            )
+        bad = outer.first_outside(inner.basis.cells)
+        if bad is not None:
             return VerificationReport(
                 "product-ideal-in-circle-ideal",
                 False,
-                witness={"degree": n, "vector": list(bad)},
+                witness={"degree": n, "vector": list(inner.basis.cells[bad])},
                 dimensions=dims,
             )
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
@@ -366,16 +341,13 @@ def check_algebra_morphism(
             f"map must be {B.gen_dim}x{A.gen_dim}, got {l.rows}x{l.cols}"
         )
     for m, rel in sorted(A.relations.items()):
-        lm = Matrix.identity(1)
-        for _ in range(m):
-            lm = kronecker(lm, l)
-        target = B.ideal_component(m)
-        for row in rel.basis.cells:
-            image = lm.apply(row)
-            if not target.contains_vector(image):
-                return VerificationReport(
-                    "algebra-morphism-preserves-relations",
-                    False,
-                    witness={"degree": m, "relation": list(row), "image": list(image)},
-                )
+        lm = _tensor_power(l, m)
+        bad = B.ideal_component(m).first_outside(lm.apply(row) for row in rel.basis.cells)
+        if bad is not None:
+            row = rel.basis.cells[bad]
+            return VerificationReport(
+                "algebra-morphism-preserves-relations",
+                False,
+                witness={"degree": m, "relation": list(row), "image": list(lm.apply(row))},
+            )
     return VerificationReport("algebra-morphism-preserves-relations", True)

@@ -1,9 +1,12 @@
 """File formats: space files, relation-basis files and check reports.
 
-All files are JSON, human-diffable, with every rational written as the
-string "p/q" (or "p" when the denominator is one) so no float ever enters
-the pipeline.  Report serialization is canonical: checks sorted by name,
-keys sorted, fixed indentation; identical inputs give identical bytes.
+All files are JSON and human-diffable.  Space and relation files write
+every rational as the string "p/q" (or "p" when the denominator is one) so
+no float ever enters the pipeline.  Report serialization is canonical:
+checks sorted by name, keys sorted, fixed indentation; identical inputs
+give identical bytes.  A report spells a value by what it is, not by its
+Python type: an integer (int or integral Fraction) is a JSON number and
+any other rational the string "p/q".
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ class SpaceFormatError(Exception):
 def parse_rational(text: str) -> Scalar:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SpaceFormatError(f"not a rational string: {text!r}")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ValueError as exc:
+        # Digit strings past the interpreter's int-string limit.
+        raise SpaceFormatError(f"rational with too many digits ({len(text)})") from exc
     return int(value) if value.denominator == 1 else value
 
 
@@ -138,7 +145,7 @@ def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return value.numerator if value.denominator == 1 else format_rational(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):

@@ -19,15 +19,7 @@ from itertools import product
 from typing import Sequence
 
 from .algebras import PresentedAlgebra, apply_U
-from .linalg import (
-    Matrix,
-    Scalar,
-    Subspace,
-    column_space,
-    kernel,
-    kronecker,
-    subspace_equal,
-)
+from .linalg import Matrix, Scalar, Subspace, column_space, kernel, kronecker
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
 from .tensors import push_row, tau23_table
@@ -41,26 +33,6 @@ def gen_flat(i: int, j: int, dV: int) -> int:
 def gen_split(g: int, dV: int) -> tuple[int, int]:
     j, i = divmod(g, dV)
     return i, j
-
-
-@dataclass(frozen=True)
-class TensorLegElement:
-    """Element of (free algebra on X) ⊗ (free algebra on Y) in a bidegree.
-
-    Coordinates are indexed by pairs of words, left word major: the pair
-    (l, r) of word codes sits at l·y_size^right_degree + r.
-    """
-
-    x_size: int
-    y_size: int
-    left_degree: int
-    right_degree: int
-    coords: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        expected = self.x_size**self.left_degree * self.y_size**self.right_degree
-        if len(self.coords) != expected:
-            raise ValueError("coordinate length does not match bidegree")
 
 
 def _require_quadratic(*spaces: EquippedSpace) -> None:
@@ -114,24 +86,15 @@ def verify_hom_equals_frt(V: EquippedSpace, W: EquippedSpace) -> VerificationRep
     pipeline = column_space(hom_space(W, V).structure_at(2))
     explicit = frt_relations(V, W)
     dims = {"pipeline": pipeline.dim, "explicit": explicit.dim}
-    if subspace_equal(pipeline, explicit):
+    if pipeline == explicit:
         return VerificationReport("hom-equals-frt", True, dimensions=dims)
-    mismatch = next(
-        (
-            list(row)
-            for row in pipeline.basis.cells
-            if not explicit.contains_vector(row)
-        ),
-        None,
-    )
-    if mismatch is None:
-        mismatch = next(
-            list(row)
-            for row in explicit.basis.cells
-            if not pipeline.contains_vector(row)
-        )
+    bad = explicit.first_outside(pipeline.basis.cells)
+    if bad is None:
+        mismatch = explicit.basis.cells[pipeline.first_outside(explicit.basis.cells)]
+    else:
+        mismatch = pipeline.basis.cells[bad]
     return VerificationReport(
-        "hom-equals-frt", False, witness={"vector": mismatch}, dimensions=dims
+        "hom-equals-frt", False, witness={"vector": list(mismatch)}, dimensions=dims
     )
 
 
@@ -140,7 +103,10 @@ class Comultiplication:
     """Symbolic map t_i^j -> sum_k t'_i^k ⊗ t''_k^j, extended to words.
 
     Left-leg generators t'_i^k live on dU·dV letters (flat k·dV + i),
-    right-leg generators t''_k^j on dW·dU letters (flat j·dU + k).
+    right-leg generators t''_k^j on dW·dU letters (flat j·dU + k).  The
+    image of a degree-p element has coordinates indexed by pairs of words,
+    left word major: the pair (l, r) of word codes sits at
+    l·right_size^p + r.
     """
 
     dV: int
@@ -155,7 +121,7 @@ class Comultiplication:
     def right_size(self) -> int:
         return self.dW * self.dU
 
-    def on_word(self, word: Sequence[int]) -> TensorLegElement:
+    def on_word(self, word: Sequence[int]) -> tuple[Scalar, ...]:
         p = len(word)
         letters = [gen_split(g, self.dV) for g in word]
         right_total = self.right_size**p
@@ -167,9 +133,9 @@ class Comultiplication:
                 lcode = lcode * self.left_size + (k * self.dV + i)
                 rcode = rcode * self.right_size + (j * self.dU + k)
             coords[lcode * right_total + rcode] += 1
-        return TensorLegElement(self.left_size, self.right_size, p, p, tuple(coords))
+        return tuple(coords)
 
-    def on_vector(self, coords: Sequence[Scalar], degree: int) -> TensorLegElement:
+    def on_vector(self, coords: Sequence[Scalar], degree: int) -> tuple[Scalar, ...]:
         g_count = self.dW * self.dV
         right_total = self.right_size**degree
         acc: list[Scalar] = [0] * (self.left_size**degree * right_total)
@@ -182,17 +148,10 @@ class Comultiplication:
                 t, g = divmod(t, g_count)
                 word.append(g)
             word.reverse()
-            image = self.on_word(word)
-            for idx, x in enumerate(image.coords):
+            for idx, x in enumerate(self.on_word(word)):
                 if x != 0:
                     acc[idx] += c * x
-        return TensorLegElement(
-            self.left_size, self.right_size, degree, degree, tuple(acc)
-        )
-
-
-def comultiplication(dV: int, dW: int, dU: int) -> Comultiplication:
-    return Comultiplication(dV, dW, dU)
+        return tuple(acc)
 
 
 def counit_on_word(word: Sequence[int], dV: int) -> int:
@@ -220,26 +179,22 @@ def coassociativity_check(dV: int, dW: int, dX: int, dY: int) -> VerificationRep
     refine_right = Comultiplication(dX, dW, dY)
     for g in range(dW * dV):
         route1: list[Scalar] = [0] * total
-        first = through_y.on_word([g])
-        for idx, c in enumerate(first.coords):
+        for idx, c in enumerate(through_y.on_word([g])):
             if c == 0:
                 continue
-            lcode, rcode = divmod(idx, first.y_size)
-            second = refine_left.on_word([lcode])
-            for idx2, c2 in enumerate(second.coords):
+            lcode, rcode = divmod(idx, through_y.right_size)
+            for idx2, c2 in enumerate(refine_left.on_word([lcode])):
                 if c2 != 0:
-                    a, b = divmod(idx2, second.y_size)
+                    a, b = divmod(idx2, refine_left.right_size)
                     route1[(a * s2 + b) * s3 + rcode] += c * c2
         route2: list[Scalar] = [0] * total
-        first = through_x.on_word([g])
-        for idx, c in enumerate(first.coords):
+        for idx, c in enumerate(through_x.on_word([g])):
             if c == 0:
                 continue
-            lcode, rcode = divmod(idx, first.y_size)
-            second = refine_right.on_word([rcode])
-            for idx2, c2 in enumerate(second.coords):
+            lcode, rcode = divmod(idx, through_x.right_size)
+            for idx2, c2 in enumerate(refine_right.on_word([rcode])):
                 if c2 != 0:
-                    b, e = divmod(idx2, second.y_size)
+                    b, e = divmod(idx2, refine_right.right_size)
                     route2[(lcode * s2 + b) * s3 + e] += c * c2
         if route1 != route2:
             bad = next(idx for idx in range(total) if route1[idx] != route2[idx])
@@ -254,22 +209,21 @@ def coassociativity_check(dV: int, dW: int, dX: int, dY: int) -> VerificationRep
 def counit_law_check(dV: int, dW: int) -> VerificationReport:
     """Counit composed with either leg of the comultiplication is the identity."""
     g_count = dW * dV
+    delta_left = Comultiplication(dV, dW, dV)
+    delta_right = Comultiplication(dV, dW, dW)
     for g in range(g_count):
-        i, j = gen_split(g, dV)
         left = [0] * g_count
-        delta_left = Comultiplication(dV, dW, dV).on_word([g])
-        for idx, c in enumerate(delta_left.coords):
+        for idx, c in enumerate(delta_left.on_word([g])):
             if c == 0:
                 continue
-            lcode, rcode = divmod(idx, delta_left.y_size)
+            lcode, rcode = divmod(idx, delta_left.right_size)
             if counit_on_word([lcode], dV):
                 left[rcode] += c
         right = [0] * g_count
-        delta_right = Comultiplication(dV, dW, dW).on_word([g])
-        for idx, c in enumerate(delta_right.coords):
+        for idx, c in enumerate(delta_right.on_word([g])):
             if c == 0:
                 continue
-            lcode, rcode = divmod(idx, delta_right.y_size)
+            lcode, rcode = divmod(idx, delta_right.right_size)
             if counit_on_word([rcode], dW):
                 right[lcode] += c
         unit = [int(h == g) for h in range(g_count)]
@@ -304,15 +258,14 @@ def check_comult_well_defined(
     target = Subspace.from_rows(left_total * right_total, rows)
     source = frt_relations(V, W)
     dims = {"source": source.dim, "target_ideal": target.dim}
-    for row in source.basis.cells:
-        image = delta.on_vector(row, 2)
-        if not target.contains_vector(image.coords):
-            return VerificationReport(
-                "comultiplication-well-defined",
-                False,
-                witness={"relation": list(row)},
-                dimensions=dims,
-            )
+    bad = target.first_outside(delta.on_vector(row, 2) for row in source.basis.cells)
+    if bad is not None:
+        return VerificationReport(
+            "comultiplication-well-defined",
+            False,
+            witness={"relation": list(source.basis.cells[bad])},
+            dimensions=dims,
+        )
     return VerificationReport("comultiplication-well-defined", True, dimensions=dims)
 
 
@@ -357,22 +310,26 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     target = Subspace.from_rows(g_count**2 * w_total, rows)
     im_r = column_space(V.structure_at(2))
     dims = {"source": im_r.dim, "target_ideal": target.dim}
-    for row in im_r.basis.cells:
-        image: list[Scalar] = [0] * (g_count**2 * w_total)
+
+    def image(row: Sequence[Scalar]) -> list[Scalar]:
+        out: list[Scalar] = [0] * (g_count**2 * w_total)
         for code, c in enumerate(row):
             if c == 0:
                 continue
             i1, i2 = divmod(code, dV)
             for j1, j2 in product(range(dW), repeat=2):
                 gcode = gen_flat(i1, j1, dV) * g_count + gen_flat(i2, j2, dV)
-                image[gcode * w_total + (j1 * dW + j2)] += c
-        if not target.contains_vector(image):
-            return VerificationReport(
-                "corepresentation-well-defined",
-                False,
-                witness={"relation": list(row)},
-                dimensions=dims,
-            )
+                out[gcode * w_total + (j1 * dW + j2)] += c
+        return out
+
+    bad = target.first_outside(image(row) for row in im_r.basis.cells)
+    if bad is not None:
+        return VerificationReport(
+            "corepresentation-well-defined",
+            False,
+            witness={"relation": list(im_r.basis.cells[bad])},
+            dimensions=dims,
+        )
     return VerificationReport("corepresentation-well-defined", True, dimensions=dims)
 
 
@@ -408,14 +365,14 @@ def check_manin_epi(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     manin = manin_hom_relations(apply_U(V), apply_U(W))
     frt = frt_relations(V, W)
     dims = {"manin": manin.dim, "frt": frt.dim}
-    for row in manin.basis.cells:
-        if not frt.contains_vector(row):
-            return VerificationReport(
-                "manin-relations-in-frt",
-                False,
-                witness={"vector": list(row)},
-                dimensions=dims,
-            )
+    bad = frt.first_outside(manin.basis.cells)
+    if bad is not None:
+        return VerificationReport(
+            "manin-relations-in-frt",
+            False,
+            witness={"vector": list(manin.basis.cells[bad])},
+            dimensions=dims,
+        )
     return VerificationReport("manin-relations-in-frt", True, dimensions=dims)
 
 
@@ -430,27 +387,3 @@ def frt_relations_conic(V: EquippedSpace, W: EquippedSpace, m: int) -> Subspace:
             )
     return column_space(boxtimes(dagger(W), V).structure_at(m))
 
-
-def yang_baxter_diagnostic(V: EquippedSpace) -> VerificationReport:
-    """Optional diagnostic: braid identity for the degree-2 structure.
-
-    Not a constraint anywhere in the package; structures are never
-    required to satisfy it.
-    """
-    R = V.structure_at(2)
-    eye = Matrix.identity(V.dim)
-    r12 = kronecker(R, eye)
-    r23 = kronecker(eye, R)
-    lhs = r12 * r23 * r12
-    rhs = r23 * r12 * r23
-    if lhs == rhs:
-        return VerificationReport("yang-baxter-braid", True)
-    diff = lhs - rhs
-    col = next(
-        c for c in range(diff.cols) if any(diff[r, c] != 0 for r in range(diff.rows))
-    )
-    return VerificationReport(
-        "yang-baxter-braid",
-        False,
-        witness={"column": col, "difference": [diff[r, col] for r in range(diff.rows)]},
-    )

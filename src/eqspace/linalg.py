@@ -49,9 +49,6 @@ class Matrix:
     def cells(self) -> tuple[tuple[Scalar, ...], ...]:
         return self._cells
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._cells[i]
-
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         return self._cells[i][j]
@@ -87,9 +84,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(-x for x in r) for r in self._cells)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(tuple(c * x for x in r) for r in self._cells)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -149,10 +143,6 @@ class Matrix:
         if not columns:
             return cls.zero(rows, 0)
         return cls(zip(*columns), cols=len(columns))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return m.transpose()
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
@@ -267,15 +257,6 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
     return out
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row-echelon form; preserves the row space, drops zero rows."""
-    return Matrix(_rref_rows(m.cells, m.cols), cols=m.cols)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m).rows
-
-
 def _canonical_pivots(basis: Matrix) -> tuple[int, ...] | None:
     """Pivot columns of a matrix that is an RREF with no zero rows, else None."""
     prev = -1
@@ -343,31 +324,17 @@ class Subspace:
                 res = [x - c * y for x, y in zip(res, row)]
         return tuple(res)
 
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
-        return all(x == 0 for x in self.reduce_vector(vec))
+    def first_outside(self, vectors: Iterable[Sequence[Scalar]]) -> int | None:
+        """Index of the first vector not in the span, or None when all are.
 
-
-def _check_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_ambient(a, b)
-    return Subspace.from_rows(a.ambient_dim, a.basis.cells + b.basis.cells)
-
-
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True when b is contained in a."""
-    _check_ambient(a, b)
-    return all(a.contains_vector(row) for row in b.basis.cells)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    _check_ambient(a, b)
-    return a.basis == b.basis
+        The vectors are consumed lazily, so a caller that computes them one
+        at a time stops computing at the first failure.  Containment of a
+        subspace b is ``first_outside(b.basis.cells) is None``.
+        """
+        for i, vec in enumerate(vectors):
+            if any(x != 0 for x in self.reduce_vector(vec)):
+                return i
+        return None
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -3,8 +3,11 @@
 An equipped space is a pair (V, R) where R is a finitely supported family
 of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ``boxtimes`` (R⊠S = φ⁻¹(R⊗I + I⊗S)φ per degree), the duality ``dagger``
-((V*, -Rᵀ)), structure-preserving morphism checks, the evaluation and
-coevaluation maps of the rigid structure, and internal hom spaces.
+((V*, -Rᵀ)), the check that a linear map intertwines two structures, the
+evaluation and coevaluation arrows of the rigid structure with that check
+applied to them, and internal hom spaces.  Structure matrices of products
+are built from the index table of φ; the permutation matrices they are
+tested against live with the test oracles.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -14,6 +17,7 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
 from .linalg import Matrix, kronecker
@@ -87,8 +91,8 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
 
     Built by index bookkeeping: entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is
     Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and conjugating by the permutation φ just
-    relabels both indices.  ``phi_iso`` conjugation gives the same matrix;
-    tests assert the agreement.
+    relabels both indices.  Conjugating by the permutation matrix of φ gives
+    the same matrix; tests assert the agreement.
     """
     size = (dV * dW) ** n
     inv = invert_table(phi_table(dV, dW, n))
@@ -166,24 +170,6 @@ def check_morphism(l: Matrix, V: EquippedSpace, W: EquippedSpace) -> Verificatio
     return VerificationReport("morphism-intertwines", True)
 
 
-class MorphismError(ValueError):
-    """Raised when a map fails its structure-intertwining verification."""
-
-
-class LinearMorphism:
-    """Structure-preserving linear map, verified at construction."""
-
-    __slots__ = ("source", "target", "map")
-
-    def __init__(self, source: EquippedSpace, target: EquippedSpace, map: Matrix):
-        rep = check_morphism(map, source, target)
-        if not rep.passed:
-            raise MorphismError(f"map does not intertwine structures: {rep.witness}")
-        self.source = source
-        self.target = target
-        self.map = map
-
-
 def ev_row(d: int) -> Matrix:
     """1×d² pairing row on V*⊗V: entry 1 at each flat index (j, j)."""
     return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1]) for g in range(d * d)]])
@@ -194,15 +180,17 @@ def coev_column(d: int) -> Matrix:
     return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1])] for g in range(d * d)])
 
 
-def ev_map(V: EquippedSpace) -> LinearMorphism:
-    """Evaluation dagger(V) ⊠ V -> unit; construction verifies the arrow.
+def ev_map(V: EquippedSpace) -> VerificationReport:
+    """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
 
-    A verification failure here signals an implementation bug, never bad
-    user input: the pairing intertwines any structure with the zero map.
+    A failure here signals an implementation bug, never bad user input:
+    the pairing intertwines any structure with the zero map.
     """
-    return LinearMorphism(boxtimes(dagger(V), V), unit_K(), ev_row(V.dim))
+    rep = check_morphism(ev_row(V.dim), boxtimes(dagger(V), V), unit_K())
+    return replace(rep, name="ev-morphism")
 
 
-def coev_map(V: EquippedSpace) -> LinearMorphism:
-    """Coevaluation unit -> V ⊠ dagger(V); construction verifies the arrow."""
-    return LinearMorphism(unit_K(), boxtimes(V, dagger(V)), coev_column(V.dim))
+def coev_map(V: EquippedSpace) -> VerificationReport:
+    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism."""
+    rep = check_morphism(coev_column(V.dim), unit_K(), boxtimes(V, dagger(V)))
+    return replace(rep, name="coev-morphism")

@@ -5,26 +5,18 @@ Global flattening convention, used everywhere in the package: a word
 sum r_k * d^(n-1-k), leftmost digit major.  Kronecker products follow the
 same rule (left factor major), so index code = flattened tensor word.
 
-Permutations come in two forms: an index table (``table[src] = dst``,
-meaning the map sends basis vector e_src to e_dst) used as the internal
-fast path, and the materialized permutation matrix.  Both are exposed so
-tests can assert they agree.
+Permutations are index tables (``table[src] = dst``, meaning the map
+sends basis vector e_src to e_dst), applied to coordinate rows by
+``push_row`` and ``pull_row``; no permutation matrix is ever built.  The
+materialized matrices that the tables are tested against live with the
+test oracles.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, Scalar
-
-
-def encode_digits(digits: Sequence[int], radix: int) -> int:
-    code = 0
-    for r in digits:
-        if not 0 <= r < radix:
-            raise ValueError(f"digit {r} out of range for radix {radix}")
-        code = code * radix + r
-    return code
+from .linalg import Scalar
 
 
 def decode_index(code: int, radix: int, length: int) -> tuple[int, ...]:
@@ -34,15 +26,6 @@ def decode_index(code: int, radix: int, length: int) -> tuple[int, ...]:
     if code:
         raise ValueError("index out of range for the given radix and length")
     return tuple(digits)
-
-
-def permutation_matrix(table: Sequence[int]) -> Matrix:
-    """Matrix P with P·e_src = e_table[src]."""
-    n = len(table)
-    cells = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(table):
-        cells[dst][src] = 1
-    return Matrix(cells, cols=n)
 
 
 def invert_table(table: Sequence[int]) -> list[int]:
@@ -88,24 +71,6 @@ def phi_table(dV: int, dW: int, n: int) -> list[int]:
     return table
 
 
-def phi_iso(dV: int, dW: int, n: int) -> Matrix:
-    """Permutation matrix of the shuffle (V⊗W)^{⊗n} -> V^{⊗n} ⊗ W^{⊗n}."""
-    return permutation_matrix(phi_table(dV, dW, n))
-
-
-def flip_table(dV: int, dW: int) -> list[int]:
-    table = [0] * (dV * dW)
-    for a in range(dV):
-        for b in range(dW):
-            table[a * dW + b] = b * dV + a
-    return table
-
-
-def flip(dV: int, dW: int) -> Matrix:
-    """Permutation matrix of V⊗W -> W⊗V, v⊗w -> w⊗v."""
-    return permutation_matrix(flip_table(dV, dW))
-
-
 def tau23_table(dA: int, dB: int) -> list[int]:
     """Middle-two swap A⊗A⊗B⊗B -> A⊗B⊗A⊗B as an index table."""
     size = dA * dA * dB * dB
@@ -116,9 +81,4 @@ def tau23_table(dA: int, dB: int) -> list[int]:
         a1, a2 = divmod(rest, dA)
         table[src] = ((a1 * dB + b1) * dA + a2) * dB + b2
     return table
-
-
-def tau23(dA: int, dB: int) -> Matrix:
-    """Permutation matrix of the middle-two swap (a,a',b,b') -> (a,b,a',b')."""
-    return permutation_matrix(tau23_table(dA, dB))
 

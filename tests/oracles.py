@@ -1,20 +1,27 @@
-"""Independent brute-force oracles used to compute expected test values.
+"""Reference implementations the package's fast paths are tested against.
 
-Deliberately naive and separate from the package implementation: plain
-Fraction Gauss-Jordan elimination and explicit loops over tensor word
-indices.  Derived constants asserted in the tests were produced by these
-routines and are re-derived here wherever that stays cheap.
+Most are independent brute-force oracles, deliberately naive and separate
+from the package implementation: plain Fraction Gauss-Jordan elimination
+and explicit loops over tensor word indices.  Derived constants asserted in
+the tests were produced by these routines and are re-derived here wherever
+that stays cheap.
 
-embed_at and embed_and_sum_component are the exception: they keep the
-package's former ambient-space ideal components (every positional
-embedding of the relations, summed with the package's elimination) as the
-reference for the normal-word recursion that replaced them.
+Two groups are former library code kept as references:
+
+- embed_at and embed_and_sum_component give the ambient-space ideal
+  components (every positional embedding of the relations, summed with the
+  package's elimination) that the normal-word recursion replaced;
+- permutation_matrix and the matrices phi_iso, flip and tau23 materialize
+  the index tables the package works with (encode_digits spells word
+  codes), so tests can compare the tables and the products built from them
+  with literal matrix conjugation.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from eqspace.linalg import Matrix, Subspace, kronecker
+from eqspace.tensors import phi_table, tau23_table
 
 
 def naive_rref(rows, ncols):
@@ -148,3 +155,44 @@ def oracle_normal_forms(relations, gen_dim, n, vectors):
                 res = [x - c * y for x, y in zip(res, row)]
         residues.append(tuple(res[w] for w in words))
     return words, residues
+
+
+def encode_digits(digits, radix):
+    code = 0
+    for r in digits:
+        if not 0 <= r < radix:
+            raise ValueError(f"digit {r} out of range for radix {radix}")
+        code = code * radix + r
+    return code
+
+
+def permutation_matrix(table):
+    """Matrix P with P·e_src = e_table[src]."""
+    n = len(table)
+    cells = [[0] * n for _ in range(n)]
+    for src, dst in enumerate(table):
+        cells[dst][src] = 1
+    return Matrix(cells, cols=n)
+
+
+def phi_iso(dV, dW, n):
+    """Permutation matrix of the shuffle (V⊗W)^{⊗n} -> V^{⊗n} ⊗ W^{⊗n}."""
+    return permutation_matrix(phi_table(dV, dW, n))
+
+
+def flip_table(dV, dW):
+    table = [0] * (dV * dW)
+    for a in range(dV):
+        for b in range(dW):
+            table[a * dW + b] = b * dV + a
+    return table
+
+
+def flip(dV, dW):
+    """Permutation matrix of V⊗W -> W⊗V, v⊗w -> w⊗v."""
+    return permutation_matrix(flip_table(dV, dW))
+
+
+def tau23(dA, dB):
+    """Permutation matrix of the middle-two swap (a,a',b,b') -> (a,b,a',b')."""
+    return permutation_matrix(tau23_table(dA, dB))

@@ -16,7 +16,6 @@ from eqspace import (
     circ_product,
     column_space,
     structure_projector,
-    subspace_equal,
     unit_K,
 )
 from eqspace.sampling import random_quadratic
@@ -37,7 +36,7 @@ class TestApplyU:
 
     def test_quantum_plane_relations(self):
         A = qp_algebra()
-        assert subspace_equal(A.relations[2], QP_REL)
+        assert A.relations[2] == QP_REL
 
     def test_unit_space_gives_scalar_tower(self):
         A = apply_U(unit_K())
@@ -51,7 +50,7 @@ class TestIdealComponent:
 
     def test_quantum_plane_degree_two(self):
         A = qp_algebra()
-        assert subspace_equal(A.ideal_component(2), QP_REL)
+        assert A.ideal_component(2) == QP_REL
 
     def test_quantum_plane_degree_three(self):
         # Frozen from the brute-force embedding oracle.
@@ -260,10 +259,10 @@ class TestStructureProjector:
     def test_quantum_plane_projector(self, qp):
         P = structure_projector(QP_REL)
         assert P * P == P
-        assert subspace_equal(column_space(P), QP_REL)
+        assert column_space(P) == QP_REL
         rebuilt = apply_U(EquippedSpace(2, {2: P}))
         assert rebuilt.hilbert(4) == [1, 2, 3, 4, 5]
-        assert subspace_equal(rebuilt.relations[2], QP_REL)
+        assert rebuilt.relations[2] == QP_REL
 
     def test_random_idempotents(self):
         rng = random.Random(41)
@@ -275,7 +274,7 @@ class TestStructureProjector:
             rel = Subspace.from_rows(5, rows)
             P = structure_projector(rel)
             assert P * P == P
-            assert subspace_equal(column_space(P), rel)
+            assert column_space(P) == rel
 
 
 class TestCheckAlgebraMorphism:

@@ -19,6 +19,7 @@ from eqspace.sampling import random_equipped
 from conftest import DJ_MATRIX, QP_MATRIX
 
 import random
+import sys
 from fractions import Fraction
 
 
@@ -332,6 +333,21 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-string conversion limit",
+    )
+    def test_huge_numerator_exits_two(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000
+        matrix = [[huge, "0", "0", "0"]] + [["0"] * 4] * 3
+        data = {"dim": 2, "structure": [{"degree": 2, "matrix": matrix}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["dual", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "too many digits" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -348,3 +364,13 @@ def test_report_serialization_is_canonical():
     assert data["pass"] is False
     assert data["checks"][0]["witness"]["vector"] == ["1/2"]
     assert dumps_canonical(data) == dumps_canonical(json.loads(dumps_canonical(data)))
+
+
+def test_witness_value_is_spelled_by_what_it_is():
+    # An integral Fraction and an int are the same number and get the same
+    # spelling; a non-integral rational stays a "p/q" string.
+    rep = VerificationReport(
+        "a-check", False, witness={"vector": [Fraction(2), 2, Fraction(-3, 2)]}
+    )
+    data = report_to_dict(["verify"], [rep])
+    assert data["checks"][0]["witness"]["vector"] == [2, 2, "-3/2"]

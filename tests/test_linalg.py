@@ -3,21 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from eqspace import (
-    Matrix,
-    Subspace,
-    column_space,
-    kernel,
-    kronecker,
-    rank,
-    rref,
-    subspace_contains,
-    subspace_equal,
-    subspace_sum,
-    transpose,
-)
+from eqspace import Matrix, Subspace, column_space
+from eqspace.linalg import kernel, kronecker
 from conftest import QP_MATRIX
-from oracles import naive_rref
+from oracles import naive_rref, oracle_contains
 
 
 def rand_matrix(rng, rows, cols):
@@ -28,6 +17,11 @@ def rand_matrix(rng, rows, cols):
         ],
         cols=cols,
     )
+
+
+def rref(m):
+    """Canonical reduced row-echelon basis of the row space of m."""
+    return Subspace.from_rows(m.cols, m.cells).basis
 
 
 class TestRref:
@@ -52,7 +46,7 @@ class TestRref:
             assert rref(red) == red
             a = Subspace.from_rows(m.cols, m.cells)
             b = Subspace.from_rows(m.cols, red.cells)
-            assert subspace_equal(a, b)
+            assert a == b
 
     def test_matches_naive_oracle(self):
         rng = random.Random(11)
@@ -71,7 +65,7 @@ class TestKernel:
 
     def test_single_relation(self):
         got = kernel(Matrix([[1, 2]]))
-        assert subspace_equal(got, Subspace.from_rows(2, [[-2, 1]]))
+        assert got == Subspace.from_rows(2, [[-2, 1]])
 
     def test_rank_nullity(self):
         rng = random.Random(3)
@@ -99,39 +93,82 @@ class TestColumnSpace:
         assert got == Subspace.from_rows(4, [[0, 1, -2, 0]])
 
 
+def sum_of(a, b):
+    return Subspace.from_rows(a.ambient_dim, a.basis.cells + b.basis.cells)
+
+
 class TestSubspaces:
     def test_sum_idempotent(self):
         s = Subspace.from_rows(3, [[1, 0, 2], [0, 1, 1]])
-        assert subspace_sum(s, s) == s
+        assert sum_of(s, s) == s
 
     def test_full_contains_anything(self):
         s = Subspace.from_rows(3, [[1, 5, Fraction(1, 2)]])
-        assert subspace_contains(Subspace.full(3), s)
+        assert Subspace.full(3).first_outside(s.basis.cells) is None
 
     def test_unit_spans_sum_to_full_plane(self):
         a = Subspace.from_rows(2, [[1, 0]])
         b = Subspace.from_rows(2, [[0, 1]])
-        assert subspace_sum(a, b) == Subspace.full(2)
+        assert sum_of(a, b) == Subspace.full(2)
 
     def test_equality_is_canonical(self):
         a = Subspace.from_rows(3, [[2, 4, 0], [1, 2, 1]])
         b = Subspace.from_rows(3, [[1, 2, 0], [3, 6, 7]])
-        assert subspace_equal(a, b)
+        assert a == b
         assert a.basis.cells == b.basis.cells
 
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError):
-            subspace_sum(Subspace.full(2), Subspace.full(3))
+            Subspace.full(2).first_outside([(1, 0), (1, 0, 0)])
         with pytest.raises(ValueError):
-            subspace_contains(Subspace.full(2), Subspace.zero(3))
-        with pytest.raises(ValueError):
-            subspace_equal(Subspace.zero(2), Subspace.zero(3))
+            Subspace.zero(3).first_outside([(1, 0)])
+        assert Subspace.zero(2) != Subspace.zero(3)
 
     def test_containment_by_reduction(self):
         big = Subspace.from_rows(3, [[1, 0, 1], [0, 1, 1]])
         small = Subspace.from_rows(3, [[1, 1, 2]])
-        assert subspace_contains(big, small)
-        assert not subspace_contains(small, big)
+        assert big.first_outside(small.basis.cells) is None
+        assert small.first_outside(big.basis.cells) == 0
+
+
+class TestFirstOutside:
+    def test_matches_oracle_on_random_spans(self):
+        rng = random.Random(17)
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            span_rows = rand_matrix(rng, rng.randint(0, n + 1), n).cells
+            span = Subspace.from_rows(n, span_rows)
+            vectors = list(rand_matrix(rng, rng.randint(0, 3), n).cells)
+            for _ in range(2):
+                coeffs = [rng.randint(-2, 2) for _ in span_rows]
+                vectors.append(
+                    [sum(c * r[j] for c, r in zip(coeffs, span_rows)) for j in range(n)]
+                )
+            rng.shuffle(vectors)
+            expected = next(
+                (i for i, v in enumerate(vectors) if not oracle_contains(span_rows, v)),
+                None,
+            )
+            assert span.first_outside(vectors) == expected
+
+    def test_zero_and_full_spans(self):
+        vectors = [(0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 3)]
+        assert Subspace.zero(3).first_outside(vectors) == 1
+        assert Subspace.zero(3).first_outside([(0, 0, 0)]) is None
+        assert Subspace.full(3).first_outside(vectors) is None
+        assert Subspace.full(3).first_outside([]) is None
+
+    def test_generator_is_consumed_lazily(self):
+        span = Subspace.from_rows(2, [[1, 1]])
+        seen = []
+
+        def images():
+            for v in [(2, 2), (1, 0), (0, 1)]:
+                seen.append(v)
+                yield v
+
+        assert span.first_outside(images()) == 1
+        assert seen == [(2, 2), (1, 0)]
 
 
 class TestKronecker:
@@ -159,19 +196,19 @@ class TestKronecker:
 class TestTranspose:
     def test_symmetric_fixed(self):
         m = Matrix([[1, 2], [2, 3]])
-        assert transpose(m) == m
+        assert m.transpose() == m
 
     def test_involution(self):
         rng = random.Random(2)
         m = rand_matrix(rng, 3, 5)
-        assert transpose(transpose(m)) == m
+        assert m.transpose().transpose() == m
 
     def test_antihomomorphism(self):
         rng = random.Random(4)
         for _ in range(10):
             a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
-            assert transpose(a * b) == transpose(b) * transpose(a)
+            assert (a * b).transpose() == b.transpose() * a.transpose()
 
 
 def test_rank_of_quantum_plane_structure():
-    assert rank(QP_MATRIX) == 1
+    assert Subspace.from_rows(4, QP_MATRIX.cells).dim == 1

@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from eqspace import Matrix, Subspace, flip, kronecker, phi_iso, tau23
+from eqspace import Matrix, Subspace
+from eqspace.linalg import kronecker
 from eqspace.tensors import (
     decode_index,
-    encode_digits,
     invert_table,
-    permutation_matrix,
     phi_table,
     pull_row,
     push_row,
     tau23_table,
 )
-from oracles import embed_at
+from oracles import embed_at, encode_digits, flip, permutation_matrix, phi_iso, tau23
 
 
 def is_permutation(m: Matrix) -> bool:
