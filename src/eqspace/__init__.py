@@ -14,7 +14,6 @@ from .algebras import (
     apply_U,
     check_U_epi,
     check_algebra_morphism,
-    circ_product,
     structure_projector,
 )
 from .frt import (
@@ -57,7 +56,6 @@ __all__ = [
     "check_comult_well_defined",
     "check_manin_epi",
     "check_morphism",
-    "circ_product",
     "coassociativity_check",
     "coev_map",
     "column_space",

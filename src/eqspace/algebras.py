@@ -20,10 +20,6 @@ forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
 The ambient component I_n is assembled from them only when a caller asks
 for it.
 
-Algebras built from a component_rule (the circle product) have no finite
-presentation to recurse on; their components are computed in the ambient
-space and their normal words read off the echelon basis.
-
 Degrees and components are memoized per instance; instances are intended
 to be confined to one thread (the caches are not locked).
 """
@@ -31,12 +27,12 @@ to be confined to one thread (the caches are not locked).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Scalar, Subspace, column_space, kronecker
+from .linalg import Matrix, Scalar, Subspace, TensorSum, column_space
 from .report import VerificationReport
 from .spaces import EquippedSpace, _tensor_power, boxtimes
-from .tensors import pull_row, phi_table
+from .tensors import phi_table, push_row
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -91,10 +87,7 @@ class _Degree:
 class PresentedAlgebra:
     """Quotient of the free algebra on gen_dim generators.
 
-    relations maps degree m >= 2 to a Subspace of gen_dim^m.  A
-    component_rule callback gives the ideal components directly for
-    algebras that are not given by a finite presentation (the circle
-    product uses this).
+    relations maps degree m >= 2 to a Subspace of gen_dim^m.
     """
 
     def __init__(
@@ -102,7 +95,6 @@ class PresentedAlgebra:
         gen_dim: int,
         relations: Mapping[int, Subspace] | None = None,
         degree_cap: int = DEFAULT_DEGREE_CAP,
-        component_rule: Callable[[int], Subspace] | None = None,
     ):
         if gen_dim < 1:
             raise ValueError("generator dimension must be at least 1")
@@ -117,7 +109,6 @@ class PresentedAlgebra:
         self.gen_dim = gen_dim
         self.relations = relations
         self.degree_cap = degree_cap
-        self._component_rule = component_rule
         self._components: dict[int, Subspace] = {}
         self._degrees: dict[int, _Degree] = {}
 
@@ -135,12 +126,8 @@ class PresentedAlgebra:
         deg = self._degrees.get(n)
         if deg is not None:
             return deg
-        if self._component_rule is not None:
-            deg = _Degree(self.ideal_component(n), range(self.gen_dim**n))
-            self._degrees[n] = deg
-            return deg
-        # Degrees of a presentation are built in order, so the cache holds
-        # 0..k and each step finds every lower degree it needs.
+        # Degrees are built in order, so the cache holds 0..k and each step
+        # finds every lower degree it needs.
         for k in range(len(self._degrees), n + 1):
             self._degrees[k] = (
                 _Degree(Subspace.zero(1), (0,)) if k == 0 else self._next_degree(k)
@@ -198,30 +185,25 @@ class PresentedAlgebra:
     def ideal_component(self, n: int) -> Subspace:
         """Degree-n slice of the two-sided ideal generated by the relations.
 
-        For a presentation its canonical basis is the rows e_w - NF(w) for
-        the words w outside B_n, in word order, so no elimination is needed.
+        Its canonical basis is the rows e_w - NF(w) for the words w outside
+        B_n, in word order, so no elimination is needed.
         """
         self._check_degree(n)
         cached = self._components.get(n)
         if cached is not None:
             return cached
         size = self.gen_dim**n
-        if n <= 1:
-            comp = Subspace.zero(size)
-        elif self._component_rule is not None:
-            comp = self._component_rule(n)
-        else:
-            normal = self._degree(n).index
-            rows = []
-            for w in range(size):
-                if w in normal:
-                    continue
-                row: list[Scalar] = [0] * size
-                row[w] = 1
-                for t, c in self._word_nf(n, w).items():
-                    row[t] = -c
-                rows.append(row)
-            comp = Subspace(size, Matrix(rows, cols=size))
+        normal = self._degree(n).index
+        rows = []
+        for w in range(size):
+            if w in normal:
+                continue
+            row: list[Scalar] = [0] * size
+            row[w] = 1
+            for t, c in self._word_nf(n, w).items():
+                row[t] = -c
+            rows.append(row)
+        comp = Subspace(size, Matrix(rows, cols=size))
         self._components[n] = comp
         return comp
 
@@ -260,58 +242,37 @@ def apply_U(V: EquippedSpace, degree_cap: int = DEFAULT_DEGREE_CAP) -> Presented
     return PresentedAlgebra(V.dim, relations, degree_cap)
 
 
-def circ_product(A: PresentedAlgebra, B: PresentedAlgebra) -> PresentedAlgebra:
-    """Subalgebra of A⊗B generated by the degree-one parts.
-
-    Its degree-n ideal component is φ⁻¹(I_A(n)⊗full + full⊗I_B(n)); the
-    components are computed on demand because this algebra need not be
-    finitely presented even when A and B are.
-    """
-    dA, dB = A.gen_dim, B.gen_dim
-
-    def component(n: int) -> Subspace:
-        table = phi_table(dA, dB, n)
-        rows: list[Sequence[Scalar]] = []
-        comp_a = A.ideal_component(n)
-        if comp_a.dim:
-            for row in kronecker(comp_a.basis, Matrix.identity(dB**n)).cells:
-                rows.append(pull_row(row, table))
-        comp_b = B.ideal_component(n)
-        if comp_b.dim:
-            for row in kronecker(Matrix.identity(dA**n), comp_b.basis).cells:
-                rows.append(pull_row(row, table))
-        return Subspace.from_rows((dA * dB) ** n, rows)
-
-    return PresentedAlgebra(
-        dA * dB,
-        degree_cap=min(A.degree_cap, B.degree_cap),
-        component_rule=component,
-    )
-
-
 def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationReport:
     """Per-degree containment of the product-space ideal in the circle ideal.
 
-    Passes when, for every n <= N, the ideal of the quotient of V⊠W maps
-    into the degree-n ideal component of U(V)∘U(W); this witnesses the
-    functorial epimorphism between the two quotients.
+    The circle ideal, the ideal of U(V)∘U(W), is the kernel of the algebra
+    map T(V⊗W) -> U(V)⊗U(W), so it is two-sided and holds the ideal of the
+    quotient of V⊠W exactly when it holds that ideal's generators, the
+    basis rows of Im (R⊠S)_n.  A generator x of degree n is in it when
+    φ(x) lies in I_V(n)⊗full + full⊗I_W(n).  Passing for every n <= N
+    witnesses the functorial epimorphism between the two quotients; the
+    reported ideal dimensions come from the Hilbert series.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     left = apply_U(boxtimes(V, W), degree_cap=N)
-    circ = circ_product(apply_U(V, degree_cap=N), apply_U(W, degree_cap=N))
+    A, B = apply_U(V, degree_cap=N), apply_U(W, degree_cap=N)
     dims: dict[str, int] = {}
     for n in range(2, N + 1):
-        inner = left.ideal_component(n)
-        outer = circ.ideal_component(n)
-        dims[f"product_ideal_{n}"] = inner.dim
-        dims[f"circle_ideal_{n}"] = outer.dim
-        bad = outer.first_outside(inner.basis.cells)
+        size = left.gen_dim**n
+        dims[f"product_ideal_{n}"] = size - left.graded_dim(n)
+        dims[f"circle_ideal_{n}"] = size - A.graded_dim(n) * B.graded_dim(n)
+        rel = left.relations.get(n)
+        if rel is None:
+            continue
+        target = TensorSum(A.ideal_component(n), B.ideal_component(n))
+        table = phi_table(A.gen_dim, B.gen_dim, n)
+        bad = target.first_outside(push_row(row, table) for row in rel.basis.cells)
         if bad is not None:
             return VerificationReport(
                 "product-ideal-in-circle-ideal",
                 False,
-                witness={"degree": n, "vector": list(inner.basis.cells[bad])},
+                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
                 dimensions=dims,
             )
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Sequence
 
 from .algebras import PresentedAlgebra, apply_U
-from .linalg import Matrix, Scalar, Subspace, column_space, kernel, kronecker
+from .linalg import Scalar, Subspace, TensorSum, column_space, kernel
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
 from .tensors import push_row, tau23_table
@@ -246,16 +246,7 @@ def check_comult_well_defined(
     """
     _require_quadratic(V, W, U_mid)
     delta = Comultiplication(V.dim, W.dim, U_mid.dim)
-    left_rel = frt_relations(V, U_mid)
-    right_rel = frt_relations(U_mid, W)
-    left_total = delta.left_size**2
-    right_total = delta.right_size**2
-    rows: list[Sequence[Scalar]] = []
-    if left_rel.dim:
-        rows.extend(kronecker(left_rel.basis, Matrix.identity(right_total)).cells)
-    if right_rel.dim:
-        rows.extend(kronecker(Matrix.identity(left_total), right_rel.basis).cells)
-    target = Subspace.from_rows(left_total * right_total, rows)
+    target = TensorSum(frt_relations(V, U_mid), frt_relations(U_mid, W))
     source = frt_relations(V, W)
     dims = {"source": source.dim, "target_ideal": target.dim}
     bad = target.first_outside(delta.on_vector(row, 2) for row in source.basis.cells)
@@ -299,15 +290,8 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     _require_quadratic(V, W)
     dV, dW = V.dim, W.dim
     g_count = dW * dV
-    rel_vw = frt_relations(V, W)
-    im_s = column_space(W.structure_at(2))
     w_total = dW * dW
-    rows: list[Sequence[Scalar]] = []
-    if rel_vw.dim:
-        rows.extend(kronecker(rel_vw.basis, Matrix.identity(w_total)).cells)
-    if im_s.dim:
-        rows.extend(kronecker(Matrix.identity(g_count**2), im_s.basis).cells)
-    target = Subspace.from_rows(g_count**2 * w_total, rows)
+    target = TensorSum(frt_relations(V, W), column_space(W.structure_at(2)))
     im_r = column_space(V.structure_at(2))
     dims = {"source": im_r.dim, "target_ideal": target.dim}
 
@@ -350,8 +334,7 @@ def manin_hom_relations(A: PresentedAlgebra, B: PresentedAlgebra) -> Subspace:
     rows = []
     for arow in ann.basis.cells:
         for brow in rel_a.basis.cells:
-            flat = kronecker(Matrix([arow]), Matrix([brow])).cells[0]
-            rows.append(push_row(flat, table))
+            rows.append(push_row([x * y for x in arow for y in brow], table))
     return Subspace.from_rows((dW * dV) ** 2, rows)
 
 

@@ -4,7 +4,8 @@ Scalars are Python ints and ``fractions.Fraction`` values; every operation
 is exact, so equality tests carry zero tolerance.  Maps act on column
 coordinate vectors, images are column spaces, and subspaces are stored as
 reduced row-echelon bases, which makes the RREF the unique canonical form
-for subspace equality.
+for subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
+``TensorSum`` tests membership in them block by block.
 """
 
 from __future__ import annotations
@@ -333,6 +334,43 @@ class Subspace:
         """
         for i, vec in enumerate(vectors):
             if any(x != 0 for x in self.reduce_vector(vec)):
+                return i
+        return None
+
+
+@dataclass(frozen=True)
+class TensorSum:
+    """The span left⊗k^b + k^a⊗right inside k^(a·b), left factor major.
+
+    Membership is tested without building the span, by the identity
+    (k^a/X)⊗(k^b/Y) = (k^a⊗k^b)/(X⊗k^b + k^a⊗Y) (Polishchuk-Positselski,
+    Quadratic Algebras, ch. 3): read a vector as a blocks of length b,
+    reduce each block modulo right, and the vector lies in the span exactly
+    when every column of the reduced blocks lies in left.
+    """
+
+    left: Subspace
+    right: Subspace
+
+    @property
+    def dim(self) -> int:
+        r, s = self.left.dim, self.right.dim
+        return r * self.right.ambient_dim + self.left.ambient_dim * s - r * s
+
+    def first_outside(self, vectors: Iterable[Sequence[Scalar]]) -> int | None:
+        """Index of the first vector not in the span, or None when all are.
+
+        Same contract as :meth:`Subspace.first_outside`: lazy, and a
+        ValueError on a vector of the wrong length.
+        """
+        a, b = self.left.ambient_dim, self.right.ambient_dim
+        for i, vec in enumerate(vectors):
+            if len(vec) != a * b:
+                raise ValueError("ambient dimension mismatch")
+            blocks = [
+                self.right.reduce_vector(vec[k * b : (k + 1) * b]) for k in range(a)
+            ]
+            if self.left.first_outside(zip(*blocks)) is not None:
                 return i
         return None
 

@@ -7,9 +7,9 @@ same rule (left factor major), so index code = flattened tensor word.
 
 Permutations are index tables (``table[src] = dst``, meaning the map
 sends basis vector e_src to e_dst), applied to coordinate rows by
-``push_row`` and ``pull_row``; no permutation matrix is ever built.  The
-materialized matrices that the tables are tested against live with the
-test oracles.
+``push_row``; no permutation matrix is ever built.  The materialized
+matrices that the tables are tested against, and the application of an
+inverse table, live with the test oracles.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def push_row(row: Sequence[Scalar], table: Sequence[int]) -> list[Scalar]:
         if x != 0:
             out[table[i]] = x
     return out
-
-
-def pull_row(row: Sequence[Scalar], table: Sequence[int]) -> list[Scalar]:
-    """Coordinates of P^-1·x for the row form of x (out[i] = row[table[i]])."""
-    return [row[table[i]] for i in range(len(table))]
 
 
 def phi_table(dV: int, dW: int, n: int) -> list[int]:

@@ -11,10 +11,15 @@ Two groups are former library code kept as references:
 - embed_at and embed_and_sum_component give the ambient-space ideal
   components (every positional embedding of the relations, summed with the
   package's elimination) that the normal-word recursion replaced;
+- circle_ideal_component builds the degree-n ideal of the circle product
+  as dense Kronecker rows pulled back through φ, the span that the
+  tensor-sum containment test and the Hilbert-series dimensions of
+  check_U_epi replaced;
 - permutation_matrix and the matrices phi_iso, flip and tau23 materialize
   the index tables the package works with (encode_digits spells word
-  codes), so tests can compare the tables and the products built from them
-  with literal matrix conjugation.
+  codes, pull_row applies the inverse of a table), so tests can compare
+  the tables and the products built from them with literal matrix
+  conjugation.
 """
 
 from fractions import Fraction
@@ -155,6 +160,29 @@ def oracle_normal_forms(relations, gen_dim, n, vectors):
                 res = [x - c * y for x, y in zip(res, row)]
         residues.append(tuple(res[w] for w in words))
     return words, residues
+
+
+def circle_ideal_component(A, B, n):
+    """Degree-n ideal of the circle product A∘B, φ⁻¹(I_A(n)⊗full + full⊗I_B(n)).
+
+    A and B are PresentedAlgebra instances; the span is built densely from
+    Kronecker rows and eliminated in k^((dA·dB)^n).
+    """
+    dA, dB = A.gen_dim, B.gen_dim
+    table = phi_table(dA, dB, n)
+    rows = []
+    comp_a = A.ideal_component(n)
+    if comp_a.dim:
+        rows.extend(kronecker(comp_a.basis, Matrix.identity(dB**n)).cells)
+    comp_b = B.ideal_component(n)
+    if comp_b.dim:
+        rows.extend(kronecker(Matrix.identity(dA**n), comp_b.basis).cells)
+    return Subspace.from_rows((dA * dB) ** n, [pull_row(row, table) for row in rows])
+
+
+def pull_row(row, table):
+    """Coordinates of P^-1·x for the row form of x (out[i] = row[table[i]])."""
+    return [row[table[i]] for i in range(len(table))]
 
 
 def encode_digits(digits, radix):

@@ -11,16 +11,21 @@ from eqspace import (
     PresentedAlgebra,
     Subspace,
     apply_U,
+    boxtimes,
     check_U_epi,
     check_algebra_morphism,
-    circ_product,
     column_space,
     structure_projector,
     unit_K,
 )
-from eqspace.sampling import random_quadratic
+from eqspace.sampling import random_equipped, random_quadratic
 from conftest import QP_MATRIX
-from oracles import embed_and_sum_component, oracle_graded_dims, oracle_normal_forms
+from oracles import (
+    circle_ideal_component,
+    embed_and_sum_component,
+    oracle_graded_dims,
+    oracle_normal_forms,
+)
 
 QP_REL = Subspace.from_rows(4, [[0, 1, -2, 0]])
 
@@ -207,21 +212,36 @@ class TestRecursionMatchesOracles:
         assert_matches_oracles(rng, 2, {2: [], 3: identity(8)}, 5)
 
 
+def circle_hilbert(A, B, max_degree):
+    """Graded dimensions of A∘B read off the dense oracle ideal."""
+    size = A.gen_dim * B.gen_dim
+    return [size**n - circle_ideal_component(A, B, n).dim for n in range(max_degree + 1)]
+
+
+def hilbert_product(A, B, max_degree):
+    return [a * b for a, b in zip(A.hilbert(max_degree), B.hilbert(max_degree))]
+
+
 class TestCircProduct:
+    """The circle product A∘B has graded dimensions h_A(n)·h_B(n), the
+    formula check_U_epi reports; the dense oracle ideal agrees."""
+
     def test_free_times_free_is_free(self):
-        A = circ_product(PresentedAlgebra(2), PresentedAlgebra(3))
-        assert A.hilbert(3) == [1, 6, 36, 216]
+        A, B = PresentedAlgebra(2), PresentedAlgebra(3)
+        assert circle_hilbert(A, B, 3) == [1, 6, 36, 216]
+        assert hilbert_product(A, B, 3) == [1, 6, 36, 216]
 
     def test_unit_algebra_is_neutral(self):
         A = qp_algebra()
         unit_alg = PresentedAlgebra(1)
-        got = circ_product(A, unit_alg)
-        assert got.hilbert(4) == A.hilbert(4)
+        assert circle_hilbert(A, unit_alg, 4) == A.hilbert(4)
+        assert hilbert_product(A, unit_alg, 4) == A.hilbert(4)
 
     def test_quantum_plane_square_degree_two(self):
         # 16 - (4 + 4 - 1) = 9, frozen from the rank oracle.
-        got = circ_product(qp_algebra(), qp_algebra())
-        assert got.graded_dim(2) == 9
+        A = qp_algebra()
+        assert circle_hilbert(A, A, 2)[2] == 9
+        assert hilbert_product(A, A, 2)[2] == 9
 
 
 class TestCheckUEpi:
@@ -247,6 +267,30 @@ class TestCheckUEpi:
                 assert rep.dimensions[f"product_ideal_{n}"] <= rep.dimensions[
                     f"circle_ideal_{n}"
                 ]
+
+    @pytest.mark.parametrize(
+        "supports",
+        [((2,), (2,)), ((3,), (3,)), ((2, 3), (2, 3)), ((2,), (3,))],
+        ids=["2-2", "3-3", "23-23", "2-3"],
+    )
+    def test_matches_dense_oracle(self, supports):
+        # The check tests generators against the tensor sum and reads the
+        # ideal dimensions off Hilbert series; the oracle builds both
+        # ideals in the ambient space and tests the whole product ideal.
+        rng = random.Random(41 + sum(map(sum, supports)))
+        for _ in range(4):
+            V = random_equipped(rng, 2, supports[0])
+            W = random_equipped(rng, 2, supports[1])
+            rep = check_U_epi(V, W, 3)
+            assert rep.passed
+            A, B = apply_U(V, degree_cap=3), apply_U(W, degree_cap=3)
+            product_relations = apply_U(boxtimes(V, W)).relations
+            for n in (2, 3):
+                product = embed_and_sum_component(4, product_relations, n)
+                circle = circle_ideal_component(A, B, n)
+                assert circle.first_outside(product.basis.cells) is None
+                assert rep.dimensions[f"product_ideal_{n}"] == product.dim
+                assert rep.dimensions[f"circle_ideal_{n}"] == circle.dim
 
 
 class TestStructureProjector:

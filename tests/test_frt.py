@@ -30,6 +30,7 @@ from eqspace.frt import (
 )
 from eqspace.linalg import kronecker
 from eqspace.sampling import random_quadratic
+from eqspace.suites import suite_checks
 from conftest import cubic_matrix
 from oracles import oracle_rank, phi_iso
 
@@ -260,3 +261,14 @@ class TestEpiDirectionOnQuotients:
             frt_alg = apply_U(hom_space(W, V))
             for n in range(4):
                 assert manin_alg.graded_dim(n) >= frt_alg.graded_dim(n)
+
+
+class TestSuitesAtDimensionThree:
+    def test_bialgebra_and_epi_suites_pass(self):
+        # The comultiplication target is a span in k^6561; as dense
+        # Kronecker rows it took minutes to eliminate.
+        rng = random.Random(131)
+        V, W, U = (random_quadratic(rng, 3) for _ in range(3))
+        reports = suite_checks("bialgebra", V, W, U) + suite_checks("epi", V, W)
+        assert len(reports) == 9
+        assert [rep.name for rep in reports if not rep.passed] == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eqspace import Matrix, Subspace, column_space
-from eqspace.linalg import kernel, kronecker
+from eqspace.linalg import TensorSum, kernel, kronecker
 from conftest import QP_MATRIX
 from oracles import naive_rref, oracle_contains
 
@@ -169,6 +169,86 @@ class TestFirstOutside:
 
         assert span.first_outside(images()) == 1
         assert seen == [(2, 2), (1, 0)]
+
+
+def dense_tensor_sum(left, right):
+    """left⊗k^b + k^a⊗right as Kronecker rows eliminated in k^(a·b)."""
+    a, b = left.ambient_dim, right.ambient_dim
+    rows = kronecker(left.basis, Matrix.identity(b)).cells
+    rows += kronecker(Matrix.identity(a), right.basis).cells
+    return Subspace.from_rows(a * b, rows)
+
+
+class TestTensorSum:
+    def test_matches_dense_span_on_random_spans(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            left = Subspace.from_rows(a, rand_matrix(rng, rng.randint(0, a + 1), a).cells)
+            right = Subspace.from_rows(b, rand_matrix(rng, rng.randint(0, b + 1), b).cells)
+            dense = dense_tensor_sum(left, right)
+            target = TensorSum(left, right)
+            assert target.dim == dense.dim
+            assert target.dim == (
+                left.dim * b + a * right.dim - left.dim * right.dim
+            )
+            vectors = list(rand_matrix(rng, rng.randint(0, 2), a * b).cells)
+            for _ in range(3):
+                coeffs = [rng.randint(-2, 2) for _ in dense.basis.cells]
+                vectors.append(
+                    [
+                        sum(c * r[j] for c, r in zip(coeffs, dense.basis.cells))
+                        for j in range(a * b)
+                    ]
+                )
+            rng.shuffle(vectors)
+            assert target.first_outside(vectors) == dense.first_outside(vectors)
+            for vec in vectors:
+                assert (target.first_outside([vec]) is None) == oracle_contains(
+                    dense.basis.cells, vec
+                )
+
+    def test_zero_and_full_spans(self):
+        vectors = [(0,) * 6, (0, 0, 0, 0, 1, 0), (1, 2, 3, 4, 5, Fraction(1, 2))]
+        nothing = TensorSum(Subspace.zero(2), Subspace.zero(3))
+        assert nothing.dim == 0
+        assert nothing.first_outside(vectors) == 1
+        assert nothing.first_outside(vectors[:1]) is None
+        for target in (
+            TensorSum(Subspace.full(2), Subspace.zero(3)),
+            TensorSum(Subspace.zero(2), Subspace.full(3)),
+            TensorSum(Subspace.full(2), Subspace.full(3)),
+        ):
+            assert target.dim == 6
+            assert target.first_outside(vectors) is None
+            assert target.first_outside([]) is None
+
+    def test_one_sided_spans(self):
+        # span{e0}⊗k^2: a vector is inside when its second block is zero.
+        left_only = TensorSum(Subspace.from_rows(2, [[1, 0]]), Subspace.zero(2))
+        assert left_only.dim == 2
+        assert left_only.first_outside([(3, -1, 0, 0), (0, 0, 0, 1)]) == 1
+        # k^2⊗span{e0 + e1}: each block must be a multiple of (1, 1).
+        right_only = TensorSum(Subspace.zero(2), Subspace.from_rows(2, [[1, 1]]))
+        assert right_only.dim == 2
+        assert right_only.first_outside([(2, 2, -1, -1), (1, 1, 1, 0)]) == 1
+
+    def test_generator_is_consumed_lazily(self):
+        target = TensorSum(Subspace.from_rows(2, [[1, 1]]), Subspace.zero(1))
+        seen = []
+
+        def images():
+            for v in [(2, 2), (1, 0), (0, 1)]:
+                seen.append(v)
+                yield v
+
+        assert target.first_outside(images()) == 1
+        assert seen == [(2, 2), (1, 0)]
+
+    def test_wrong_length_raises(self):
+        target = TensorSum(Subspace.full(2), Subspace.zero(2))
+        with pytest.raises(ValueError):
+            target.first_outside([(1, 0, 0, 0), (1, 0, 0)])
 
 
 class TestKronecker:

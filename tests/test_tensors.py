@@ -8,11 +8,18 @@ from eqspace.tensors import (
     decode_index,
     invert_table,
     phi_table,
-    pull_row,
     push_row,
     tau23_table,
 )
-from oracles import embed_at, encode_digits, flip, permutation_matrix, phi_iso, tau23
+from oracles import (
+    embed_at,
+    encode_digits,
+    flip,
+    permutation_matrix,
+    phi_iso,
+    pull_row,
+    tau23,
+)
 
 
 def is_permutation(m: Matrix) -> bool:
