@@ -17,11 +17,11 @@ rules of degree n (the diamond-lemma recursion; Bergman 1978,
 Polishchuk-Positselski, Quadratic Algebras, ch. 1).  Leading words of a
 sum split as lead(J + H) = lead(J) ⊔ lead(H mod J), so B_n and the normal
 forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
-The ambient component I_n is assembled from them only when a caller asks
-for it.
+The ambient component I_n is assembled from them, anew on each call, only
+when a caller asks for it.
 
-Degrees and components are memoized per instance; instances are intended
-to be confined to one thread (the caches are not locked).
+Degrees and word normal forms are memoized per instance; instances are
+intended to be confined to one thread (the caches are not locked).
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class PresentedAlgebra:
         self.gen_dim = gen_dim
         self.relations = relations
         self.degree_cap = degree_cap
-        self._components: dict[int, Subspace] = {}
         self._degrees: dict[int, _Degree] = {}
 
     def _check_degree(self, n: int) -> None:
@@ -188,12 +187,8 @@ class PresentedAlgebra:
         Its canonical basis is the rows e_w - NF(w) for the words w outside
         B_n, in word order, so no elimination is needed.
         """
-        self._check_degree(n)
-        cached = self._components.get(n)
-        if cached is not None:
-            return cached
-        size = self.gen_dim**n
         normal = self._degree(n).index
+        size = self.gen_dim**n
         rows = []
         for w in range(size):
             if w in normal:
@@ -203,9 +198,7 @@ class PresentedAlgebra:
             for t, c in self._word_nf(n, w).items():
                 row[t] = -c
             rows.append(row)
-        comp = Subspace(size, Matrix(rows, cols=size))
-        self._components[n] = comp
-        return comp
+        return Subspace(size, Matrix(rows, cols=size))
 
     def graded_dim(self, n: int) -> int:
         return len(self._degree(n).words)
@@ -286,7 +279,7 @@ def structure_projector(rel: Subspace) -> Matrix:
     coordinates of an echelon basis form an identity block.
     """
     n = rel.ambient_dim
-    cols = Matrix.from_columns(rel.basis.cells, n)
+    cols = rel.basis.transpose()
     select = [[0] * n for _ in range(rel.dim)]
     for r, p in enumerate(rel.pivot_columns()):
         select[r][p] = 1

@@ -2,10 +2,14 @@
 
 All files are JSON and human-diffable.  Space and relation files write
 every rational as the string "p/q" (or "p" when the denominator is one) so
-no float ever enters the pipeline.  Report serialization is canonical:
-checks sorted by name, keys sorted, fixed indentation; identical inputs
-give identical bytes.  A report spells a value by what it is, not by its
-Python type: an integer (int or integral Fraction) is a JSON number and
+no float ever enters the pipeline.  A rational string is a full match of
+``[+-]?[0-9]+(/[1-9][0-9]*)?``: ASCII digits only, no surrounding
+whitespace.  ``parse_rational`` yields only ints and Fractions, and
+``linalg.Matrix`` admits no other entry type, so the writer spells an entry
+as ``str(x)`` without checking it again.  Report serialization is
+canonical: checks sorted by name, keys sorted, fixed indentation; identical
+inputs give identical bytes.  A report spells a value by what it is, not by
+its Python type: an integer (int or integral Fraction) is a JSON number and
 any other rational the string "p/q".
 """
 
@@ -21,7 +25,7 @@ from .linalg import Matrix, Scalar, Subspace
 from .report import VerificationReport
 from .spaces import EquippedSpace
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class SpaceFormatError(Exception):
@@ -29,47 +33,55 @@ class SpaceFormatError(Exception):
 
 
 def parse_rational(text: str) -> Scalar:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise SpaceFormatError(f"not a rational string: {text!r}")
     try:
+        if match.group(1) is None:
+            return int(text)
         value = Fraction(text)
     except ValueError as exc:
         # Digit strings past the interpreter's int-string limit.
         raise SpaceFormatError(f"rational with too many digits ({len(text)})") from exc
-    return int(value) if value.denominator == 1 else value
+    return value.numerator if value.denominator == 1 else value
 
 
-def format_rational(value: Scalar) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _is_int(value: Any) -> bool:
-    """True for a JSON integer and False for a JSON boolean (bool subclasses int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def matrix_from_lists(rows: Any, expected: int) -> Matrix:
-    if not isinstance(rows, list) or len(rows) != expected:
-        raise SpaceFormatError(f"matrix must be a list of {expected} rows")
-    cells = []
+def _rational_rows(rows: list, width: int, what: str) -> list[list[Scalar]]:
+    """Parse a JSON list of rows of rational strings, each of width entries."""
+    out = []
     for row in rows:
-        if not isinstance(row, list) or len(row) != expected:
-            raise SpaceFormatError(f"matrix rows must have {expected} entries")
-        cells.append([parse_rational(x) for x in row])
-    return Matrix(cells, cols=expected)
+        if not isinstance(row, list) or len(row) != width:
+            raise SpaceFormatError(f"{what} must have {width} entries")
+        out.append(list(map(parse_rational, row)))
+    return out
 
 
-def matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.cells]
+def _int_field(data: dict, key: str, least: int, default: Any = None) -> int:
+    """data[key] as a JSON integer >= least (a JSON boolean is not one)."""
+    value = data.get(key, default)
+    if type(value) is not int or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise SpaceFormatError(f"'{key}' must be {kind}")
+    return value
 
 
-def space_from_dict(data: Any) -> EquippedSpace:
+def _load_object(path: str | Path, what: str) -> dict:
+    """Read path and decode it as JSON that must hold an object."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise SpaceFormatError("space file must hold a JSON object")
-    dim = data.get("dim")
-    if not _is_int(dim) or dim < 1:
-        raise SpaceFormatError("'dim' must be a positive integer")
+        raise SpaceFormatError(f"{what} file must hold a JSON object")
+    return data
+
+
+def space_from_dict(data: dict) -> EquippedSpace:
+    dim = _int_field(data, "dim", 1)
     entries = data.get("structure", [])
     if not isinstance(entries, list):
         raise SpaceFormatError("'structure' must be a list")
@@ -77,12 +89,14 @@ def space_from_dict(data: Any) -> EquippedSpace:
     for entry in entries:
         if not isinstance(entry, dict):
             raise SpaceFormatError("structure entries must be objects")
-        degree = entry.get("degree")
-        if not _is_int(degree) or degree < 1:
-            raise SpaceFormatError("'degree' must be a positive integer")
+        degree = _int_field(entry, "degree", 1)
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
-        structure[degree] = matrix_from_lists(entry.get("matrix"), dim**degree)
+        size = dim**degree
+        rows = entry.get("matrix")
+        if not isinstance(rows, list) or len(rows) != size:
+            raise SpaceFormatError(f"matrix must be a list of {size} rows")
+        structure[degree] = Matrix(_rational_rows(rows, size, "matrix rows"), cols=size)
     return EquippedSpace(dim, structure)
 
 
@@ -90,7 +104,7 @@ def space_to_dict(V: EquippedSpace, note: str | None = None) -> dict:
     data: dict[str, Any] = {
         "dim": V.dim,
         "structure": [
-            {"degree": n, "matrix": matrix_to_lists(mat)}
+            {"degree": n, "matrix": [list(map(str, row)) for row in mat.cells]}
             for n, mat in V.structure_items()
         ],
     }
@@ -100,15 +114,7 @@ def space_to_dict(V: EquippedSpace, note: str | None = None) -> dict:
 
 
 def read_space(path: str | Path) -> EquippedSpace:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return space_from_dict(data)
+    return space_from_dict(_load_object(path, "space"))
 
 
 def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> None:
@@ -117,35 +123,21 @@ def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> 
 
 def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpaceFormatError("relation file must hold a JSON object")
-    dim = data.get("dim")
-    degree = data.get("degree", 2)
-    if not _is_int(dim) or dim < 1:
-        raise SpaceFormatError("'dim' must be a positive integer")
-    if not _is_int(degree) or degree < 2:
-        raise SpaceFormatError("'degree' must be an integer >= 2")
+    data = _load_object(path, "relation")
+    dim = _int_field(data, "dim", 1)
+    degree = _int_field(data, "degree", 2, default=2)
     basis = data.get("basis")
     if not isinstance(basis, list):
         raise SpaceFormatError("'basis' must be a list of vectors")
     ambient = dim**degree
-    rows = []
-    for vec in basis:
-        if not isinstance(vec, list) or len(vec) != ambient:
-            raise SpaceFormatError(f"basis vectors must have {ambient} entries")
-        rows.append([parse_rational(x) for x in vec])
-    return dim, degree, Subspace.from_rows(ambient, rows)
+    return dim, degree, Subspace.from_rows(
+        ambient, _rational_rows(basis, ambient, "basis vectors")
+    )
 
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else format_rational(value)
+        return value.numerator if value.denominator == 1 else str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):

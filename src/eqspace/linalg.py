@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are Python ints and ``fractions.Fraction`` values; every operation
-is exact, so equality tests carry zero tolerance.  Maps act on column
-coordinate vectors, images are column spaces, and subspaces are stored as
-reduced row-echelon bases, which makes the RREF the unique canonical form
-for subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
+Scalars are exactly ``int`` and ``fractions.Fraction``: ``Matrix`` and
+``Subspace.from_rows`` raise TypeError on any other entry type, bool,
+float, str and Decimal included, so every value past them is exact and
+equality tests carry zero tolerance.  Maps act on column coordinate
+vectors, images are column spaces, and subspaces are stored as reduced
+row-echelon bases, which makes the RREF the unique canonical form for
+subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
 ``TensorSum`` tests membership in them block by block.
 """
 
@@ -12,14 +14,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+_EXACT = frozenset((int, Fraction))
+
+
+def _require_exact(rows: Sequence[Sequence[object]]) -> None:
+    """Raise TypeError unless every entry's type is exactly int or Fraction."""
+    if not _EXACT.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) not in _EXACT)
+        raise TypeError(f"entries must be int or Fraction, got {bad!r}")
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix whose entries are ints and Fractions."""
 
     __slots__ = ("_cells", "_rows", "_cols")
 
@@ -34,6 +45,7 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        _require_exact(rows)
         self._cells = rows
         self._rows = len(rows)
         self._cols = cols
@@ -139,12 +151,6 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(((0,) * cols for _ in range(rows)), cols=cols)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int) -> "Matrix":
-        if not columns:
-            return cls.zero(rows, 0)
-        return cls(zip(*columns), cols=len(columns))
-
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, left factor major: (a⊗b)[(i,k),(j,l)] = a[i,j]·b[k,l]."""
@@ -163,8 +169,18 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out, cols=a.cols * b.cols)
 
 
+def kron_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """(a⊗b)·vec = vec(a·X·bᵀ) without building a⊗b; X is vec reshaped row-major."""
+    if len(vec) != a.cols * b.cols:
+        raise ValueError("vector length does not match column count")
+    xbt = [b.apply(vec[j * b.cols : (j + 1) * b.cols]) for j in range(a.cols)]
+    cols = [a.apply([row[k] for row in xbt]) for k in range(b.rows)]
+    return tuple(cols[k][i] for i in range(a.rows) for k in range(b.rows))
+
+
 def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
     """Scale a rational row to integers (row space is unchanged)."""
+    _require_exact((row,))
     lcm = 1
     for x in row:
         d = x.denominator
@@ -377,13 +393,8 @@ class TensorSum:
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical form of {x : m·x = 0}."""
-    red = _rref_rows(m.cells, m.cols)
-    pivots = []
-    for row in red:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
+    red = Subspace.from_rows(m.cols, m.cells)
+    pivots = red.pivot_columns()
     pivot_set = set(pivots)
     vectors = []
     for free in range(m.cols):
@@ -391,7 +402,7 @@ def kernel(m: Matrix) -> Subspace:
             continue
         vec: list[Scalar] = [0] * m.cols
         vec[free] = 1
-        for row, p in zip(red, pivots):
+        for row, p in zip(red.basis.cells, pivots):
             if row[free] != 0:
                 vec[p] = -row[free]
         vectors.append(vec)

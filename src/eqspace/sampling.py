@@ -64,7 +64,3 @@ def random_equipped(
     return EquippedSpace(
         dim, {n: random_structure_matrix(rng, dim, n) for n in degrees}
     )
-
-
-def random_quadratic(rng: random.Random, dim: int) -> EquippedSpace:
-    return random_equipped(rng, dim, (2,))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eqspace import EquippedSpace, Matrix
+from eqspace.sampling import random_equipped
 
 # Quantum plane structure at q=2: image is span{v0 v1 - 2 v1 v0}.
 QP_MATRIX = Matrix(
@@ -23,6 +24,11 @@ DJ_MATRIX = Matrix(
         [0, 0, 0, 2],
     ]
 )
+
+
+def random_quadratic(rng, dim):
+    """Seeded random space of dimension dim with a degree-2 structure only."""
+    return random_equipped(rng, dim, (2,))
 
 
 def cubic_matrix():

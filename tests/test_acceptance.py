@@ -33,10 +33,10 @@ from eqspace.cli import main
 from eqspace.fileio import read_space, write_space
 from eqspace.frt import frt_relation_generators
 from eqspace.linalg import kronecker
-from eqspace.sampling import random_equipped, random_quadratic
+from eqspace.sampling import random_equipped
 from eqspace.suites import coev_kron_identity
 
-from conftest import QP_MATRIX, cubic_matrix
+from conftest import QP_MATRIX, cubic_matrix, random_quadratic
 from oracles import oracle_graded_dims, oracle_rank, phi_iso
 
 

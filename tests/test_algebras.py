@@ -18,8 +18,8 @@ from eqspace import (
     structure_projector,
     unit_K,
 )
-from eqspace.sampling import random_equipped, random_quadratic
-from conftest import QP_MATRIX
+from eqspace.sampling import random_equipped
+from conftest import QP_MATRIX, random_quadratic
 from oracles import (
     circle_ideal_component,
     embed_and_sum_component,

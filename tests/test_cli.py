@@ -7,7 +7,6 @@ from eqspace.cli import main
 from eqspace.fileio import (
     SpaceFormatError,
     dumps_canonical,
-    format_rational,
     parse_rational,
     read_space,
     report_to_dict,
@@ -36,15 +35,28 @@ def write_dj(path):
 class TestRationalStrings:
     def test_roundtrip(self):
         for text in ["0", "-3", "7/2", "-5/3", "+4"]:
-            assert format_rational(parse_rational(text)) == text.lstrip("+")
+            assert str(parse_rational(text)) == text.lstrip("+")
 
     def test_integer_form_when_denominator_one(self):
-        assert format_rational(Fraction(6, 3)) == "2"
+        assert str(Fraction(6, 3)) == "2"
+        V = EquippedSpace(1, {2: Matrix([[Fraction(6, 3)]])})
+        assert space_to_dict(V)["structure"][0]["matrix"] == [["2"]]
 
     def test_rejects_floats_and_garbage(self):
         for bad in ["1.5", "", "3/-2", "3/0", "a", "1e3", None, 2]:
             with pytest.raises(SpaceFormatError):
                 parse_rational(bad)
+
+    def test_rejects_whitespace_and_non_ascii_digits(self):
+        for bad in ["3\n", "1/2\n", "\u0663", " 3", "3 ", "1_000", "1/\u0662"]:
+            with pytest.raises(SpaceFormatError):
+                parse_rational(bad)
+
+    def test_accepts_signs_zero_and_unreduced_forms(self):
+        cases = {"+4": 4, "-0": 0, "4/2": 2, "0/5": 0, "-6/4": Fraction(-3, 2)}
+        for text, value in cases.items():
+            got = parse_rational(text)
+            assert got == value and type(got) is type(value)
 
 
 class TestSpaceFiles:
@@ -339,6 +351,21 @@ class TestExitCodes:
     )
     def test_huge_numerator_exits_two(self, tmp_path, capsys):
         huge = "1" + "0" * 5000
+        matrix = [[huge, "0", "0", "0"]] + [["0"] * 4] * 3
+        data = {"dim": 2, "structure": [{"degree": 2, "matrix": matrix}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["dual", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "too many digits" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-string conversion limit",
+    )
+    def test_huge_fraction_exits_two(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000 + "/3"
         matrix = [[huge, "0", "0", "0"]] + [["0"] * 4] * 3
         data = {"dim": 2, "structure": [{"degree": 2, "matrix": matrix}]}
         path = tmp_path / "huge.json"

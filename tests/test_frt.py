@@ -29,9 +29,8 @@ from eqspace.frt import (
     gen_split,
 )
 from eqspace.linalg import kronecker
-from eqspace.sampling import random_quadratic
 from eqspace.suites import suite_checks
-from conftest import cubic_matrix
+from conftest import cubic_matrix, random_quadratic
 from oracles import oracle_rank, phi_iso
 
 

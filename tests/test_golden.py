@@ -12,8 +12,10 @@ root with ``src`` on the path, and review the diff.
 from __future__ import annotations
 
 import io
+import os
 import shutil
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -67,9 +69,8 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
     argv, _ = CASES[name]
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
-    patched = name == "verify-failing"
     saved = cli.suite_checks
-    if patched:
+    if name == "verify-failing":
         cli.suite_checks = _identity_is_not_a_morphism
     buf = io.StringIO()
     try:
@@ -96,9 +97,6 @@ def test_golden_case(name, tmp_path, monkeypatch, capsys):
 
 
 def _regenerate() -> None:
-    import os
-    import tempfile
-
     EXPECTED.mkdir(exist_ok=True)
     here = os.getcwd()
     for name in sorted(CASES):

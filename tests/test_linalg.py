@@ -1,10 +1,11 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from eqspace import Matrix, Subspace, column_space
-from eqspace.linalg import TensorSum, kernel, kronecker
+from eqspace.linalg import TensorSum, kernel, kron_apply, kronecker
 from conftest import QP_MATRIX
 from oracles import naive_rref, oracle_contains
 
@@ -271,6 +272,48 @@ class TestKronecker:
         k = kronecker(a, b)
         for i, j, p, q in [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)]:
             assert k[i * 2 + p, j * 2 + q] == a[i, j] * b[p, q]
+
+
+class TestKronApply:
+    def test_matches_materialized_product_on_rectangular_shapes(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            b = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.cols * b.cols)]
+            assert kron_apply(a, b, vec) == kronecker(a, b).apply(vec)
+
+    def test_empty_factors(self):
+        a, b = Matrix.zero(2, 0), rand_matrix(random.Random(1), 3, 2)
+        assert kron_apply(a, b, []) == kronecker(a, b).apply([]) == (0,) * 6
+        assert kron_apply(b, Matrix.zero(0, 2), [1] * 4) == ()
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(ValueError):
+            kron_apply(Matrix.identity(2), Matrix.identity(2), [1, 0, 0])
+
+
+class TestExactScalars:
+    def test_matrix_rejects_inexact_entries(self):
+        for bad in (1.5, True, "1", Decimal(1)):
+            with pytest.raises(TypeError):
+                Matrix([[bad, 2]])
+            with pytest.raises(TypeError):
+                Matrix([[0, 0], [0, bad]])
+
+    def test_matrix_accepts_int_and_fraction(self):
+        m = Matrix([[1, Fraction(1, 2)], [Fraction(2), -3]])
+        assert [type(x) for row in m.cells for x in row] == [int, Fraction, Fraction, int]
+
+    def test_from_rows_rejects_inexact_entries(self):
+        for row in ([0.5, 1], [True, 1], [1, False]):
+            with pytest.raises(TypeError):
+                Subspace.from_rows(2, [row])
+
+    def test_from_rows_accepts_int_and_fraction(self):
+        assert Subspace.from_rows(2, [[2, Fraction(1, 2)]]).basis == Matrix(
+            [[1, Fraction(1, 4)]]
+        )
 
 
 class TestTranspose:
