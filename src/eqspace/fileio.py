@@ -6,11 +6,13 @@ no float ever enters the pipeline.  A rational string is a full match of
 ``[+-]?[0-9]+(/[1-9][0-9]*)?``: ASCII digits only, no surrounding
 whitespace.  ``parse_rational`` yields only ints and Fractions, and
 ``linalg.Matrix`` admits no other entry type, so the writer spells an entry
-as ``str(x)`` without checking it again.  Report serialization is
-canonical: checks sorted by name, keys sorted, fixed indentation; identical
-inputs give identical bytes.  A report spells a value by what it is, not by
-its Python type: an integer (int or integral Fraction) is a JSON number and
-any other rational the string "p/q".
+as ``str(x)`` without checking it again, joining the bytes dumps_canonical
+would give without the JSON encoder; the reader parses each distinct string
+once per file.  Report serialization is canonical: checks sorted by name,
+keys sorted, fixed indentation; identical inputs give identical bytes.  A
+report spells a value by what it is, not by its Python type: an integer
+(int or integral Fraction) is a JSON number and any other rational the
+string "p/q".
 """
 
 from __future__ import annotations
@@ -48,11 +50,18 @@ def parse_rational(text: str) -> Scalar:
 
 def _rational_rows(rows: list, width: int, what: str) -> list[list[Scalar]]:
     """Parse a JSON list of rows of rational strings, each of width entries."""
+    memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != width:
             raise SpaceFormatError(f"{what} must have {width} entries")
-        out.append(list(map(parse_rational, row)))
+        try:
+            out.append(list(map(memo.__getitem__, row)))
+        except (KeyError, TypeError):
+            for text in row:
+                if not isinstance(text, str) or text not in memo:
+                    memo[text] = parse_rational(text)
+            out.append(list(map(memo.__getitem__, row)))
     return out
 
 
@@ -96,21 +105,8 @@ def space_from_dict(data: dict) -> EquippedSpace:
         rows = entry.get("matrix")
         if not isinstance(rows, list) or len(rows) != size:
             raise SpaceFormatError(f"matrix must be a list of {size} rows")
-        structure[degree] = Matrix(_rational_rows(rows, size, "matrix rows"), cols=size)
+        structure[degree] = Matrix._trusted(_rational_rows(rows, size, "matrix rows"), size)
     return EquippedSpace(dim, structure)
-
-
-def space_to_dict(V: EquippedSpace, note: str | None = None) -> dict:
-    data: dict[str, Any] = {
-        "dim": V.dim,
-        "structure": [
-            {"degree": n, "matrix": [list(map(str, row)) for row in mat.cells]}
-            for n, mat in V.structure_items()
-        ],
-    }
-    if note is not None:
-        data["generators"] = note
-    return data
 
 
 def read_space(path: str | Path) -> EquippedSpace:
@@ -118,7 +114,18 @@ def read_space(path: str | Path) -> EquippedSpace:
 
 
 def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> None:
-    Path(path).write_text(dumps_canonical(space_to_dict(V, note)), encoding="utf-8")
+    """Write V as the bytes dumps_canonical gives, streamed without the JSON encoder."""
+    note_line = "" if note is None else f'  "generators": {json.dumps(note)},\n'
+    items = V.structure_items()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f'{{\n  "dim": {V.dim},\n{note_line}  "structure": [')
+        for k, (n, mat) in enumerate(items):
+            f.write(f'{"," if k else ""}\n    {{\n      "degree": {n},\n      "matrix": [')
+            for i, row in enumerate(mat.cells):
+                entries = '",\n          "'.join(map(str, row))
+                f.write(f'{"," if i else ""}\n        [\n          "{entries}"\n        ]')
+            f.write("\n      ]\n    }")
+        f.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
 def read_relations(path: str | Path) -> tuple[int, int, Subspace]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import add, neg, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -50,6 +51,14 @@ class Matrix:
         self._rows = len(rows)
         self._cols = cols
 
+    @classmethod
+    def _trusted(cls, cells: Iterable[Iterable[Scalar]], cols: int) -> "Matrix":
+        """Matrix of rows the package computed from checked entries, not checked again."""
+        m = object.__new__(cls)
+        m._cells = tuple(map(tuple, cells))
+        m._rows, m._cols = len(m._cells), cols
+        return m
+
     @property
     def rows(self) -> int:
         return self._rows
@@ -83,20 +92,16 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            tuple(x + y for x, y in zip(ra, rb))
-            for ra, rb in zip(self._cells, other._cells)
-        )
+        pairs = zip(self._cells, other._cells)
+        return Matrix._trusted((tuple(map(add, a, b)) for a, b in pairs), self._cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            tuple(x - y for x, y in zip(ra, rb))
-            for ra, rb in zip(self._cells, other._cells)
-        )
+        pairs = zip(self._cells, other._cells)
+        return Matrix._trusted((tuple(map(sub, a, b)) for a, b in pairs), self._cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-x for x in r) for r in self._cells)
+        return Matrix._trusted((tuple(map(neg, r)) for r in self._cells), self._cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -116,25 +121,21 @@ class Matrix:
                 for j, b in enumerate(brow):
                     if b != 0:
                         orow[j] += a * b
-        return Matrix(out, cols=other._cols)
+        return Matrix._trusted(out, other._cols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Matrix times column coordinate vector."""
         if len(vec) != self._cols:
             raise ValueError("vector length does not match column count")
-        out = [0] * self._rows
-        for i, row in enumerate(self._cells):
-            acc = 0
-            for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    acc += a * x
-            out[i] = acc
-        return tuple(out)
+        nonzero = [(j, x) for j, x in enumerate(vec) if x != 0]
+        return tuple(
+            sum([row[j] * x for j, x in nonzero if row[j] != 0]) for row in self._cells
+        )
 
     def transpose(self) -> "Matrix":
         if self._rows == 0:
             return Matrix(((),) * self._cols, cols=0)
-        return Matrix(zip(*self._cells), cols=self._rows)
+        return Matrix._trusted(zip(*self._cells), self._rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._cells for x in r)
@@ -166,7 +167,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
                 for l, bv in enumerate(brow):
                     if bv != 0:
                         orow[coff + l] = av * bv
-    return Matrix(out, cols=a.cols * b.cols)
+    return Matrix._trusted(out, a.cols * b.cols)
 
 
 def kron_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:

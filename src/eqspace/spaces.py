@@ -6,8 +6,9 @@ of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ((V*, -Rᵀ)), the check that a linear map intertwines two structures, the
 evaluation and coevaluation arrows of the rigid structure with that check
 applied to them, and internal hom spaces.  Structure matrices of products
-are built from the index table of φ; the permutation matrices they are
-tested against live with the test oracles.
+are built from the index table of φ; the ev/coev checks apply them to one
+vector through the same table and never build R⊠S.  The permutation
+matrices they are tested against live with the test oracles.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -17,12 +18,11 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .linalg import Matrix, kronecker
+from .linalg import Matrix, Scalar, kron_apply, kronecker
 from .report import VerificationReport
-from .tensors import invert_table, phi_table
+from .tensors import invert_table, phi_table, push_row
 
 
 class EquippedSpace:
@@ -113,7 +113,21 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
                 continue
             for i in range(vn):
                 out[inv[i * wn + k]][inv[i * wn + l]] += val
-    return Matrix(out, cols=size)
+    return Matrix._trusted(out, size)
+
+
+def _boxtimes_apply(
+    Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int, vec: Sequence[Scalar]
+) -> tuple[Scalar, ...]:
+    """boxtimes_degree(Rn, Sn, dV, dW, n).apply(vec) without building the matrix.
+
+    Its entry (s, t) is entry (φ(s), φ(t)) of Rn⊗I + I⊗Sn, applied by kron_apply.
+    """
+    table = phi_table(dV, dW, n)
+    pushed = push_row(vec, table)
+    left = kron_apply(Rn, Matrix.identity(dW**n), pushed)
+    right = kron_apply(Matrix.identity(dV**n), Sn, pushed)
+    return tuple(left[t] + right[t] for t in table)
 
 
 def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
@@ -183,14 +197,28 @@ def coev_column(d: int) -> Matrix:
 def ev_map(V: EquippedSpace) -> VerificationReport:
     """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
 
-    A failure here signals an implementation bug, never bad user input:
-    the pairing intertwines any structure with the zero map.
+    Reports what check_morphism gives on the built product; the row
+    ev^{⊗n}·(R†⊠R)_n is computed as (R†ᵀ⊠Rᵀ)_n·ev^{⊗n}.  A failure is a bug,
+    never bad input: the pairing intertwines any structure with zero.
     """
-    rep = check_morphism(ev_row(V.dim), boxtimes(dagger(V), V), unit_K())
-    return replace(rep, name="ev-morphism")
+    D, d = dagger(V), V.dim
+    for n in sorted(set(D.support) | set(V.support)):
+        Dt, Rt = D.structure_at(n).transpose(), V.structure_at(n).transpose()
+        row = _boxtimes_apply(Dt, Rt, d, d, n, _tensor_power(ev_row(d), n).cells[0])
+        col = next((c for c, x in enumerate(row) if x != 0), None)
+        if col is not None:
+            witness = {"degree": n, "column": col, "difference": [row[col]]}
+            return VerificationReport("ev-morphism", False, witness=witness)
+    return VerificationReport("ev-morphism", True)
 
 
 def coev_map(V: EquippedSpace) -> VerificationReport:
-    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism."""
-    rep = check_morphism(coev_column(V.dim), unit_K(), boxtimes(V, dagger(V)))
-    return replace(rep, name="coev-morphism")
+    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism, as ev_map does."""
+    D, d = dagger(V), V.dim
+    for n in sorted(set(D.support) | set(V.support)):
+        vec = _tensor_power(coev_column(d), n).transpose().cells[0]
+        image = _boxtimes_apply(V.structure_at(n), D.structure_at(n), d, d, n, vec)
+        if any(x != 0 for x in image):
+            witness = {"degree": n, "column": 0, "difference": [-x for x in image]}
+            return VerificationReport("coev-morphism", False, witness=witness)
+    return VerificationReport("coev-morphism", True)

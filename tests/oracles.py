@@ -6,7 +6,7 @@ and explicit loops over tensor word indices.  Derived constants asserted in
 the tests were produced by these routines and are re-derived here wherever
 that stays cheap.
 
-Two groups are former library code kept as references:
+These groups are former library code kept as references:
 
 - embed_at and embed_and_sum_component give the ambient-space ideal
   components (every positional embedding of the relations, summed with the
@@ -19,12 +19,21 @@ Two groups are former library code kept as references:
   the index tables the package works with (encode_digits spells word
   codes, pull_row applies the inverse of a table), so tests can compare
   the tables and the products built from them with literal matrix
-  conjugation.
+  conjugation;
+- space_to_dict and dumps_reference spell a space file through the JSON
+  encoder, the path the joined-string writer replaced;
+- ev_reference and coev_reference run check_morphism on the materialized
+  products dagger(V) ⊠ V and V ⊠ dagger(V), the path the one-vector ev/coev
+  checks replaced.  They call spaces.dagger through the module, so a test
+  that patches it changes both paths.
 """
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+from eqspace import spaces
 from eqspace.linalg import Matrix, Subspace, kronecker
 from eqspace.tensors import phi_table, tau23_table
 
@@ -224,3 +233,36 @@ def flip(dV, dW):
 def tau23(dA, dB):
     """Permutation matrix of the middle-two swap (a,a',b,b') -> (a,b,a',b')."""
     return permutation_matrix(tau23_table(dA, dB))
+
+
+def space_to_dict(V, note=None):
+    """The JSON object of a space file: dim, structure and an optional note."""
+    data = {
+        "dim": V.dim,
+        "structure": [
+            {"degree": n, "matrix": [list(map(str, row)) for row in mat.cells]}
+            for n, mat in V.structure_items()
+        ],
+    }
+    if note is not None:
+        data["generators"] = note
+    return data
+
+
+def dumps_reference(data):
+    """Canonical JSON text: sorted keys, indent 2, trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def ev_reference(V):
+    D = spaces.dagger(V)
+    rep = spaces.check_morphism(spaces.ev_row(V.dim), spaces.boxtimes(D, V), spaces.unit_K())
+    return replace(rep, name="ev-morphism")
+
+
+def coev_reference(V):
+    D = spaces.dagger(V)
+    rep = spaces.check_morphism(
+        spaces.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
+    )
+    return replace(rep, name="coev-morphism")

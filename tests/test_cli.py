@@ -11,11 +11,11 @@ from eqspace.fileio import (
     read_space,
     report_to_dict,
     space_from_dict,
-    space_to_dict,
     write_space,
 )
 from eqspace.sampling import random_equipped
 from conftest import DJ_MATRIX, QP_MATRIX
+from oracles import dumps_reference, space_to_dict
 
 import random
 import sys
@@ -37,10 +37,12 @@ class TestRationalStrings:
         for text in ["0", "-3", "7/2", "-5/3", "+4"]:
             assert str(parse_rational(text)) == text.lstrip("+")
 
-    def test_integer_form_when_denominator_one(self):
+    def test_integer_form_when_denominator_one(self, tmp_path):
         assert str(Fraction(6, 3)) == "2"
         V = EquippedSpace(1, {2: Matrix([[Fraction(6, 3)]])})
-        assert space_to_dict(V)["structure"][0]["matrix"] == [["2"]]
+        write_space(tmp_path / "one.json", V)
+        data = json.loads((tmp_path / "one.json").read_text())
+        assert data["structure"][0]["matrix"] == [["2"]]
 
     def test_rejects_floats_and_garbage(self):
         for bad in ["1.5", "", "3/-2", "3/0", "a", "1e3", None, 2]:
@@ -91,17 +93,66 @@ class TestSpaceFiles:
         assert not (tmp_path / "out.json").exists()
         capsys.readouterr()
 
+    def test_repeated_bad_entry_rejected_after_good_ones(self):
+        good = ["1", "-2/3", "0", "1"]
+        for rows in (
+            [good, ["1", "-2/3", "1.5", "1.5"]] + [good] * 2,
+            [good, good, good, ["0", "1", "-2/3", "x"]],
+            [good, good, good, ["1", "0", "0", 1]],
+        ):
+            with pytest.raises(SpaceFormatError):
+                space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+
+    def test_number_after_same_string_rejected(self):
+        rows = [["1", "0", "0", "0"], [1, "0", "0", "0"], ["0"] * 4, ["0"] * 4]
+        with pytest.raises(SpaceFormatError):
+            space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+
+    def test_non_string_entries_exit_two(self, tmp_path, capsys):
+        for bad in ([], {}, None, True, ["1"], {"1": "1"}):
+            rows = [["0"] * 4, ["1", "0", bad, "0"], ["0"] * 4, ["0"] * 4]
+            with pytest.raises(SpaceFormatError):
+                space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+            path = tmp_path / "bad_entry.json"
+            path.write_text(json.dumps({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]}))
+            out = tmp_path / "out.json"
+            assert main(["dual", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
+        capsys.readouterr()
+
+    def test_equal_rationals_read_as_one_value(self):
+        rows = [["2/4", "1/2", "4/2", "2"]] + [["0"] * 4] * 3
+        V = space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+        got = V.structure_at(2).cells[0]
+        assert got == (Fraction(1, 2), Fraction(1, 2), 2, 2)
+        assert [type(x) for x in got] == [Fraction, Fraction, int, int]
+
     def test_bad_matrix_shape_rejected(self):
         with pytest.raises(SpaceFormatError):
             space_from_dict(
                 {"dim": 2, "structure": [{"degree": 2, "matrix": [["1", "0"]]}]}
             )
 
+    def test_writer_matches_json_encoder(self, tmp_path):
+        rng = random.Random(11)
+        notes = [None, "t[i][j] at j*dim_v + i", 'quote " and backslash \\', "w\u2297v \u00e9"]
+        path = tmp_path / "space.json"
+        for support in [(), (2,), (3,), (2, 3)]:
+            for dim in (1, 2, 3):
+                for note in notes:
+                    V = random_equipped(rng, dim, support)
+                    write_space(path, V, note)
+                    assert path.read_bytes() == dumps_reference(space_to_dict(V, note)).encode()
+        V = EquippedSpace(1, {2: Matrix([[Fraction(-7, 3)]])})
+        write_space(path, V, notes[3])
+        assert '"-7/3"' in path.read_text() and "\\u2297" in path.read_text()
+        assert path.read_bytes() == dumps_reference(space_to_dict(V, notes[3])).encode()
+
     def test_note_survives_serialization_but_not_identity(self, tmp_path):
         V = EquippedSpace(2, {2: QP_MATRIX})
-        data = space_to_dict(V, note="generators: g = j*dim_v + i")
-        assert "generators" in data
-        assert space_from_dict(data) == V
+        write_space(tmp_path / "noted.json", V, note="generators: g = j*dim_v + i")
+        assert "generators" in json.loads((tmp_path / "noted.json").read_text())
+        assert read_space(tmp_path / "noted.json") == V
 
 
 class TestConstructionCommands:

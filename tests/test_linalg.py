@@ -283,6 +283,14 @@ class TestKronApply:
             vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.cols * b.cols)]
             assert kron_apply(a, b, vec) == kronecker(a, b).apply(vec)
 
+    def test_apply_equals_product_with_a_column(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            vec = [rng.choice([0, 0, 1, Fraction(-2, 3)]) for _ in range(a.cols)]
+            column = a * Matrix([[x] for x in vec], cols=1)
+            assert a.apply(vec) == tuple(row[0] for row in column.cells)
+
     def test_empty_factors(self):
         a, b = Matrix.zero(2, 0), rand_matrix(random.Random(1), 3, 2)
         assert kron_apply(a, b, []) == kronecker(a, b).apply([]) == (0,) * 6
@@ -306,9 +314,24 @@ class TestExactScalars:
         assert [type(x) for row in m.cells for x in row] == [int, Fraction, Fraction, int]
 
     def test_from_rows_rejects_inexact_entries(self):
-        for row in ([0.5, 1], [True, 1], [1, False]):
+        for row in ([0.5, 1], [True, 1], [1, False], ["1", 0], [0, Decimal(2)]):
             with pytest.raises(TypeError):
                 Subspace.from_rows(2, [row])
+
+    def test_results_built_unchecked_match_the_checked_constructor(self):
+        # Arithmetic results skip the constructor's checks; they must be
+        # exactly what the checked constructor would build from their cells.
+        rng = random.Random(8)
+        a, b = rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3)
+        empty = Matrix.zero(0, 3)
+        results = [
+            a + b, a - b, -a, a * b.transpose(), a.transpose(), kronecker(a, b),
+            empty + empty, -empty, empty.transpose(), Matrix.zero(3, 0).transpose(),
+        ]
+        for m in results:
+            assert m == Matrix(m.cells, cols=m.cols)
+            assert all(type(x) in (int, Fraction) for row in m.cells for x in row)
+            assert type(m.cells) is tuple and all(type(r) is tuple for r in m.cells)
 
     def test_from_rows_accepts_int_and_fraction(self):
         assert Subspace.from_rows(2, [[2, Fraction(1, 2)]]).basis == Matrix(

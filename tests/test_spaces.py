@@ -15,10 +15,18 @@ from eqspace import (
     hom_space,
     unit_K,
 )
+from eqspace import spaces
 from eqspace.linalg import kronecker
-from eqspace.sampling import random_equipped
-from eqspace.spaces import boxtimes_degree, coev_column, ev_row
-from oracles import flip_table, oracle_rank, permutation_matrix, phi_iso
+from eqspace.sampling import random_equipped, random_matrix
+from eqspace.spaces import _boxtimes_apply, boxtimes_degree, coev_column, ev_row
+from oracles import (
+    coev_reference,
+    ev_reference,
+    flip_table,
+    oracle_rank,
+    permutation_matrix,
+    phi_iso,
+)
 
 
 class TestConstruction:
@@ -85,6 +93,19 @@ class TestBoxtimes:
                 + kronecker(Matrix.identity(dv**n), S)
             ) * phi
             assert boxtimes_degree(R, S, dv, dw, n) == direct
+
+    def test_apply_equals_columns_of_the_built_product(self):
+        rng = random.Random(29)
+        for dv, dw in [(1, 2), (2, 3), (3, 2)]:
+            for n in (1, 2, 3):
+                R = random_matrix(rng, dv**n, dv**n)
+                S = random_matrix(rng, dw**n, dw**n)
+                built = boxtimes_degree(R, S, dv, dw, n)
+                size = (dv * dw) ** n
+                for j in rng.sample(range(size), min(size, 6)):
+                    e_j = [int(k == j) for k in range(size)]
+                    column = tuple(built[r, j] for r in range(size))
+                    assert _boxtimes_apply(R, S, dv, dw, n, e_j) == column
 
 
 class TestDagger:
@@ -181,6 +202,31 @@ class TestEvCoev:
             V = random_equipped(rng, d, degrees)
             assert ev_map(V).passed
             assert coev_map(V).passed
+
+    def test_reports_equal_the_materialized_path(self):
+        rng = random.Random(37)
+        for d in (1, 2, 3):
+            for degrees in [(2,), (3,), (2, 3)]:
+                V = random_equipped(rng, d, degrees)
+                assert ev_map(V) == ev_reference(V)
+                assert coev_map(V) == coev_reference(V)
+
+    def test_failing_witness_equals_the_materialized_path(self, monkeypatch):
+        # A dual without the sign, (V*, Rᵀ), breaks both pairings; the
+        # one-vector checks must report the materialized path's witness.
+        def unsigned_dual(V):
+            return EquippedSpace(V.dim, {n: m.transpose() for n, m in V.structure_items()})
+
+        monkeypatch.setattr(spaces, "dagger", unsigned_dual)
+        rng = random.Random(41)
+        failures = 0
+        for d in (1, 2, 3):
+            for degrees in [(2,), (3,), (2, 3)]:
+                V = random_equipped(rng, d, degrees)
+                for got, want in ((ev_map(V), ev_reference(V)), (coev_map(V), coev_reference(V))):
+                    assert got == want
+                    failures += not got.passed
+        assert failures >= 8
 
     def test_snake_identities(self):
         for d in range(1, 5):
