@@ -4,71 +4,36 @@ Constructs monoidal products, duals and internal homs of linear spaces
 equipped with graded structure maps, presents the associated quotient
 algebras, and verifies quantum matrix algebra identities by exact finite
 linear algebra.  The package root exports the documented library API;
-helpers are imported from their modules.
+helpers are imported from their modules.  Each exported name is imported
+from its module on first access (PEP 562), so ``import eqspace`` loads no
+module that the caller does not use.
 """
 
-from .algebras import (
-    DegreeCapExceeded,
-    FreeElement,
-    PresentedAlgebra,
-    apply_U,
-    check_U_epi,
-    check_algebra_morphism,
-    structure_projector,
-)
-from .frt import (
-    check_comult_well_defined,
-    check_manin_epi,
-    coassociativity_check,
-    corep_delta_check,
-    counit_check,
-    counit_law_check,
-    frt_relations,
-    frt_relations_conic,
-    manin_hom_relations,
-    verify_hom_equals_frt,
-)
-from .linalg import Matrix, Subspace, column_space
-from .report import VerificationReport
-from .spaces import (
-    EquippedSpace,
-    boxtimes,
-    check_morphism,
-    coev_map,
-    dagger,
-    ev_map,
-    hom_space,
-    unit_K,
-)
+from importlib import import_module
 
-__all__ = [
-    "DegreeCapExceeded",
-    "EquippedSpace",
-    "FreeElement",
-    "Matrix",
-    "PresentedAlgebra",
-    "Subspace",
-    "VerificationReport",
-    "apply_U",
-    "boxtimes",
-    "check_U_epi",
-    "check_algebra_morphism",
-    "check_comult_well_defined",
-    "check_manin_epi",
-    "check_morphism",
-    "coassociativity_check",
-    "coev_map",
-    "column_space",
-    "corep_delta_check",
-    "counit_check",
-    "counit_law_check",
-    "dagger",
-    "ev_map",
-    "frt_relations",
-    "frt_relations_conic",
-    "hom_space",
-    "manin_hom_relations",
-    "structure_projector",
-    "unit_K",
-    "verify_hom_equals_frt",
-]
+_EXPORTS = {
+    "algebras": "FreeElement PresentedAlgebra apply_U check_U_epi check_algebra_morphism"
+    " structure_projector",
+    "frt": "check_comult_well_defined check_manin_epi coassociativity_check corep_delta_check"
+    " counit_check counit_law_check frt_relations frt_relations_conic manin_hom_relations"
+    " verify_hom_equals_frt",
+    "linalg": "Matrix Subspace column_space",
+    "report": "DegreeCapExceeded VerificationReport",
+    "spaces": "EquippedSpace boxtimes check_morphism coev_map dagger ev_map hom_space unit_K",
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -26,27 +26,23 @@ intended to be confined to one thread (the caches are not locked).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, Scalar, Subspace, TensorSum, column_space
-from .report import VerificationReport
+from .report import DegreeCapExceeded, Record, VerificationReport
 from .spaces import EquippedSpace, _tensor_power, boxtimes
 from .tensors import phi_table, push_row
 
 DEFAULT_DEGREE_CAP = 4
 
 
-class DegreeCapExceeded(ValueError):
-    """Requested graded component lies beyond the instance's degree cap."""
-
-
-@dataclass(frozen=True)
-class FreeElement:
+class FreeElement(Record):
     """Degree-n element of the free tensor algebra in word coordinates."""
 
-    degree: int
-    coords: tuple[Scalar, ...]
+    __slots__ = ("degree", "coords")
+
+    def __init__(self, degree: int, coords: tuple[Scalar, ...]):
+        self._set(degree, coords)
 
 
 class _Degree:

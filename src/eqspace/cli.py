@@ -3,7 +3,8 @@
 Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
-invariant violation, 4 resource cap exceeded.
+invariant violation, 4 resource cap exceeded.  The algebra and suite
+modules are imported by the handlers that run them, not at start-up.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebras import DegreeCapExceeded, apply_U, structure_projector
 from .fileio import (
     SpaceFormatError,
     dumps_canonical,
@@ -22,9 +22,8 @@ from .fileio import (
     report_to_dict,
     write_space,
 )
-from .report import VerificationReport
+from .report import DegreeCapExceeded, VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
-from .suites import SUITE_NAMES, randomized_checks, suite_checks
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -33,6 +32,7 @@ EXIT_INVARIANT = 3
 EXIT_CAP = 4
 
 HILBERT_CAP = 6
+SUITE_NAMES = ("bialgebra", "rigidity", "epi", "all")
 GENERATOR_NOTE = "t[i][j] = w^j (x) v_i at flat index j*dim_v + i"
 
 
@@ -105,6 +105,7 @@ def _cmd_hom(args: argparse.Namespace) -> int:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
+    from .algebras import apply_U
     if args.max_degree < 0:
         raise SpaceFormatError("--max-degree must be nonnegative")
     if args.max_degree > HILBERT_CAP and not args.cap_override:
@@ -129,6 +130,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import randomized_checks, suite_checks
     if args.epi_degree < 2:
         raise SpaceFormatError("--epi-degree must be at least 2")
     if args.trials < 0:
@@ -152,6 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .algebras import structure_projector
     dim, degree, rel = read_relations(args.relations)
     projector = structure_projector(rel)
     write_space(args.out, EquippedSpace(dim, {degree: projector}))

@@ -12,12 +12,13 @@ subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import add, neg, sub
 from typing import Iterable, Sequence, Union
+
+from .report import Record
 
 Scalar = Union[int, Fraction]
 _EXACT = frozenset((int, Fraction))
@@ -170,13 +171,16 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._trusted(out, a.cols * b.cols)
 
 
-def kron_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """(a⊗b)·vec = vec(a·X·bᵀ) without building a⊗b; X is vec reshaped row-major."""
-    if len(vec) != a.cols * b.cols:
+def _kron_sum_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """(a⊗I + I⊗b)·vec = vec(a·X + X·bᵀ) for square a, b; X is vec reshaped row-major."""
+    p, q = a.rows, b.rows
+    if len(vec) != p * q:
         raise ValueError("vector length does not match column count")
-    xbt = [b.apply(vec[j * b.cols : (j + 1) * b.cols]) for j in range(a.cols)]
-    cols = [a.apply([row[k] for row in xbt]) for k in range(b.rows)]
-    return tuple(cols[k][i] for i in range(a.rows) for k in range(b.rows))
+    xrows = [vec[i * q : (i + 1) * q] for i in range(p)]
+    ax = [a.apply(col) for col in zip(*xrows)]  # the columns of a·X
+    return tuple(
+        ax[k][i] + y for i, row in enumerate(xrows) for k, y in enumerate(b.apply(row))
+    )
 
 
 def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
@@ -292,25 +296,22 @@ def _canonical_pivots(basis: Matrix) -> tuple[int, ...] | None:
     return tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of k^ambient_dim with canonical reduced row-echelon basis.
 
     Construct through :meth:`from_rows`; equality of subspaces is plain
     equality of the canonical bases.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        pivots = _canonical_pivots(self.basis)
+        pivots = _canonical_pivots(basis)
         if pivots is None:
             raise ValueError("basis is not in reduced row-echelon form")
-        object.__setattr__(self, "_pivots", pivots)
+        self._set(ambient_dim, basis, pivots)
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -355,8 +356,7 @@ class Subspace:
         return None
 
 
-@dataclass(frozen=True)
-class TensorSum:
+class TensorSum(Record):
     """The span left⊗k^b + k^a⊗right inside k^(a·b), left factor major.
 
     Membership is tested without building the span, by the identity
@@ -366,8 +366,10 @@ class TensorSum:
     when every column of the reduced blocks lies in left.
     """
 
-    left: Subspace
-    right: Subspace
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Subspace, right: Subspace):
+        self._set(left, right)
 
     @property
     def dim(self) -> int:

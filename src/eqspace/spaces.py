@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Scalar, kron_apply, kronecker
+from .linalg import Matrix, Scalar, _kron_sum_apply, kronecker
 from .report import VerificationReport
 from .tensors import invert_table, phi_table, push_row
 
@@ -121,13 +121,11 @@ def _boxtimes_apply(
 ) -> tuple[Scalar, ...]:
     """boxtimes_degree(Rn, Sn, dV, dW, n).apply(vec) without building the matrix.
 
-    Its entry (s, t) is entry (φ(s), φ(t)) of Rn⊗I + I⊗Sn, applied by kron_apply.
+    Its entry (s, t) is entry (φ(s), φ(t)) of Rn⊗I + I⊗Sn, applied by _kron_sum_apply.
     """
     table = phi_table(dV, dW, n)
-    pushed = push_row(vec, table)
-    left = kron_apply(Rn, Matrix.identity(dW**n), pushed)
-    right = kron_apply(Matrix.identity(dV**n), Sn, pushed)
-    return tuple(left[t] + right[t] for t in table)
+    image = _kron_sum_apply(Rn, Sn, push_row(vec, table))
+    return tuple(image[t] for t in table)
 
 
 def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:

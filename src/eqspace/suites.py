@@ -14,12 +14,10 @@ from .frt import (
     counit_law_check,
     verify_hom_equals_frt,
 )
-from .linalg import Matrix, kron_apply, kronecker
+from .linalg import Matrix, _kron_sum_apply, kronecker
 from .report import VerificationReport
 from .sampling import random_equipped
 from .spaces import EquippedSpace, coev_column, coev_map, ev_map, ev_row
-
-SUITE_NAMES = ("bialgebra", "rigidity", "epi", "all")
 
 
 def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
@@ -27,10 +25,8 @@ def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
     d = V.dim
     for n, Rn in V.structure_items():
         size = d**n
-        ident = Matrix.identity(size)
         vec = [int(i == j) for i in range(size) for j in range(size)]
-        left, right = kron_apply(Rn, ident, vec), kron_apply(ident, Rn.transpose(), vec)
-        image = [x - y for x, y in zip(left, right)]
+        image = list(_kron_sum_apply(Rn, -Rn.transpose(), vec))
         if any(x != 0 for x in image):
             return VerificationReport(
                 "coev-kron-identity",

@@ -29,12 +29,12 @@ These groups are former library code kept as references:
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 from eqspace import spaces
 from eqspace.linalg import Matrix, Subspace, kronecker
+from eqspace.report import VerificationReport
 from eqspace.tensors import phi_table, tau23_table
 
 
@@ -257,7 +257,7 @@ def dumps_reference(data):
 def ev_reference(V):
     D = spaces.dagger(V)
     rep = spaces.check_morphism(spaces.ev_row(V.dim), spaces.boxtimes(D, V), spaces.unit_K())
-    return replace(rep, name="ev-morphism")
+    return VerificationReport("ev-morphism", rep.passed, rep.witness, rep.dimensions)
 
 
 def coev_reference(V):
@@ -265,4 +265,4 @@ def coev_reference(V):
     rep = spaces.check_morphism(
         spaces.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
     )
-    return replace(rep, name="coev-morphism")
+    return VerificationReport("coev-morphism", rep.passed, rep.witness, rep.dimensions)

@@ -1,7 +1,12 @@
 import json
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import eqspace
 from eqspace import EquippedSpace, Matrix, VerificationReport
 from eqspace.cli import main
 from eqspace.fileio import (
@@ -16,6 +21,7 @@ from eqspace.fileio import (
 from eqspace.sampling import random_equipped
 from conftest import DJ_MATRIX, QP_MATRIX
 from oracles import dumps_reference, space_to_dict
+from test_golden import CASES, INPUTS
 
 import random
 import sys
@@ -346,13 +352,13 @@ class TestVerifyCommand:
         assert out.read_bytes() == first
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        import eqspace.cli as cli_mod
+        import eqspace.suites as suites_mod
 
         qp_path = write_qp(tmp_path / "qp.json")
         failing = VerificationReport(
             "synthetic", False, witness={"degree": 2, "vector": [1, 0]}
         )
-        monkeypatch.setattr(cli_mod, "suite_checks", lambda *a, **kw: [failing])
+        monkeypatch.setattr(suites_mod, "suite_checks", lambda *a, **kw: [failing])
         code = main(
             ["verify", qp_path, qp_path, "--suite", "epi", "--trials", "0"]
         )
@@ -452,3 +458,85 @@ def test_witness_value_is_spelled_by_what_it_is():
     )
     data = report_to_dict(["verify"], [rep])
     assert data["checks"][0]["witness"]["vector"] == [2, 2, "-3/2"]
+
+
+def modules_after(script, argv=(), cwd=None):
+    """Last stdout line of script run by a fresh interpreter on this eqspace, split."""
+    src_dir = str(Path(eqspace.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split()), proc.stderr
+
+
+class TestImportBudget:
+    """Each subcommand loads only the modules it runs, and no dataclasses."""
+
+    SCRIPT = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from eqspace import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(code)\n"
+    )
+    HEAVY = {"eqspace.algebras", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
+
+    def loaded_by(self, case, tmp_path):
+        """Modules that a fresh interpreter loads to run one golden case."""
+        argv, code = CASES[case]
+        for src in INPUTS.iterdir():
+            shutil.copy(src, tmp_path / src.name)
+        returncode, loaded, stderr = modules_after(self.SCRIPT, argv, tmp_path)
+        assert returncode == code, stderr
+        assert "eqspace.cli" in loaded
+        return loaded
+
+    @pytest.mark.parametrize("case", ["product", "dual", "hom"])
+    def test_constructions_load_no_algebra_or_suite(self, case, tmp_path):
+        loaded = self.loaded_by(case, tmp_path)
+        assert not loaded & self.HEAVY
+        assert "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("case", ["hilbert", "project"])
+    def test_algebra_commands_load_no_frt_or_suite(self, case, tmp_path):
+        loaded = self.loaded_by(case, tmp_path)
+        assert "eqspace.algebras" in loaded
+        assert not loaded & (self.HEAVY - {"eqspace.algebras"})
+        assert "dataclasses" not in loaded
+
+    def test_verify_loads_no_dataclasses(self, tmp_path):
+        loaded = self.loaded_by("verify-all", tmp_path)
+        assert self.HEAVY <= loaded
+        assert "dataclasses" not in loaded
+
+
+class TestLazyPackageRoot:
+    def test_a_name_loads_only_its_module(self):
+        show = "\nprint(*(m for m in sys.modules if m.startswith('eqspace')))\n"
+        _, loaded, stderr = modules_after("import sys, eqspace" + show)
+        assert loaded == {"eqspace"}, stderr
+        _, loaded, stderr = modules_after("import sys, eqspace\neqspace.Matrix" + show)
+        assert loaded == {"eqspace", "eqspace.linalg", "eqspace.report"}, stderr
+
+    def test_every_exported_name_resolves(self):
+        for name in eqspace.__all__:
+            assert getattr(eqspace, name).__name__ == name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from eqspace import *", namespace)
+        assert set(eqspace.__all__) <= set(namespace)
+        assert all(namespace[n] is getattr(eqspace, n) for n in eqspace.__all__)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            eqspace.no_such_name
+        assert not hasattr(eqspace, "kron_apply")

@@ -21,6 +21,7 @@ from eqspace import (
     manin_hom_relations,
     verify_hom_equals_frt,
 )
+from eqspace import frt
 from eqspace.frt import (
     Comultiplication,
     counit_on_word,
@@ -69,6 +70,25 @@ class TestFrtRelations:
         labels = [label for label, _ in frt_relation_generators(qp, qp)]
         assert labels == sorted(labels)
         assert len(labels) == 16
+
+    def test_one_suite_call_builds_each_pair_once(self, monkeypatch):
+        # The "all" suite asks for the span of (V, W) four times and for
+        # (V, U) and (U, W) once each; counit_check builds the raw
+        # generators of (V, V) and (W, W) without eliminating them.
+        rng = random.Random(2024)
+        V, W, U = (random_quadratic(rng, 2) for _ in range(3))
+        built = []
+
+        def counting(X, Y):
+            built.append((X.structure_at(2), Y.structure_at(2)))
+            return frt_relation_generators(X, Y)
+
+        frt._frt_span.cache_clear()
+        monkeypatch.setattr(frt, "frt_relation_generators", counting)
+        suite_checks("all", V, W, U)
+        R, S, T = (X.structure_at(2) for X in (V, W, U))
+        assert sorted(map(built.count, built)) == [1] * 5
+        assert set(built) == {(R, S), (R, T), (T, S), (R, R), (S, S)}
 
 
 class TestHomEqualsFrt:

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import eqspace.cli as cli
+import eqspace.suites as suites
 from eqspace import Matrix, check_morphism
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,15 +70,15 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
     argv, _ = CASES[name]
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
-    saved = cli.suite_checks
+    saved = suites.suite_checks
     if name == "verify-failing":
-        cli.suite_checks = _identity_is_not_a_morphism
+        suites.suite_checks = _identity_is_not_a_morphism
     buf = io.StringIO()
     try:
         with redirect_stdout(buf):
             code = cli.main(argv)
     finally:
-        cli.suite_checks = saved
+        suites.suite_checks = saved
     out = workdir / OUT
     return code, buf.getvalue(), out.read_bytes() if out.exists() else None
 

@@ -1,11 +1,13 @@
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from eqspace import Matrix, Subspace, column_space
-from eqspace.linalg import TensorSum, kernel, kron_apply, kronecker
+from eqspace import FreeElement, Matrix, Subspace, VerificationReport, column_space
+from eqspace.linalg import TensorSum, _kron_sum_apply, kernel, kronecker
 from conftest import QP_MATRIX
 from oracles import naive_rref, oracle_contains
 
@@ -274,14 +276,19 @@ class TestKronecker:
             assert k[i * 2 + p, j * 2 + q] == a[i, j] * b[p, q]
 
 
+def kron_sum(a, b):
+    """Dense a⊗I + I⊗b for square a and b."""
+    return kronecker(a, Matrix.identity(b.rows)) + kronecker(Matrix.identity(a.rows), b)
+
+
 class TestKronApply:
-    def test_matches_materialized_product_on_rectangular_shapes(self):
+    def test_matches_materialized_sum_on_seeded_shapes(self):
         rng = random.Random(17)
         for _ in range(40):
-            a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            b = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.cols * b.cols)]
-            assert kron_apply(a, b, vec) == kronecker(a, b).apply(vec)
+            p, q = rng.randint(1, 4), rng.randint(1, 4)
+            a, b = rand_matrix(rng, p, p), rand_matrix(rng, q, q)
+            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p * q)]
+            assert _kron_sum_apply(a, b, vec) == kron_sum(a, b).apply(vec)
 
     def test_apply_equals_product_with_a_column(self):
         rng = random.Random(23)
@@ -292,13 +299,13 @@ class TestKronApply:
             assert a.apply(vec) == tuple(row[0] for row in column.cells)
 
     def test_empty_factors(self):
-        a, b = Matrix.zero(2, 0), rand_matrix(random.Random(1), 3, 2)
-        assert kron_apply(a, b, []) == kronecker(a, b).apply([]) == (0,) * 6
-        assert kron_apply(b, Matrix.zero(0, 2), [1] * 4) == ()
+        a, b = Matrix.zero(0, 0), rand_matrix(random.Random(1), 3, 3)
+        assert _kron_sum_apply(a, b, []) == kron_sum(a, b).apply([]) == ()
+        assert _kron_sum_apply(b, a, []) == kron_sum(b, a).apply([]) == ()
 
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError):
-            kron_apply(Matrix.identity(2), Matrix.identity(2), [1, 0, 0])
+            _kron_sum_apply(Matrix.identity(2), Matrix.identity(2), [1, 0, 0])
 
 
 class TestExactScalars:
@@ -358,3 +365,59 @@ class TestTranspose:
 
 def test_rank_of_quantum_plane_structure():
     assert Subspace.from_rows(4, QP_MATRIX.cells).dim == 1
+
+
+def _line():
+    return Subspace.from_rows(2, [[1, 2]])
+
+
+# Per class: two equal values built apart, a different value, and the fields.
+RECORDS = {
+    "Subspace": (_line, lambda: Subspace.full(2), ("ambient_dim", "basis")),
+    "TensorSum": (
+        lambda: TensorSum(_line(), Subspace.zero(1)),
+        lambda: TensorSum(Subspace.zero(2), Subspace.zero(1)),
+        ("left", "right"),
+    ),
+    "FreeElement": (
+        lambda: FreeElement(2, (1, 0, 0, Fraction(1, 2))),
+        lambda: FreeElement(1, (1, 0)),
+        ("degree", "coords"),
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport("check", True, dimensions={"n": 1}),
+        lambda: VerificationReport(name="check", passed=False, witness={"v": 1}),
+        ("name", "passed", "witness", "dimensions"),
+    ),
+}
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_immutable_values(self, kind):
+        make, other, fields = RECORDS[kind]
+        a, b = make(), make()
+        assert a == b and a is not b
+        assert a != other() and a != tuple(getattr(a, f) for f in fields)
+        assert repr(a).startswith(f"{kind}(")
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(b, f))
+            with pytest.raises(AttributeError):
+                delattr(a, f)
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert twin == a
+
+    def test_hash_follows_equality(self):
+        for kind in ("Subspace", "TensorSum", "FreeElement"):
+            make, _, _ = RECORDS[kind]
+            assert hash(make()) == hash(make())
+        assert hash(VerificationReport("check", True)) == hash(VerificationReport("check", True))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Subspace(2, Matrix([[2, 0]]))
+        with pytest.raises(ValueError):
+            Subspace(3, Matrix([[1, 0]]))
+        with pytest.raises(ValueError):
+            VerificationReport("check", False)
