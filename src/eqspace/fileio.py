@@ -7,7 +7,8 @@ no float ever enters the pipeline.  A rational string is a full match of
 whitespace.  ``parse_rational`` yields only ints and Fractions, and
 ``linalg.Matrix`` admits no other entry type, so the writer spells an entry
 as ``str(x)`` without checking it again, joining the bytes dumps_canonical
-would give without the JSON encoder; the reader parses each distinct string
+would give without the JSON encoder.  Every zero spells "0", so the writer
+converts only the nonzero entries; the reader parses each distinct string
 once per file.  Report serialization is canonical: checks sorted by name,
 keys sorted, fixed indentation; identical inputs give identical bytes.  A
 report spells a value by what it is, not by its Python type: an integer
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -121,8 +123,12 @@ def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> 
         f.write(f'{{\n  "dim": {V.dim},\n{note_line}  "structure": [')
         for k, (n, mat) in enumerate(items):
             f.write(f'{"," if k else ""}\n    {{\n      "degree": {n},\n      "matrix": [')
+            zeros = ["0"] * mat.cols
             for i, row in enumerate(mat.cells):
-                entries = '",\n          "'.join(map(str, row))
+                cells = zeros.copy()
+                for j in compress(range(len(row)), row):
+                    cells[j] = str(row[j])
+                entries = '",\n          "'.join(cells)
                 f.write(f'{"," if i else ""}\n        [\n          "{entries}"\n        ]')
             f.write("\n      ]\n    }")
         f.write("\n  ]\n}\n" if items else "]\n}\n")

@@ -15,7 +15,7 @@ relation vectors, plus the containment of Manin-style hom relations.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple, Sequence
 
 from .algebras import PresentedAlgebra, apply_U
@@ -130,36 +130,40 @@ class Comultiplication(NamedTuple):
     def right_size(self) -> int:
         return self.dW * self.dU
 
+    def _image(self, word: Sequence[int]) -> list[int]:
+        """The dU^p distinct indices where on_word(word) is 1; it is 0 elsewhere.
+
+        An index spells every letter's (i, j) and middle index k, so the
+        images of distinct words are disjoint as well.
+        """
+        lcodes, rcodes = [0], [0]
+        for g in word:
+            i, j = gen_split(g, self.dV)
+            ks = range(self.dU)
+            lcodes = [l * self.left_size + k * self.dV + i for l in lcodes for k in ks]
+            rcodes = [r * self.right_size + j * self.dU + k for r in rcodes for k in ks]
+        right_total = self.right_size ** len(word)
+        return [l * right_total + r for l, r in zip(lcodes, rcodes)]
+
     def on_word(self, word: Sequence[int]) -> tuple[Scalar, ...]:
-        p = len(word)
-        letters = [gen_split(g, self.dV) for g in word]
-        right_total = self.right_size**p
-        coords: list[Scalar] = [0] * (self.left_size**p * right_total)
-        for ks in product(range(self.dU), repeat=p):
-            lcode = 0
-            rcode = 0
-            for (i, j), k in zip(letters, ks):
-                lcode = lcode * self.left_size + (k * self.dV + i)
-                rcode = rcode * self.right_size + (j * self.dU + k)
-            coords[lcode * right_total + rcode] += 1
+        coords: list[Scalar] = [0] * (self.left_size * self.right_size) ** len(word)
+        for idx in self._image(word):
+            coords[idx] = 1
         return tuple(coords)
 
     def on_vector(self, coords: Sequence[Scalar], degree: int) -> tuple[Scalar, ...]:
         g_count = self.dW * self.dV
-        right_total = self.right_size**degree
-        acc: list[Scalar] = [0] * (self.left_size**degree * right_total)
-        for code, c in enumerate(coords):
-            if c == 0:
-                continue
+        acc: list[Scalar] = [0] * (self.left_size * self.right_size) ** degree
+        for code in compress(range(len(coords)), coords):
+            c = coords[code]
             word = []
             t = code
             for _ in range(degree):
                 t, g = divmod(t, g_count)
                 word.append(g)
             word.reverse()
-            for idx, x in enumerate(self.on_word(word)):
-                if x != 0:
-                    acc[idx] += c * x
+            for idx in self._image(word):
+                acc[idx] = c  # images of distinct words are disjoint
         return tuple(acc)
 
 
@@ -188,23 +192,17 @@ def coassociativity_check(dV: int, dW: int, dX: int, dY: int) -> VerificationRep
     refine_right = Comultiplication(dX, dW, dY)
     for g in range(dW * dV):
         route1: list[Scalar] = [0] * total
-        for idx, c in enumerate(through_y.on_word([g])):
-            if c == 0:
-                continue
+        for idx in through_y._image([g]):
             lcode, rcode = divmod(idx, through_y.right_size)
-            for idx2, c2 in enumerate(refine_left.on_word([lcode])):
-                if c2 != 0:
-                    a, b = divmod(idx2, refine_left.right_size)
-                    route1[(a * s2 + b) * s3 + rcode] += c * c2
+            for idx2 in refine_left._image([lcode]):
+                a, b = divmod(idx2, refine_left.right_size)
+                route1[(a * s2 + b) * s3 + rcode] += 1
         route2: list[Scalar] = [0] * total
-        for idx, c in enumerate(through_x.on_word([g])):
-            if c == 0:
-                continue
+        for idx in through_x._image([g]):
             lcode, rcode = divmod(idx, through_x.right_size)
-            for idx2, c2 in enumerate(refine_right.on_word([rcode])):
-                if c2 != 0:
-                    b, e = divmod(idx2, refine_right.right_size)
-                    route2[(lcode * s2 + b) * s3 + e] += c * c2
+            for idx2 in refine_right._image([rcode]):
+                b, e = divmod(idx2, refine_right.right_size)
+                route2[(lcode * s2 + b) * s3 + e] += 1
         if route1 != route2:
             bad = next(idx for idx in range(total) if route1[idx] != route2[idx])
             return VerificationReport(
@@ -222,19 +220,15 @@ def counit_law_check(dV: int, dW: int) -> VerificationReport:
     delta_right = Comultiplication(dV, dW, dW)
     for g in range(g_count):
         left = [0] * g_count
-        for idx, c in enumerate(delta_left.on_word([g])):
-            if c == 0:
-                continue
+        for idx in delta_left._image([g]):
             lcode, rcode = divmod(idx, delta_left.right_size)
             if counit_on_word([lcode], dV):
-                left[rcode] += c
+                left[rcode] += 1
         right = [0] * g_count
-        for idx, c in enumerate(delta_right.on_word([g])):
-            if c == 0:
-                continue
+        for idx in delta_right._image([g]):
             lcode, rcode = divmod(idx, delta_right.right_size)
             if counit_on_word([rcode], dW):
-                right[lcode] += c
+                right[lcode] += 1
         unit = [int(h == g) for h in range(g_count)]
         if left != unit or right != unit:
             return VerificationReport(

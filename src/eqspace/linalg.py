@@ -13,7 +13,7 @@ subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 from operator import add, neg, sub
 from typing import Iterable, Sequence, Union
@@ -279,21 +279,24 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
     return out
 
 
-def _canonical_pivots(basis: Matrix) -> tuple[int, ...] | None:
-    """Pivot columns of a matrix that is an RREF with no zero rows, else None."""
+def _canonical_pivots(basis: Matrix) -> dict[int, tuple] | None:
+    """Pivot -> (column, value) pairs of the row's other nonzeros, or None.
+
+    None unless basis is an RREF with no zero rows.  One pass over each row
+    checks the form and builds the map: its nonzero columns must start with
+    a 1 right of the previous row's pivot and miss every other pivot.
+    """
+    pivots: dict[int, tuple] = {}
     prev = -1
-    pivots = []
     for row in basis.cells:
-        lead = next((c for c, x in enumerate(row) if x != 0), None)
-        if lead is None or lead <= prev or row[lead] != 1:
+        cols = list(compress(range(len(row)), row))
+        if not cols or cols[0] <= prev or row[cols[0]] != 1:
             return None
-        pivots.append(lead)
-        prev = lead
-    for i, row in enumerate(basis.cells):
-        for p in pivots[:i] + pivots[i + 1 :]:
-            if row[p] != 0:
-                return None
-    return tuple(pivots)
+        prev = cols[0]
+        pivots[prev] = tuple((c, row[c]) for c in cols[1:])
+    if any(c in pivots for tail in pivots.values() for c, _ in tail):
+        return None
+    return pivots
 
 
 class Subspace(Record):
@@ -333,14 +336,23 @@ class Subspace(Record):
         return list(self._pivots)
 
     def reduce_vector(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Residue of vec after eliminating all pivot coordinates."""
+        """Residue of vec after eliminating all pivot coordinates.
+
+        Every pivot column is zero in every other basis row, so the
+        coefficient of the row with pivot p is vec[p]: only the nonzero
+        pivot entries of vec are visited, and only their rows' nonzeros.
+        """
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         res = list(vec)
-        for row, p in zip(self.basis.cells, self._pivots):
-            c = res[p]
-            if c != 0:
-                res = [x - c * y for x, y in zip(res, row)]
+        pivots = self._pivots
+        for p in compress(range(len(res)), vec):
+            tail = pivots.get(p)
+            if tail is not None:
+                c = res[p]
+                res[p] = 0
+                for j, y in tail:
+                    res[j] -= c * y
         return tuple(res)
 
     def first_outside(self, vectors: Iterable[Sequence[Scalar]]) -> int | None:
@@ -351,7 +363,7 @@ class Subspace(Record):
         subspace b is ``first_outside(b.basis.cells) is None``.
         """
         for i, vec in enumerate(vectors):
-            if any(x != 0 for x in self.reduce_vector(vec)):
+            if any(self.reduce_vector(vec)):
                 return i
         return None
 

@@ -18,6 +18,7 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .linalg import Matrix, Scalar, _kron_sum_apply, kronecker
@@ -91,28 +92,30 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
 
     Built by index bookkeeping: entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is
     Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and conjugating by the permutation φ just
-    relabels both indices.  Conjugating by the permutation matrix of φ gives
-    the same matrix; tests assert the agreement.
+    relabels both indices.  Only nonzeros are visited.  The cells of Rn⊗I
+    are distinct, so they are set; a cell of I⊗Sn meets one of them only
+    when i = j and k = l, so it is added only where the cell is nonzero.
+    Conjugating by the permutation matrix of φ gives the same matrix; tests
+    assert the agreement.
     """
     size = (dV * dW) ** n
     inv = invert_table(phi_table(dV, dW, n))
     wn = dW**n
     out = [[0] * size for _ in range(size)]
     for i, row in enumerate(Rn.cells):
-        base = i * wn
-        for j, val in enumerate(row):
-            if val == 0:
-                continue
-            jwn = j * wn
-            for k in range(wn):
-                out[inv[base + k]][inv[jwn + k]] += val
+        targets = inv[i * wn : (i + 1) * wn]
+        for j in compress(range(len(row)), row):
+            val = row[j]
+            for s, t in zip(targets, inv[j * wn : (j + 1) * wn]):
+                out[s][t] = val
     vn = dV**n
-    for k in range(wn):
-        for l, val in enumerate(Sn.cells[k]):
-            if val == 0:
-                continue
+    for k, row in enumerate(Sn.cells):
+        for l in compress(range(wn), row):
+            val = row[l]
             for i in range(vn):
-                out[inv[i * wn + k]][inv[i * wn + l]] += val
+                orow = out[inv[i * wn + k]]
+                t = inv[i * wn + l]
+                orow[t] = orow[t] + val if orow[t] else val
     return Matrix._trusted(out, size)
 
 

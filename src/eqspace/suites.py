@@ -1,22 +1,14 @@
-"""Named check suites shared by the command line and the test harness."""
+"""Named check suites shared by the command line and the test harness.
+
+Each suite imports the modules it runs when it runs, so the rigidity suite
+loads neither the algebra nor the FRT module, and only random trials load
+the sampler.
+"""
 
 from __future__ import annotations
 
-import random
-
-from .algebras import check_U_epi
-from .frt import (
-    check_comult_well_defined,
-    check_manin_epi,
-    coassociativity_check,
-    corep_delta_check,
-    counit_check,
-    counit_law_check,
-    verify_hom_equals_frt,
-)
 from .linalg import Matrix, _kron_sum_apply, kronecker
 from .report import VerificationReport
-from .sampling import random_equipped
 from .spaces import EquippedSpace, coev_column, coev_map, ev_map, ev_row
 
 
@@ -74,6 +66,14 @@ def rigidity_suite(V: EquippedSpace, tag: str) -> list[VerificationReport]:
 def bialgebra_suite(
     V: EquippedSpace, W: EquippedSpace, U: EquippedSpace
 ) -> list[VerificationReport]:
+    from .frt import (
+        check_comult_well_defined,
+        coassociativity_check,
+        counit_check,
+        counit_law_check,
+        verify_hom_equals_frt,
+    )
+
     return [
         verify_hom_equals_frt(V, W),
         check_comult_well_defined(V, W, U),
@@ -87,6 +87,9 @@ def bialgebra_suite(
 def epi_suite(
     V: EquippedSpace, W: EquippedSpace, max_degree: int = 3
 ) -> list[VerificationReport]:
+    from .algebras import check_U_epi
+    from .frt import check_manin_epi, corep_delta_check
+
     return [
         check_manin_epi(V, W),
         check_U_epi(V, W, max_degree),
@@ -124,6 +127,10 @@ def randomized_checks(
     epi_degree: int = 3,
 ) -> list[VerificationReport]:
     """Re-run the suite on random structures drawn at the input shapes."""
+    import random
+
+    from .sampling import random_equipped
+
     rng = random.Random(seed)
 
     def shape(X: EquippedSpace) -> tuple[int, ...]:

@@ -25,7 +25,14 @@ These groups are former library code kept as references:
 - ev_reference and coev_reference run check_morphism on the materialized
   products dagger(V) ⊠ V and V ⊠ dagger(V), the path the one-vector ev/coev
   checks replaced.  They call spaces.dagger through the module, so a test
-  that patches it changes both paths.
+  that patches it changes both paths;
+- boxtimes_conjugation is the literal φ⁻¹(R⊗I + I⊗S)φ that the index
+  bookkeeping of spaces.boxtimes_degree replaced;
+- dense_reduce_vector subtracts each basis row over the whole ambient
+  space, the loop that the pivot-driven Subspace.reduce_vector replaced;
+- dense_on_word enumerates every middle-index tuple into a dense image,
+  and dense_on_vector, dense_coassociativity and dense_counit_law are the
+  frt loops that walked those dense images before the sparse ones.
 """
 
 import json
@@ -33,6 +40,7 @@ from fractions import Fraction
 from itertools import product
 
 from eqspace import spaces
+from eqspace.frt import counit_on_word, gen_split
 from eqspace.linalg import Matrix, Subspace, kronecker
 from eqspace.report import VerificationReport
 from eqspace.tensors import phi_table, tau23_table
@@ -266,3 +274,119 @@ def coev_reference(V):
         spaces.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
     )
     return VerificationReport("coev-morphism", rep.passed, rep.witness, rep.dimensions)
+
+
+def boxtimes_conjugation(R, S, dV, dW, n):
+    """φ⁻¹(R⊗I + I⊗S)φ by Kronecker products and the permutation matrix of φ."""
+    phi = phi_iso(dV, dW, n)
+    total = kronecker(R, Matrix.identity(dW**n)) + kronecker(Matrix.identity(dV**n), S)
+    return phi.transpose() * total * phi
+
+
+def dense_reduce_vector(space, vec):
+    """Residue of vec modulo a Subspace, one dense row subtraction per pivot."""
+    if len(vec) != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    res = list(vec)
+    for row, p in zip(space.basis.cells, space.pivot_columns()):
+        c = res[p]
+        if c != 0:
+            res = [x - c * y for x, y in zip(res, row)]
+    return tuple(res)
+
+
+def dense_on_word(dV, dW, dU, word):
+    """Comultiplication image of a word of t-generators, as a dense tuple."""
+    left_size, right_size = dU * dV, dW * dU
+    p = len(word)
+    letters = [gen_split(g, dV) for g in word]
+    right_total = right_size**p
+    coords = [0] * (left_size**p * right_total)
+    for ks in product(range(dU), repeat=p):
+        lcode = 0
+        rcode = 0
+        for (i, j), k in zip(letters, ks):
+            lcode = lcode * left_size + (k * dV + i)
+            rcode = rcode * right_size + (j * dU + k)
+        coords[lcode * right_total + rcode] += 1
+    return tuple(coords)
+
+
+def dense_on_vector(dV, dW, dU, coords, degree):
+    """Comultiplication image of a degree-p element, summed over dense word images."""
+    g_count = dW * dV
+    acc = [0] * ((dU * dV) ** degree * (dW * dU) ** degree)
+    for code, c in enumerate(coords):
+        if c == 0:
+            continue
+        word = []
+        t = code
+        for _ in range(degree):
+            t, g = divmod(t, g_count)
+            word.append(g)
+        word.reverse()
+        for idx, x in enumerate(dense_on_word(dV, dW, dU, word)):
+            if x != 0:
+                acc[idx] += c * x
+    return tuple(acc)
+
+
+def dense_coassociativity(dV, dW, dX, dY):
+    """frt.coassociativity_check over dense word images."""
+    s2, s3 = dY * dX, dW * dY
+    total = dX * dV * s2 * s3
+    for g in range(dW * dV):
+        route1 = [0] * total
+        for idx, c in enumerate(dense_on_word(dV, dW, dY, [g])):
+            if c == 0:
+                continue
+            lcode, rcode = divmod(idx, dW * dY)
+            for idx2, c2 in enumerate(dense_on_word(dV, dY, dX, [lcode])):
+                if c2 != 0:
+                    a, b = divmod(idx2, dY * dX)
+                    route1[(a * s2 + b) * s3 + rcode] += c * c2
+        route2 = [0] * total
+        for idx, c in enumerate(dense_on_word(dV, dW, dX, [g])):
+            if c == 0:
+                continue
+            lcode, rcode = divmod(idx, dW * dX)
+            for idx2, c2 in enumerate(dense_on_word(dX, dW, dY, [rcode])):
+                if c2 != 0:
+                    b, e = divmod(idx2, dW * dY)
+                    route2[(lcode * s2 + b) * s3 + e] += c * c2
+        if route1 != route2:
+            bad = next(idx for idx in range(total) if route1[idx] != route2[idx])
+            return VerificationReport(
+                "comultiplication-coassociative",
+                False,
+                witness={"generator": g, "index": bad},
+            )
+    return VerificationReport("comultiplication-coassociative", True)
+
+
+def dense_counit_law(dV, dW):
+    """frt.counit_law_check over dense word images."""
+    g_count = dW * dV
+    for g in range(g_count):
+        left = [0] * g_count
+        for idx, c in enumerate(dense_on_word(dV, dW, dV, [g])):
+            if c == 0:
+                continue
+            lcode, rcode = divmod(idx, dW * dV)
+            if counit_on_word([lcode], dV):
+                left[rcode] += c
+        right = [0] * g_count
+        for idx, c in enumerate(dense_on_word(dV, dW, dW, [g])):
+            if c == 0:
+                continue
+            lcode, rcode = divmod(idx, dW * dW)
+            if counit_on_word([rcode], dW):
+                right[lcode] += c
+        unit = [int(h == g) for h in range(g_count)]
+        if left != unit or right != unit:
+            return VerificationReport(
+                "counit-law",
+                False,
+                witness={"generator": g, "left": left, "right": right},
+            )
+    return VerificationReport("counit-law", True)

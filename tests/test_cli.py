@@ -153,6 +153,16 @@ class TestSpaceFiles:
         write_space(path, V, notes[3])
         assert '"-7/3"' in path.read_text() and "\\u2297" in path.read_text()
         assert path.read_bytes() == dumps_reference(space_to_dict(V, notes[3])).encode()
+        # Zeros come from a template and every other entry from str(): Fraction(0),
+        # Fraction(4, 2), negative fractions, all-zero rows and dim 1.
+        f = Fraction
+        cells = [[f(0), f(4, 2), 0, f(-7, 3)], [0] * 4, [f(-1, 2), 5, f(0), 0], [f(0)] * 4]
+        for V in [
+            EquippedSpace(2, {2: Matrix(cells)}),
+            EquippedSpace(1, {2: Matrix([[f(0)]]), 3: Matrix([[f(-9, 4)]])}),
+        ]:
+            write_space(path, V)
+            assert path.read_bytes() == dumps_reference(space_to_dict(V)).encode()
 
     def test_note_survives_serialization_but_not_identity(self, tmp_path):
         V = EquippedSpace(2, {2: QP_MATRIX})
@@ -489,9 +499,10 @@ class TestImportBudget:
     )
     HEAVY = {"eqspace.algebras", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
 
-    def loaded_by(self, case, tmp_path):
-        """Modules that a fresh interpreter loads to run one golden case."""
-        argv, code = CASES[case]
+    def loaded_by(self, case, tmp_path, argv=None):
+        """Modules that a fresh interpreter loads to run one golden case, or argv."""
+        golden_argv, code = CASES[case]
+        argv = golden_argv if argv is None else argv
         for src in INPUTS.iterdir():
             shutil.copy(src, tmp_path / src.name)
         returncode, loaded, stderr = modules_after(self.SCRIPT, argv, tmp_path)
@@ -516,6 +527,17 @@ class TestImportBudget:
         loaded = self.loaded_by("verify-all", tmp_path)
         assert self.HEAVY <= loaded
         assert "dataclasses" not in loaded
+
+    def test_rigidity_suite_loads_no_algebra_frt_or_sampling(self, tmp_path):
+        loaded = self.loaded_by("verify-rigidity", tmp_path)
+        assert "eqspace.suites" in loaded
+        assert not loaded & (self.HEAVY - {"eqspace.suites"})
+
+    def test_verify_without_trials_loads_no_sampling(self, tmp_path):
+        argv = ["verify", "a.json", "b.json", "u.json", "--suite", "all", "--trials", "0"]
+        loaded = self.loaded_by("verify-all", tmp_path, argv)
+        assert self.HEAVY - {"eqspace.sampling"} <= loaded
+        assert "eqspace.sampling" not in loaded
 
 
 class TestLazyPackageRoot:

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,7 +34,14 @@ from eqspace.frt import (
 from eqspace.linalg import kronecker
 from eqspace.suites import suite_checks
 from conftest import cubic_matrix, random_quadratic
-from oracles import oracle_rank, phi_iso
+from oracles import (
+    dense_coassociativity,
+    dense_counit_law,
+    dense_on_vector,
+    dense_on_word,
+    oracle_rank,
+    phi_iso,
+)
 
 
 def zero_space(d):
@@ -143,6 +152,37 @@ class TestComultiplication:
     def test_counit_law_various_dims(self):
         for dv, dw in [(1, 1), (2, 2), (2, 3), (3, 2)]:
             assert counit_law_check(dv, dw).passed
+
+
+
+class TestSparseImagesAgainstDenseLoops:
+    """The sparse word images give the dense loops' values, entry by entry."""
+
+    @pytest.mark.parametrize("dims", list(product((1, 2, 3), repeat=3)))
+    def test_on_word_and_on_vector(self, dims):
+        dV, dW, dU = dims
+        delta = Comultiplication(dV, dW, dU)
+        rng = random.Random(dV * 100 + dW * 10 + dU)
+        g_count = dV * dW
+        for degree in (1, 2, 3):
+            size = g_count**degree
+            codes = rng.sample(range(size), min(size, 3))
+            for code in codes:
+                word = [code // g_count**e % g_count for e in reversed(range(degree))]
+                assert delta.on_word(word) == dense_on_word(dV, dW, dU, word)
+            coords = [0] * size
+            for code in codes:
+                coords[code] = rng.choice((Fraction(0), 2, -1, Fraction(-5, 3)))
+            got = delta.on_vector(coords, degree)
+            assert got == dense_on_vector(dV, dW, dU, coords, degree)
+
+    def test_coassociativity(self):
+        for dims in product((1, 2, 3), repeat=4):
+            assert coassociativity_check(*dims) == dense_coassociativity(*dims)
+
+    def test_counit_law(self):
+        for dV, dW in product((1, 2, 3), repeat=2):
+            assert counit_law_check(dV, dW) == dense_counit_law(dV, dW)
 
 
 class TestComultWellDefined:

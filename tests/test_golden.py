@@ -48,6 +48,14 @@ CASES = {
          "--trials", "2", "--pretty", "--out", OUT],
         0,
     ),
+    "verify-rigidity": (
+        ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0"],
+        0,
+    ),
+    "verify-bialgebra": (
+        ["verify", "a.json", "b.json", "u.json", "--suite", "bialgebra", "--trials", "0"],
+        0,
+    ),
     "verify-failing": (
         ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0"],
         1,

@@ -9,7 +9,7 @@ import pytest
 from eqspace import FreeElement, Matrix, Subspace, VerificationReport, column_space
 from eqspace.linalg import TensorSum, _kron_sum_apply, kernel, kronecker
 from conftest import QP_MATRIX
-from oracles import naive_rref, oracle_contains
+from oracles import dense_reduce_vector, naive_rref, oracle_contains
 
 
 def rand_matrix(rng, rows, cols):
@@ -172,6 +172,44 @@ class TestFirstOutside:
 
         assert span.first_outside(images()) == 1
         assert seen == [(2, 2), (1, 0)]
+
+
+
+class TestReduceVectorAgainstDenseLoop:
+    """The pivot-driven residue equals the dense row-by-row loop, entry by entry."""
+
+    @staticmethod
+    def vectors(rng, span, n):
+        rows = span.basis.cells
+        out = [[rng.choice((0, Fraction(0), 1, -2, Fraction(3, 2))) for _ in range(n)]]
+        out.append([Fraction(0)] * n)
+        for _ in range(2):
+            coeffs = [rng.choice((0, 1, -1, Fraction(1, 3))) for _ in rows]
+            out.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                        for j in range(n)])
+        return out
+
+    def test_seeded_spans(self):
+        rng = random.Random(41)
+        for trial in range(120):
+            n = rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 1))]
+            if trial % 2:
+                rows = [[Fraction(x, rng.randint(1, 3)) for x in r] for r in rows]
+            span = Subspace.from_rows(n, rows)
+            for vec in self.vectors(rng, span, n):
+                got = span.reduce_vector(vec)
+                assert got == dense_reduce_vector(span, vec)
+                assert span.first_outside([vec]) == (0 if any(got) else None)
+
+    def test_zero_and_full_spans(self):
+        rng = random.Random(43)
+        for n in (1, 3, 6):
+            for span in (Subspace.zero(n), Subspace.full(n)):
+                for vec in self.vectors(rng, span, n):
+                    assert span.reduce_vector(vec) == dense_reduce_vector(span, vec)
+            assert Subspace.full(n).reduce_vector([Fraction(5, 2)] * n) == (0,) * n
 
 
 def dense_tensor_sum(left, right):

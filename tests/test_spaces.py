@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,12 +21,12 @@ from eqspace.linalg import kronecker
 from eqspace.sampling import random_equipped, random_matrix
 from eqspace.spaces import _boxtimes_apply, boxtimes_degree, coev_column, ev_row
 from oracles import (
+    boxtimes_conjugation,
     coev_reference,
     ev_reference,
     flip_table,
     oracle_rank,
     permutation_matrix,
-    phi_iso,
 )
 
 
@@ -87,12 +88,28 @@ class TestBoxtimes:
             S = Matrix(
                 [[rng.randint(-3, 3) for _ in range(dw**n)] for _ in range(dw**n)]
             )
-            phi = phi_iso(dv, dw, n)
-            direct = phi.transpose() * (
-                kronecker(R, Matrix.identity(dw**n))
-                + kronecker(Matrix.identity(dv**n), S)
-            ) * phi
-            assert boxtimes_degree(R, S, dv, dw, n) == direct
+            assert boxtimes_degree(R, S, dv, dw, n) == boxtimes_conjugation(R, S, dv, dw, n)
+
+    def test_diagonals_on_both_sides_add_and_cancel(self):
+        # Diagonal cells of R⊗I and I⊗S meet; R[0,0] = -S[1,1] cancels one exactly.
+        half = Fraction(1, 2)
+        R = Matrix(
+            [[half, 0, 1, 0], [0, 2, 0, 0], [0, 0, -1, 0], [3, 0, 0, Fraction(2, 3)]]
+        )
+        S = Matrix([[1, 0, 4], [0, -half, 0], [Fraction(-1, 3), 0, 5]])
+        built = boxtimes_degree(R, S, 4, 3, 1)
+        assert built == boxtimes_conjugation(R, S, 4, 3, 1)
+        assert built[1, 1] == 0 and built[0, 0] == Fraction(3, 2)
+        rng = random.Random(23)
+        for dv, dw, n in [(2, 2, 2), (2, 3, 1), (3, 2, 2)]:
+            R = random_matrix(rng, dv**n, dv**n)
+            S = random_matrix(rng, dw**n, dw**n)
+            cells = [list(row) for row in S.cells]
+            cells[0][0] = -R[0, 0]  # cancels in cell ((0, 0), (0, 0))
+            S = Matrix(cells)
+            built = boxtimes_degree(R, S, dv, dw, n)
+            assert built == boxtimes_conjugation(R, S, dv, dw, n)
+            assert built[0, 0] == 0
 
     def test_apply_equals_columns_of_the_built_product(self):
         rng = random.Random(29)
