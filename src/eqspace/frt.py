@@ -10,6 +10,8 @@ over all (i, j, n, m).  The module builds that span directly, checks it
 against the column space of the dagger/boxtimes pipeline, and verifies
 the comultiplication, counit and corepresentation maps at the level of
 relation vectors, plus the containment of Manin-style hom relations.
+The comultiplication and corepresentation images are sparse, and they
+are tested by normal forms in the tensor product of two quotient algebras.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import NamedTuple, Sequence
 
-from .algebras import PresentedAlgebra, apply_U
-from .linalg import Matrix, Scalar, Subspace, TensorSum, column_space, kernel
+from .algebras import PresentedAlgebra, _first_outside_tensor, apply_U
+from .linalg import Matrix, Scalar, Subspace, column_space, kernel
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
-from .tensors import push_row, tau23_table
+from .tensors import decode_index, push_row, tau23_table
 
 
 def gen_flat(i: int, j: int, dV: int) -> int:
@@ -131,7 +133,7 @@ class Comultiplication(NamedTuple):
         return self.dW * self.dU
 
     def _image(self, word: Sequence[int]) -> list[int]:
-        """The dU^p distinct indices where on_word(word) is 1; it is 0 elsewhere.
+        """The dU^p distinct indices where the image of word is 1; it is 0 elsewhere.
 
         An index spells every letter's (i, j) and middle index k, so the
         images of distinct words are disjoint as well.
@@ -145,26 +147,14 @@ class Comultiplication(NamedTuple):
         right_total = self.right_size ** len(word)
         return [l * right_total + r for l, r in zip(lcodes, rcodes)]
 
-    def on_word(self, word: Sequence[int]) -> tuple[Scalar, ...]:
-        coords: list[Scalar] = [0] * (self.left_size * self.right_size) ** len(word)
-        for idx in self._image(word):
-            coords[idx] = 1
-        return tuple(coords)
-
-    def on_vector(self, coords: Sequence[Scalar], degree: int) -> tuple[Scalar, ...]:
+    def on_vector(self, coords: Sequence[Scalar], degree: int) -> dict[int, Scalar]:
+        """Image of a degree-p element as {index: coefficient}, nonzeros only."""
         g_count = self.dW * self.dV
-        acc: list[Scalar] = [0] * (self.left_size * self.right_size) ** degree
+        out: dict[int, Scalar] = {}
         for code in compress(range(len(coords)), coords):
-            c = coords[code]
-            word = []
-            t = code
-            for _ in range(degree):
-                t, g = divmod(t, g_count)
-                word.append(g)
-            word.reverse()
-            for idx in self._image(word):
-                acc[idx] = c  # images of distinct words are disjoint
-        return tuple(acc)
+            for idx in self._image(decode_index(code, g_count, degree)):
+                out[idx] = coords[code]  # images of distinct words are disjoint
+        return out
 
 
 def counit_on_word(word: Sequence[int], dV: int) -> int:
@@ -245,14 +235,16 @@ def check_comult_well_defined(
     """Relations of A(R:S) land in the relation ideal of A(R:T)⊗A(T:S).
 
     Each basis relation is pushed through the comultiplication into
-    bidegree (2,2) and must lie in rel(R,T)⊗(full) + (full)⊗rel(T,S).
+    bidegree (2,2) and must vanish in A(R:T)_2⊗A(T:S)_2.
     """
     _require_quadratic(V, W, U_mid)
     delta = Comultiplication(V.dim, W.dim, U_mid.dim)
-    target = TensorSum(frt_relations(V, U_mid), frt_relations(U_mid, W))
+    left = PresentedAlgebra(delta.left_size, {2: frt_relations(V, U_mid)}, 2)
+    right = PresentedAlgebra(delta.right_size, {2: frt_relations(U_mid, W)}, 2)
     source = frt_relations(V, W)
-    dims = {"source": source.dim, "target_ideal": target.dim}
-    bad = target.first_outside(delta.on_vector(row, 2) for row in source.basis.cells)
+    dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right)}
+    images = (delta.on_vector(row, 2) for row in source.basis.cells)
+    bad = _first_outside_tensor(left, right, 2, images)
     if bad is not None:
         return VerificationReport(
             "comultiplication-well-defined",
@@ -261,6 +253,11 @@ def check_comult_well_defined(
             dimensions=dims,
         )
     return VerificationReport("comultiplication-well-defined", True, dimensions=dims)
+
+
+def _tensor_ideal_dim(A: PresentedAlgebra, B: PresentedAlgebra) -> int:
+    """Dimension of I_A(2)⊗full + full⊗I_B(2), the kernel of T_2⊗T_2 -> A_2⊗B_2."""
+    return (A.gen_dim * B.gen_dim) ** 2 - A.graded_dim(2) * B.graded_dim(2)
 
 
 def counit_check(V: EquippedSpace) -> VerificationReport:
@@ -294,22 +291,21 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     dV, dW = V.dim, W.dim
     g_count = dW * dV
     w_total = dW * dW
-    target = TensorSum(frt_relations(V, W), column_space(W.structure_at(2)))
+    quantum = PresentedAlgebra(g_count, {2: frt_relations(V, W)}, 2)
+    target = apply_U(W, degree_cap=2)
     im_r = column_space(V.structure_at(2))
-    dims = {"source": im_r.dim, "target_ideal": target.dim}
+    dims = {"source": im_r.dim, "target_ideal": _tensor_ideal_dim(quantum, target)}
 
-    def image(row: Sequence[Scalar]) -> list[Scalar]:
-        out: list[Scalar] = [0] * (g_count**2 * w_total)
-        for code, c in enumerate(row):
-            if c == 0:
-                continue
+    def image(row: Sequence[Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
+        for code in compress(range(len(row)), row):
             i1, i2 = divmod(code, dV)
             for j1, j2 in product(range(dW), repeat=2):
                 gcode = gen_flat(i1, j1, dV) * g_count + gen_flat(i2, j2, dV)
-                out[gcode * w_total + (j1 * dW + j2)] += c
+                out[gcode * w_total + (j1 * dW + j2)] = row[code]
         return out
 
-    bad = target.first_outside(image(row) for row in im_r.basis.cells)
+    bad = _first_outside_tensor(quantum, target, 2, map(image, im_r.basis.cells))
     if bad is not None:
         return VerificationReport(
             "corepresentation-well-defined",

@@ -6,8 +6,9 @@ float, str and Decimal included, so every value past them is exact and
 equality tests carry zero tolerance.  Maps act on column coordinate
 vectors, images are column spaces, and subspaces are stored as reduced
 row-echelon bases, which makes the RREF the unique canonical form for
-subspace equality.  Spans of the form X⊗k^b + k^a⊗Y are not built:
-``TensorSum`` tests membership in them block by block.
+subspace equality.  Containment in a span is ``Subspace.first_outside``;
+containment in a tensor sum X⊗k^b + k^a⊗Y of relation ideals is tested on
+the quotient side, by normal forms in the algebras module.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _reduce_content(row: list[int]) -> list[int]:
 
 
 def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Canonical reduced row echelon form; zero rows dropped.
+    """Canonical reduced row echelon form; zero rows dropped, wrong widths rejected.
 
     Elimination runs over integers: denominators are cleared per row,
     pivots are chosen with minimal magnitude to limit growth, and content
@@ -222,6 +223,8 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
     """
     work: list[list[int]] = []
     for r in raw_rows:
+        if len(r) != ncols:
+            raise ValueError(f"row of length {len(r)} in ambient dimension {ncols}")
         row = _clear_denominators(r)
         if any(row):
             work.append(_reduce_content(row))
@@ -275,7 +278,7 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
         if lead == 1:
             out.append(list(row))
         else:
-            out.append([Fraction(x, lead) for x in row])
+            out.append([Fraction(x, lead) if x else 0 for x in row])
     return out
 
 
@@ -364,44 +367,6 @@ class Subspace(Record):
         """
         for i, vec in enumerate(vectors):
             if any(self.reduce_vector(vec)):
-                return i
-        return None
-
-
-class TensorSum(Record):
-    """The span left⊗k^b + k^a⊗right inside k^(a·b), left factor major.
-
-    Membership is tested without building the span, by the identity
-    (k^a/X)⊗(k^b/Y) = (k^a⊗k^b)/(X⊗k^b + k^a⊗Y) (Polishchuk-Positselski,
-    Quadratic Algebras, ch. 3): read a vector as a blocks of length b,
-    reduce each block modulo right, and the vector lies in the span exactly
-    when every column of the reduced blocks lies in left.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Subspace, right: Subspace):
-        self._set(left, right)
-
-    @property
-    def dim(self) -> int:
-        r, s = self.left.dim, self.right.dim
-        return r * self.right.ambient_dim + self.left.ambient_dim * s - r * s
-
-    def first_outside(self, vectors: Iterable[Sequence[Scalar]]) -> int | None:
-        """Index of the first vector not in the span, or None when all are.
-
-        Same contract as :meth:`Subspace.first_outside`: lazy, and a
-        ValueError on a vector of the wrong length.
-        """
-        a, b = self.left.ambient_dim, self.right.ambient_dim
-        for i, vec in enumerate(vectors):
-            if len(vec) != a * b:
-                raise ValueError("ambient dimension mismatch")
-            blocks = [
-                self.right.reduce_vector(vec[k * b : (k + 1) * b]) for k in range(a)
-            ]
-            if self.left.first_outside(zip(*blocks)) is not None:
                 return i
         return None
 

@@ -15,6 +15,12 @@ These groups are former library code kept as references:
   as dense Kronecker rows pulled back through φ, the span that the
   tensor-sum containment test and the Hilbert-series dimensions of
   check_U_epi replaced;
+- ideal_component assembles the degree-n ideal of a presented algebra in
+  k^(d^n) from its public normal forms, and TensorSum tests membership in
+  X⊗k^b + k^a⊗Y block by block; they are the spans that the normal-form
+  test algebras._first_outside_tensor replaced.  tensor_sum_comult_check,
+  tensor_sum_corep_check, tensor_sum_U_epi and span_algebra_morphism are
+  the checks as they ran on those spans, with dense images;
 - permutation_matrix and the matrices phi_iso, flip and tau23 materialize
   the index tables the package works with (encode_digits spells word
   codes, pull_row applies the inverse of a table), so tests can compare
@@ -39,11 +45,12 @@ import json
 from fractions import Fraction
 from itertools import product
 
-from eqspace import spaces
-from eqspace.frt import counit_on_word, gen_split
-from eqspace.linalg import Matrix, Subspace, kronecker
+from eqspace import frt, spaces
+from eqspace.algebras import FreeElement, apply_U
+from eqspace.frt import counit_on_word, gen_flat, gen_split
+from eqspace.linalg import Matrix, Subspace, column_space, kronecker
 from eqspace.report import VerificationReport
-from eqspace.tensors import phi_table, tau23_table
+from eqspace.tensors import phi_table, push_row, tau23_table
 
 
 def naive_rref(rows, ncols):
@@ -188,10 +195,10 @@ def circle_ideal_component(A, B, n):
     dA, dB = A.gen_dim, B.gen_dim
     table = phi_table(dA, dB, n)
     rows = []
-    comp_a = A.ideal_component(n)
+    comp_a = ideal_component(A, n)
     if comp_a.dim:
         rows.extend(kronecker(comp_a.basis, Matrix.identity(dB**n)).cells)
-    comp_b = B.ideal_component(n)
+    comp_b = ideal_component(B, n)
     if comp_b.dim:
         rows.extend(kronecker(Matrix.identity(dA**n), comp_b.basis).cells)
     return Subspace.from_rows((dA * dB) ** n, [pull_row(row, table) for row in rows])
@@ -390,3 +397,130 @@ def dense_counit_law(dV, dW):
                 witness={"generator": g, "left": left, "right": right},
             )
     return VerificationReport("counit-law", True)
+
+
+def ideal_component(A, n):
+    """Degree-n ideal of a PresentedAlgebra: the rows e_w - NF(w), w not normal."""
+    size = A.gen_dim**n
+    words = A.complement_words(n)
+    normal = set(words)
+    rows = []
+    for w in range(size):
+        if w in normal:
+            continue
+        nf = A.normal_form(FreeElement(n, tuple(int(i == w) for i in range(size))))
+        row = [int(i == w) for i in range(size)]
+        for t, c in zip(words, nf):
+            row[t] -= c
+        rows.append(row)
+    return Subspace.from_rows(size, rows)
+
+
+class TensorSum:
+    """The span left⊗k^b + k^a⊗right inside k^(a·b), left factor major.
+
+    Membership rests on (k^a/X)⊗(k^b/Y) = (k^a⊗k^b)/(X⊗k^b + k^a⊗Y): read a
+    vector as a blocks of length b, reduce each block modulo right, and the
+    vector lies in the span exactly when every column of the reduced blocks
+    lies in left.
+    """
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    @property
+    def dim(self):
+        r, s = self.left.dim, self.right.dim
+        return r * self.right.ambient_dim + self.left.ambient_dim * s - r * s
+
+    def first_outside(self, vectors):
+        """Index of the first vector not in the span, or None; lazy."""
+        a, b = self.left.ambient_dim, self.right.ambient_dim
+        for i, vec in enumerate(vectors):
+            if len(vec) != a * b:
+                raise ValueError("ambient dimension mismatch")
+            blocks = [
+                self.right.reduce_vector(vec[k * b : (k + 1) * b]) for k in range(a)
+            ]
+            if self.left.first_outside(zip(*blocks)) is not None:
+                return i
+        return None
+
+
+def _containment_report(name, bad, rows, dims, key="relation"):
+    if bad is None:
+        return VerificationReport(name, True, dimensions=dims)
+    return VerificationReport(name, False, witness={key: list(rows[bad])}, dimensions=dims)
+
+
+def tensor_sum_comult_check(V, W, U):
+    """frt.check_comult_well_defined on TensorSum and dense Δ images."""
+    target = TensorSum(frt.frt_relations(V, U), frt.frt_relations(U, W))
+    source = frt.frt_relations(V, W)
+    dims = {"source": source.dim, "target_ideal": target.dim}
+    rows = source.basis.cells
+    images = (dense_on_vector(V.dim, W.dim, U.dim, row, 2) for row in rows)
+    bad = target.first_outside(images)
+    return _containment_report("comultiplication-well-defined", bad, rows, dims)
+
+
+def tensor_sum_corep_check(V, W):
+    """frt.corep_delta_check on TensorSum and dense images."""
+    dV, dW = V.dim, W.dim
+    g_count, w_total = dW * dV, dW * dW
+    target = TensorSum(frt.frt_relations(V, W), column_space(W.structure_at(2)))
+    im_r = column_space(V.structure_at(2))
+    dims = {"source": im_r.dim, "target_ideal": target.dim}
+
+    def image(row):
+        out = [0] * (g_count**2 * w_total)
+        for code, c in enumerate(row):
+            i1, i2 = divmod(code, dV)
+            for j1, j2 in product(range(dW), repeat=2):
+                gcode = gen_flat(i1, j1, dV) * g_count + gen_flat(i2, j2, dV)
+                out[gcode * w_total + (j1 * dW + j2)] += c
+        return out
+
+    rows = im_r.basis.cells
+    bad = target.first_outside(map(image, rows))
+    return _containment_report("corepresentation-well-defined", bad, rows, dims)
+
+
+def tensor_sum_U_epi(V, W, N):
+    """algebras.check_U_epi on TensorSum of the assembled ideal components."""
+    left = apply_U(spaces.boxtimes(V, W), degree_cap=N)
+    A, B = apply_U(V, degree_cap=N), apply_U(W, degree_cap=N)
+    dims = {}
+    for n in range(2, N + 1):
+        size = left.gen_dim**n
+        dims[f"product_ideal_{n}"] = size - left.graded_dim(n)
+        dims[f"circle_ideal_{n}"] = size - A.graded_dim(n) * B.graded_dim(n)
+        rel = left.relations.get(n)
+        if rel is None:
+            continue
+        target = TensorSum(ideal_component(A, n), ideal_component(B, n))
+        table = phi_table(A.gen_dim, B.gen_dim, n)
+        bad = target.first_outside(push_row(row, table) for row in rel.basis.cells)
+        if bad is not None:
+            return VerificationReport(
+                "product-ideal-in-circle-ideal",
+                False,
+                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
+                dimensions=dims,
+            )
+    return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
+
+
+def span_algebra_morphism(l, A, B):
+    """algebras.check_algebra_morphism on B's assembled ideal components."""
+    for m, rel in sorted(A.relations.items()):
+        lm = spaces._tensor_power(l, m)
+        bad = ideal_component(B, m).first_outside(lm.apply(row) for row in rel.basis.cells)
+        if bad is not None:
+            row = rel.basis.cells[bad]
+            return VerificationReport(
+                "algebra-morphism-preserves-relations",
+                False,
+                witness={"degree": m, "relation": list(row), "image": list(lm.apply(row))},
+            )
+    return VerificationReport("algebra-morphism-preserves-relations", True)

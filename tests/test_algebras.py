@@ -18,13 +18,18 @@ from eqspace import (
     structure_projector,
     unit_K,
 )
-from eqspace.sampling import random_equipped
+from eqspace.algebras import _first_outside_tensor
+from eqspace.sampling import random_equipped, random_matrix
 from conftest import QP_MATRIX, random_quadratic
 from oracles import (
+    TensorSum,
     circle_ideal_component,
     embed_and_sum_component,
+    ideal_component,
     oracle_graded_dims,
     oracle_normal_forms,
+    span_algebra_morphism,
+    tensor_sum_U_epi,
 )
 
 QP_REL = Subspace.from_rows(4, [[0, 1, -2, 0]])
@@ -51,27 +56,27 @@ class TestApplyU:
 class TestIdealComponent:
     def test_free_algebra_zero(self):
         A = PresentedAlgebra(2)
-        assert all(A.ideal_component(n).dim == 0 for n in range(4))
+        assert all(ideal_component(A, n).dim == 0 for n in range(4))
 
     def test_quantum_plane_degree_two(self):
         A = qp_algebra()
-        assert A.ideal_component(2) == QP_REL
+        assert ideal_component(A, 2) == QP_REL
 
     def test_quantum_plane_degree_three(self):
         # Frozen from the brute-force embedding oracle.
         A = qp_algebra()
-        assert A.ideal_component(3).dim == 4
+        assert ideal_component(A, 3).dim == 4
         assert A.graded_dim(3) == 4
 
     def test_low_degrees_are_zero(self):
         A = qp_algebra()
-        assert A.ideal_component(0).dim == 0
-        assert A.ideal_component(1).dim == 0
+        assert ideal_component(A, 0).dim == 0
+        assert ideal_component(A, 1).dim == 0
 
     def test_degree_cap(self):
         A = PresentedAlgebra(2, degree_cap=3)
         with pytest.raises(DegreeCapExceeded):
-            A.ideal_component(4)
+            ideal_component(A, 4)
 
 
 class TestHilbert:
@@ -98,7 +103,7 @@ class TestHilbert:
         assert free.graded_dim(1500) == 1
         assert PresentedAlgebra(1, degree_cap=2000).normal_form(FreeElement(1500, (1,))) == (1,)
         killed = PresentedAlgebra(1, {2: Subspace.from_rows(1, [[1]])}, degree_cap=2000)
-        assert killed.ideal_component(1500).dim == 1
+        assert ideal_component(killed, 1500).dim == 1
         assert killed.graded_dim(1500) == 0
         assert killed.normal_form(FreeElement(1500, (1,))) == ()
 
@@ -132,12 +137,12 @@ class TestNormalForm:
             if all(x == 0 for x in nf):
                 kernel_count += 1
         # Linearity: basis words mapping to zero span exactly the pivots.
-        assert kernel_count == A.ideal_component(n).dim
+        assert kernel_count == ideal_component(A, n).dim
 
     def test_ideal_combinations_die(self):
         rng = random.Random(31)
         A = apply_U(random_quadratic(rng, 2))
-        comp = A.ideal_component(3)
+        comp = ideal_component(A, 3)
         for _ in range(10):
             vec = [0] * comp.ambient_dim
             for row in comp.basis.cells:
@@ -164,7 +169,7 @@ def assert_matches_oracles(rng, gen_dim, rows_by_degree, max_degree):
     A = PresentedAlgebra(gen_dim, relations, degree_cap=max_degree)
     assert A.hilbert(max_degree) == oracle_graded_dims(gen_dim, rows_by_degree, max_degree)
     for n in range(max_degree + 1):
-        assert A.ideal_component(n) == embed_and_sum_component(gen_dim, relations, n)
+        assert ideal_component(A, n) == embed_and_sum_component(gen_dim, relations, n)
         size = gen_dim**n
         vectors = [tuple(int(i == w) for i in range(size)) for w in range(size)]
         vectors += [tuple(row) for row in random_rows(rng, size, 2)]
@@ -291,6 +296,127 @@ class TestCheckUEpi:
                 assert circle.first_outside(product.basis.cells) is None
                 assert rep.dimensions[f"product_ideal_{n}"] == product.dim
                 assert rep.dimensions[f"circle_ideal_{n}"] == circle.dim
+
+
+def ideal_vector(rng, A, B, n):
+    """A sum of products x⊗y with x in I_A(n) or y in I_B(n), dense."""
+    comps = (ideal_component(A, n), ideal_component(B, n))
+    sizes = (A.gen_dim**n, B.gen_dim**n)
+    vec = [0] * (sizes[0] * sizes[1])
+    for _ in range(3):
+        side = rng.randrange(2)
+        rows = comps[side].basis.cells
+        if not rows:
+            continue
+        inside = [0] * sizes[side]
+        for row in rng.sample(rows, min(2, len(rows))):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            inside = [x + c * y for x, y in zip(inside, row)]
+        other = [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(sizes[1 - side])]
+        x, y = (inside, other) if side == 0 else (other, inside)
+        vec = [v + x[k // sizes[1]] * y[k % sizes[1]] for k, v in enumerate(vec)]
+    return vec
+
+
+def small_ideal_algebra(rng, d, support, cap):
+    """A presentation with at most d^m/2 random relation rows in each degree m,
+    so that its ideal components are proper."""
+    relations = {
+        m: Subspace.from_rows(d**m, random_rows(rng, d**m, rng.randint(0, d**m // 2)))
+        for m in support
+    }
+    return PresentedAlgebra(d, relations, degree_cap=cap)
+
+
+def sparse(vec):
+    return {k: c for k, c in enumerate(vec) if c != 0}
+
+
+class TestFirstOutsideTensor:
+    """The normal-form test in A_n⊗B_n against the tensor-sum span of the
+    assembled ideal components."""
+
+    @pytest.mark.parametrize(
+        "supports",
+        [((2,), (2,)), ((3,), (3,)), ((2, 3), (2, 3)), ((2,), (3,))],
+        ids=["2-2", "3-3", "23-23", "2-3"],
+    )
+    def test_matches_tensor_sum_oracle(self, supports):
+        rng = random.Random(83 + sum(map(sum, supports)))
+        outside = 0
+        for _ in range(6):
+            dA, dB = rng.randint(1, 3), rng.randint(1, 3)
+            n = 3 if dA * dB <= 4 else 2
+            A = small_ideal_algebra(rng, dA, supports[0], n)
+            B = small_ideal_algebra(rng, dB, supports[1], n)
+            target = TensorSum(ideal_component(A, n), ideal_component(B, n))
+            size = (dA * dB) ** n
+            vectors = [ideal_vector(rng, A, B, n) for _ in range(4)]
+            vectors += [random_matrix(rng, 1, size).cells[0] for _ in range(2)]
+            vectors.append([0] * size)
+            rng.shuffle(vectors)
+            for k in range(len(vectors) + 1):
+                got = _first_outside_tensor(A, B, n, map(sparse, vectors[k:]))
+                assert got == target.first_outside(vectors[k:])
+            inside = [v for v in vectors if target.first_outside([v]) is None]
+            assert len(inside) >= 5
+            assert _first_outside_tensor(A, B, n, map(sparse, inside)) is None
+            outside += len(vectors) - len(inside)
+        assert outside >= 3
+
+    def test_zero_and_full_ideals(self):
+        free, killed = PresentedAlgebra(2), PresentedAlgebra(2, {2: Subspace.full(4)})
+        vectors = [{}, {5: 1}, {0: 1, 15: Fraction(-1, 2)}]
+        assert _first_outside_tensor(free, free, 2, vectors) == 1
+        assert _first_outside_tensor(free, free, 2, vectors[:1]) is None
+        for A, B in ((killed, free), (free, killed), (killed, killed)):
+            assert _first_outside_tensor(A, B, 2, vectors) is None
+
+    def test_generator_is_consumed_lazily(self):
+        A = qp_algebra()
+        seen = []
+
+        def images():
+            # (v0v1 - 2 v1v0)⊗v1v1 is in I_A(2)⊗full; v0v0⊗v0v0 is not.
+            for vec in ({1 * 4 + 3: 1, 2 * 4 + 3: -2}, {0: 1}, {5: 1}):
+                seen.append(vec)
+                yield vec
+
+        assert _first_outside_tensor(A, qp_algebra(), 2, images()) == 1
+        assert len(seen) == 2
+
+
+class TestReportsAgainstTensorSum:
+    """check_U_epi and check_algebra_morphism give the reports of the same
+    checks run on assembled ideal components."""
+
+    def test_U_epi(self):
+        rng = random.Random(89)
+        supports = [(2,), (3,), (2, 3)]
+        for _ in range(16):
+            dV, dW = rng.choice([(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
+            V = random_equipped(rng, dV, rng.choice(supports))
+            W = random_equipped(rng, dW, rng.choice(supports))
+            N = rng.randint(2, 3)
+            assert check_U_epi(V, W, N) == tensor_sum_U_epi(V, W, N)
+
+    def test_algebra_morphism(self):
+        rng = random.Random(97)
+        supports = [(2,), (3,), (2, 3)]
+        failing = 0
+        for _ in range(24):
+            dA, dB = rng.randint(1, 3), rng.randint(1, 3)
+            A = apply_U(random_equipped(rng, dA, rng.choice(supports)))
+            B = apply_U(random_equipped(rng, dB, rng.choice(supports)))
+            l = Matrix(
+                [[x if rng.random() < 0.4 else 0 for x in r]
+                 for r in random_matrix(rng, dB, dA).cells],
+                cols=dA,
+            )
+            rep = check_algebra_morphism(l, A, B)
+            assert rep == span_algebra_morphism(l, A, B)
+            failing += not rep.passed
+        assert failing >= 3
 
 
 class TestStructureProjector:

@@ -41,6 +41,8 @@ from oracles import (
     dense_on_word,
     oracle_rank,
     phi_iso,
+    tensor_sum_comult_check,
+    tensor_sum_corep_check,
 )
 
 
@@ -122,17 +124,15 @@ class TestHomEqualsFrt:
 class TestComultiplication:
     def test_single_middle_index(self):
         delta = Comultiplication(2, 2, 1)
-        image = delta.on_word([gen_flat(1, 0, 2)])
+        unit = [int(g == gen_flat(1, 0, 2)) for g in range(4)]
         # t_1^0 -> t'_1^0 (x) t''_0^0: left letter 0*2+1, right letter 0*1+0.
-        expected = [0] * (2 * 2)
-        expected[1 * 2 + 0] = 1
-        assert list(image) == expected
+        assert delta.on_vector(unit, 1) == {1 * 2 + 0: 1}
 
     def test_word_image_is_multiplicative(self):
         delta = Comultiplication(2, 2, 2)
-        image = delta.on_word([0, 3])
-        assert sum(image) == 4  # one term per middle-index pair
-        assert all(c in (0, 1) for c in image)
+        image = delta.on_vector([int(code == 0 * 4 + 3) for code in range(16)], 2)
+        assert len(image) == 4  # one term per middle-index pair
+        assert all(c == 1 for c in image.values())
 
     def test_counit_on_words(self):
         assert counit_on_word([gen_flat(1, 1, 2)], 2) == 1
@@ -155,26 +155,36 @@ class TestComultiplication:
 
 
 
+def dense(image, total):
+    """A sparse image {index: coefficient} as a dense tuple of length total."""
+    return tuple(image.get(idx, 0) for idx in range(total))
+
+
 class TestSparseImagesAgainstDenseLoops:
     """The sparse word images give the dense loops' values, entry by entry."""
 
     @pytest.mark.parametrize("dims", list(product((1, 2, 3), repeat=3)))
     def test_on_word_and_on_vector(self, dims):
+        # on_vector of a unit vector is the image of one word.
         dV, dW, dU = dims
         delta = Comultiplication(dV, dW, dU)
         rng = random.Random(dV * 100 + dW * 10 + dU)
         g_count = dV * dW
         for degree in (1, 2, 3):
             size = g_count**degree
+            total = (delta.left_size * delta.right_size) ** degree
             codes = rng.sample(range(size), min(size, 3))
             for code in codes:
                 word = [code // g_count**e % g_count for e in reversed(range(degree))]
-                assert delta.on_word(word) == dense_on_word(dV, dW, dU, word)
+                unit = [int(c == code) for c in range(size)]
+                got = delta.on_vector(unit, degree)
+                assert dense(got, total) == dense_on_word(dV, dW, dU, word)
             coords = [0] * size
             for code in codes:
                 coords[code] = rng.choice((Fraction(0), 2, -1, Fraction(-5, 3)))
             got = delta.on_vector(coords, degree)
-            assert got == dense_on_vector(dV, dW, dU, coords, degree)
+            assert all(c != 0 for c in got.values())
+            assert dense(got, total) == dense_on_vector(dV, dW, dU, coords, degree)
 
     def test_coassociativity(self):
         for dims in product((1, 2, 3), repeat=4):
@@ -228,6 +238,64 @@ class TestCorepDelta:
         for _ in range(20):
             V, W = random_quadratic(rng, 2), random_quadratic(rng, 2)
             assert corep_delta_check(V, W).passed
+
+
+def halved_spans(monkeypatch, keep):
+    """Patch frt_relations so every pair but keep gets every other basis row.
+
+    The checks then test against a smaller target, so they fail with
+    witnesses; the references read the same patched function.
+    """
+    real = frt.frt_relations
+
+    def patched(X, Y):
+        span = real(X, Y)
+        if (X, Y) == keep:
+            return span
+        return Subspace.from_rows(span.ambient_dim, span.basis.cells[::2])
+
+    monkeypatch.setattr(frt, "frt_relations", patched)
+
+
+class TestReportsAgainstTensorSum:
+    """The normal-form checks give the reports of the tensor-sum checks on
+    dense images, passing and failing alike."""
+
+    @staticmethod
+    def triples(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            dims = [rng.randint(1, 3) for _ in range(3)]
+            while dims[0] * dims[1] * dims[2] > 12:
+                dims = [rng.randint(1, 3) for _ in range(3)]
+            yield [random_quadratic(rng, d) for d in dims]
+
+    def test_comult_well_defined(self):
+        for V, W, U in self.triples(113, 12):
+            assert check_comult_well_defined(V, W, U) == tensor_sum_comult_check(V, W, U)
+
+    def test_comult_against_smaller_targets(self, monkeypatch):
+        failing = 0
+        for V, W, U in self.triples(127, 12):
+            halved_spans(monkeypatch, (V, W))
+            rep = check_comult_well_defined(V, W, U)
+            assert rep == tensor_sum_comult_check(V, W, U)
+            failing += not rep.passed
+            monkeypatch.undo()
+        assert failing >= 3
+
+    def test_corep_delta(self, monkeypatch):
+        rng = random.Random(131)
+        failing = 0
+        for trial in range(24):
+            V, W = random_quadratic(rng, rng.randint(1, 3)), random_quadratic(rng, rng.randint(1, 3))
+            if trial % 2:
+                halved_spans(monkeypatch, None)
+            rep = corep_delta_check(V, W)
+            assert rep == tensor_sum_corep_check(V, W)
+            failing += not rep.passed
+            monkeypatch.undo()
+        assert failing >= 3
 
 
 class TestManin:

@@ -56,6 +56,10 @@ CASES = {
         ["verify", "a.json", "b.json", "u.json", "--suite", "bialgebra", "--trials", "0"],
         0,
     ),
+    "verify-epi": (
+        ["verify", "a.json", "b.json", "--suite", "epi", "--epi-degree", "4", "--trials", "0"],
+        0,
+    ),
     "verify-failing": (
         ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0"],
         1,

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from eqspace import FreeElement, Matrix, Subspace, VerificationReport, column_space
-from eqspace.linalg import TensorSum, _kron_sum_apply, kernel, kronecker
+from eqspace.linalg import _kron_sum_apply, kernel, kronecker
 from conftest import QP_MATRIX
-from oracles import dense_reduce_vector, naive_rref, oracle_contains
+from oracles import TensorSum, dense_reduce_vector, naive_rref, oracle_contains
 
 
 def rand_matrix(rng, rows, cols):
@@ -127,6 +127,15 @@ class TestSubspaces:
             Subspace.zero(3).first_outside([(1, 0)])
         assert Subspace.zero(2) != Subspace.zero(3)
 
+    def test_from_rows_rejects_rows_of_another_width(self):
+        # A zero row of the wrong width is rejected too, not dropped.
+        with pytest.raises(ValueError):
+            Subspace.from_rows(3, [[1, 1, 1], [0, 0]])
+        with pytest.raises(ValueError):
+            Subspace.from_rows(3, [[1, 0, 0], [2]])
+        with pytest.raises(ValueError):
+            Subspace.from_rows(2, iter([[1, 0, 0]]))
+
     def test_containment_by_reduction(self):
         big = Subspace.from_rows(3, [[1, 0, 1], [0, 1, 1]])
         small = Subspace.from_rows(3, [[1, 1, 2]])
@@ -221,6 +230,8 @@ def dense_tensor_sum(left, right):
 
 
 class TestTensorSum:
+    """The reference for the normal-form tensor test, against dense spans."""
+
     def test_matches_dense_span_on_random_spans(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -412,11 +423,6 @@ def _line():
 # Per class: two equal values built apart, a different value, and the fields.
 RECORDS = {
     "Subspace": (_line, lambda: Subspace.full(2), ("ambient_dim", "basis")),
-    "TensorSum": (
-        lambda: TensorSum(_line(), Subspace.zero(1)),
-        lambda: TensorSum(Subspace.zero(2), Subspace.zero(1)),
-        ("left", "right"),
-    ),
     "FreeElement": (
         lambda: FreeElement(2, (1, 0, 0, Fraction(1, 2))),
         lambda: FreeElement(1, (1, 0)),
@@ -447,7 +453,7 @@ class TestValueRecords:
             assert twin == a
 
     def test_hash_follows_equality(self):
-        for kind in ("Subspace", "TensorSum", "FreeElement"):
+        for kind in ("Subspace", "FreeElement"):
             make, _, _ = RECORDS[kind]
             assert hash(make()) == hash(make())
         assert hash(VerificationReport("check", True)) == hash(VerificationReport("check", True))
