@@ -18,7 +18,7 @@ _EXPORTS = {
     " counit_check counit_law_check frt_relations frt_relations_conic manin_hom_relations"
     " verify_hom_equals_frt",
     "linalg": "Matrix Subspace column_space",
-    "report": "DegreeCapExceeded VerificationReport",
+    "report": "VerificationReport",
     "spaces": "EquippedSpace boxtimes check_morphism coev_map dagger ev_map hom_space unit_K",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -30,11 +30,9 @@ from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, Scalar, Subspace, column_space
-from .report import DegreeCapExceeded, Record, VerificationReport
+from .report import Record, VerificationReport
 from .spaces import EquippedSpace, _tensor_power, boxtimes
 from .tensors import phi_table
-
-DEFAULT_DEGREE_CAP = 4
 
 
 class FreeElement(Record):
@@ -87,12 +85,7 @@ class PresentedAlgebra:
     relations maps degree m >= 2 to a Subspace of gen_dim^m.
     """
 
-    def __init__(
-        self,
-        gen_dim: int,
-        relations: Mapping[int, Subspace] | None = None,
-        degree_cap: int = DEFAULT_DEGREE_CAP,
-    ):
+    def __init__(self, gen_dim: int, relations: Mapping[int, Subspace] | None = None):
         if gen_dim < 1:
             raise ValueError("generator dimension must be at least 1")
         relations = dict(relations or {})
@@ -105,20 +98,11 @@ class PresentedAlgebra:
                 )
         self.gen_dim = gen_dim
         self.relations = relations
-        self.degree_cap = degree_cap
         self._degrees: dict[int, _Degree] = {}
 
-    def _check_degree(self, n: int) -> None:
+    def _degree(self, n: int) -> _Degree:
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        if n > self.degree_cap:
-            raise DegreeCapExceeded(
-                f"degree {n} exceeds cap {self.degree_cap}; "
-                "construct the algebra with a larger degree_cap"
-            )
-
-    def _degree(self, n: int) -> _Degree:
-        self._check_degree(n)
         deg = self._degrees.get(n)
         if deg is not None:
             return deg
@@ -205,12 +189,12 @@ class PresentedAlgebra:
         return tuple(nf.get(w, 0) for w in deg.words)
 
 
-def apply_U(V: EquippedSpace, degree_cap: int = DEFAULT_DEGREE_CAP) -> PresentedAlgebra:
+def apply_U(V: EquippedSpace) -> PresentedAlgebra:
     """Quotient of the tensor algebra by the ideal generated by Im R_n."""
     relations = {
         n: column_space(mat) for n, mat in V.structure_items() if n >= 2
     }
-    return PresentedAlgebra(V.dim, relations, degree_cap)
+    return PresentedAlgebra(V.dim, relations)
 
 
 def _first_outside_tensor(
@@ -254,8 +238,8 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    left = apply_U(boxtimes(V, W), degree_cap=N)
-    A, B = apply_U(V, degree_cap=N), apply_U(W, degree_cap=N)
+    left = apply_U(boxtimes(V, W))
+    A, B = apply_U(V), apply_U(W)
     dims: dict[str, int] = {}
     for n in range(2, N + 1):
         size = left.gen_dim**n

@@ -22,7 +22,7 @@ from .fileio import (
     report_to_dict,
     write_space,
 )
-from .report import DegreeCapExceeded, VerificationReport
+from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
 
 EXIT_PASS = 0
@@ -115,8 +115,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
         )
         return EXIT_CAP
     V = read_space(args.space)
-    series = apply_U(V, degree_cap=args.max_degree).hilbert(args.max_degree)
-    sys.stdout.write(" ".join(str(x) for x in series) + "\n")
+    series = apply_U(V).hilbert(args.max_degree)
     if args.out:
         record = VerificationReport(
             "hilbert-series",
@@ -126,6 +125,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
         Path(args.out).write_text(
             dumps_canonical(report_to_dict(_echo(args), [record])), encoding="utf-8"
         )
+    sys.stdout.write(" ".join(str(x) for x in series) + "\n")
     return EXIT_PASS
 
 
@@ -184,9 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     except SpaceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except DegreeCapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_PARSE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT

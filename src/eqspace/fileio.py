@@ -80,15 +80,26 @@ def _load_object(path: str | Path, what: str) -> dict:
     """Read path and decode it as JSON that must hold an object."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpaceFormatError(f"{what} file must hold a JSON object")
     return data
+
+
+def _is_power(length: int, dim: int, degree: int) -> bool:
+    """Whether length == dim**degree, refusing a huge degree without the power.
+
+    For dim >= 2, dim**degree >= 2**(degree * (dim.bit_length() - 1)), which
+    exceeds length once that exponent reaches length.bit_length().
+    """
+    if dim > 1 and degree * (dim.bit_length() - 1) >= length.bit_length():
+        return False
+    return dim**degree == length
 
 
 def space_from_dict(data: dict) -> EquippedSpace:
@@ -103,10 +114,10 @@ def space_from_dict(data: dict) -> EquippedSpace:
         degree = _int_field(entry, "degree", 1)
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
-        size = dim**degree
         rows = entry.get("matrix")
-        if not isinstance(rows, list) or len(rows) != size:
-            raise SpaceFormatError(f"matrix must be a list of {size} rows")
+        if not isinstance(rows, list) or not _is_power(len(rows), dim, degree):
+            raise SpaceFormatError(f"matrix must be a list of {dim}^{degree} rows")
+        size = len(rows)
         structure[degree] = Matrix._trusted(_rational_rows(rows, size, "matrix rows"), size)
     return EquippedSpace(dim, structure)
 
@@ -142,6 +153,8 @@ def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
     basis = data.get("basis")
     if not isinstance(basis, list):
         raise SpaceFormatError("'basis' must be a list of vectors")
+    if basis and not (isinstance(basis[0], list) and _is_power(len(basis[0]), dim, degree)):
+        raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
     ambient = dim**degree
     return dim, degree, Subspace.from_rows(
         ambient, _rational_rows(basis, ambient, "basis vectors")

@@ -239,8 +239,8 @@ def check_comult_well_defined(
     """
     _require_quadratic(V, W, U_mid)
     delta = Comultiplication(V.dim, W.dim, U_mid.dim)
-    left = PresentedAlgebra(delta.left_size, {2: frt_relations(V, U_mid)}, 2)
-    right = PresentedAlgebra(delta.right_size, {2: frt_relations(U_mid, W)}, 2)
+    left = PresentedAlgebra(delta.left_size, {2: frt_relations(V, U_mid)})
+    right = PresentedAlgebra(delta.right_size, {2: frt_relations(U_mid, W)})
     source = frt_relations(V, W)
     dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right)}
     images = (delta.on_vector(row, 2) for row in source.basis.cells)
@@ -291,8 +291,8 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     dV, dW = V.dim, W.dim
     g_count = dW * dV
     w_total = dW * dW
-    quantum = PresentedAlgebra(g_count, {2: frt_relations(V, W)}, 2)
-    target = apply_U(W, degree_cap=2)
+    quantum = PresentedAlgebra(g_count, {2: frt_relations(V, W)})
+    target = apply_U(W)
     im_r = column_space(V.structure_at(2))
     dims = {"source": im_r.dim, "target_ideal": _tensor_ideal_dim(quantum, target)}
 

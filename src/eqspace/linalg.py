@@ -6,7 +6,9 @@ float, str and Decimal included, so every value past them is exact and
 equality tests carry zero tolerance.  Maps act on column coordinate
 vectors, images are column spaces, and subspaces are stored as reduced
 row-echelon bases, which makes the RREF the unique canonical form for
-subspace equality.  Containment in a span is ``Subspace.first_outside``;
+subspace equality.  Elimination runs over primitive integer rows, each row
+operation divided by the gcd of its entries, and makes fractions only in
+the final normalization.  Containment in a span is ``Subspace.first_outside``;
 containment in a tensor sum X⊗k^b + k^a⊗Y of relation ideals is tested on
 the quotient side, by normal forms in the algebras module.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Sequence, Union
 
@@ -185,41 +187,31 @@ def _kron_sum_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar
 
 
 def _clear_denominators(row: Sequence[Scalar]) -> list[int]:
-    """Scale a rational row to integers (row space is unchanged)."""
+    """Scale a rational row to a primitive integer row, visiting only its nonzeros."""
     _require_exact((row,))
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            lcm = lcm * d // gcd(lcm, d)
-    if lcm == 1:
-        return [int(x) for x in row]
-    return [int(x * lcm) for x in row]
+    cols = list(compress(range(len(row)), row))
+    scale = lcm(*[row[j].denominator for j in cols])
+    out = [0] * len(row)
+    for j in cols:
+        out[j] = row[j].numerator * (scale // row[j].denominator)
+    return _primitive(out)
 
 
-_CONTENT_BOUND = 1 << 96
-
-
-def _reduce_content(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Canonical reduced row echelon form; zero rows dropped, wrong widths rejected.
 
-    Elimination runs over integers: denominators are cleared per row,
-    pivots are chosen with minimal magnitude to limit growth, and content
-    is divided out once entries pass a size gate.  Only the final pivot
-    normalization divides, so everything stays exact.  The pivot strategy
-    never affects the result, which is the unique RREF of the row space.
+    Elimination runs over primitive integer rows: denominators are cleared
+    per row, pivots are chosen with minimal magnitude to limit growth, and
+    every row operation's result is divided by the gcd of its entries.
+    Only the final pivot normalization makes fractions, so everything stays
+    exact.  The pivot strategy never affects the result, which is the
+    unique RREF of the row space.
     """
     work: list[list[int]] = []
     for r in raw_rows:
@@ -227,7 +219,7 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
             raise ValueError(f"row of length {len(r)} in ambient dimension {ncols}")
         row = _clear_denominators(r)
         if any(row):
-            work.append(_reduce_content(row))
+            work.append(row)
     pivots: list[int] = []
     rank = 0
     # Forward pass: integer echelon form.  Rows at index >= rank are zero
@@ -254,10 +246,7 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
             b = wr[col]
             if b == 0:
                 continue
-            tail = [a * x - b * y for x, y in zip(wr[col:], ptail)]
-            if max(map(abs, tail), default=0) > _CONTENT_BOUND:
-                tail = _reduce_content(tail)
-            work[r] = [0] * col + tail
+            work[r] = [0] * col + _primitive([a * x - b * y for x, y in zip(wr[col:], ptail)])
         pivots.append(col)
         rank += 1
     # Backward pass: clear above the pivots, still over integers.
@@ -268,9 +257,7 @@ def _rref_rows(raw_rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Sc
             if b == 0:
                 continue
             a = work[j][pivots[j]]
-            wi = [a * x - b * y for x, y in zip(wi, work[j])]
-            if max(map(abs, wi)) > _CONTENT_BOUND:
-                wi = _reduce_content(wi)
+            wi = _primitive([a * x - b * y for x, y in zip(wi, work[j])])
         work[i] = wi
     out: list[list[Scalar]] = []
     for row, col in zip(work[:rank], pivots):
@@ -321,7 +308,7 @@ class Subspace(Record):
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence[Scalar]]) -> "Subspace":
-        return cls(ambient_dim, Matrix(_rref_rows(rows, ambient_dim), cols=ambient_dim))
+        return cls(ambient_dim, Matrix._trusted(_rref_rows(rows, ambient_dim), ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

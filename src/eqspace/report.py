@@ -61,7 +61,3 @@ class VerificationReport(Record):
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-class DegreeCapExceeded(ValueError):
-    """Requested graded component lies beyond the instance's degree cap."""

@@ -488,8 +488,8 @@ def tensor_sum_corep_check(V, W):
 
 def tensor_sum_U_epi(V, W, N):
     """algebras.check_U_epi on TensorSum of the assembled ideal components."""
-    left = apply_U(spaces.boxtimes(V, W), degree_cap=N)
-    A, B = apply_U(V, degree_cap=N), apply_U(W, degree_cap=N)
+    left = apply_U(spaces.boxtimes(V, W))
+    A, B = apply_U(V), apply_U(W)
     dims = {}
     for n in range(2, N + 1):
         size = left.gen_dim**n

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from eqspace import (
-    DegreeCapExceeded,
     EquippedSpace,
     FreeElement,
     Matrix,
@@ -15,6 +15,7 @@ from eqspace import (
     check_U_epi,
     check_algebra_morphism,
     column_space,
+    hom_space,
     structure_projector,
     unit_K,
 )
@@ -73,11 +74,6 @@ class TestIdealComponent:
         assert ideal_component(A, 0).dim == 0
         assert ideal_component(A, 1).dim == 0
 
-    def test_degree_cap(self):
-        A = PresentedAlgebra(2, degree_cap=3)
-        with pytest.raises(DegreeCapExceeded):
-            ideal_component(A, 4)
-
 
 class TestHilbert:
     def test_free_series(self):
@@ -85,6 +81,14 @@ class TestHilbert:
 
     def test_quantum_plane_series(self):
         assert qp_algebra().hilbert(4) == [1, 2, 3, 4, 5]
+
+    def test_no_degree_limit(self):
+        assert qp_algebra().hilbert(8) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+
+    def test_quantum_matrix_series(self, qp):
+        # hom(qp, qp) presents the quantum 2x2 matrices, a PBW algebra on
+        # four generators: dim A_n = C(n+3, 3).
+        assert apply_U(hom_space(qp, qp)).hilbert(6) == [comb(n + 3, 3) for n in range(7)]
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(19)
@@ -99,10 +103,10 @@ class TestHilbert:
     def test_first_call_at_high_degree(self):
         # The lower degrees and the normal forms of prefixes are built in
         # loops, so a first call far above the cached degrees stays shallow.
-        free = PresentedAlgebra(1, degree_cap=2000)
+        free = PresentedAlgebra(1)
         assert free.graded_dim(1500) == 1
-        assert PresentedAlgebra(1, degree_cap=2000).normal_form(FreeElement(1500, (1,))) == (1,)
-        killed = PresentedAlgebra(1, {2: Subspace.from_rows(1, [[1]])}, degree_cap=2000)
+        assert PresentedAlgebra(1).normal_form(FreeElement(1500, (1,))) == (1,)
+        killed = PresentedAlgebra(1, {2: Subspace.from_rows(1, [[1]])})
         assert ideal_component(killed, 1500).dim == 1
         assert killed.graded_dim(1500) == 0
         assert killed.normal_form(FreeElement(1500, (1,))) == ()
@@ -166,7 +170,7 @@ def assert_matches_oracles(rng, gen_dim, rows_by_degree, max_degree):
     relations = {
         m: Subspace.from_rows(gen_dim**m, rows) for m, rows in rows_by_degree.items()
     }
-    A = PresentedAlgebra(gen_dim, relations, degree_cap=max_degree)
+    A = PresentedAlgebra(gen_dim, relations)
     assert A.hilbert(max_degree) == oracle_graded_dims(gen_dim, rows_by_degree, max_degree)
     for n in range(max_degree + 1):
         assert ideal_component(A, n) == embed_and_sum_component(gen_dim, relations, n)
@@ -288,7 +292,7 @@ class TestCheckUEpi:
             W = random_equipped(rng, 2, supports[1])
             rep = check_U_epi(V, W, 3)
             assert rep.passed
-            A, B = apply_U(V, degree_cap=3), apply_U(W, degree_cap=3)
+            A, B = apply_U(V), apply_U(W)
             product_relations = apply_U(boxtimes(V, W)).relations
             for n in (2, 3):
                 product = embed_and_sum_component(4, product_relations, n)
@@ -318,14 +322,14 @@ def ideal_vector(rng, A, B, n):
     return vec
 
 
-def small_ideal_algebra(rng, d, support, cap):
+def small_ideal_algebra(rng, d, support):
     """A presentation with at most d^m/2 random relation rows in each degree m,
     so that its ideal components are proper."""
     relations = {
         m: Subspace.from_rows(d**m, random_rows(rng, d**m, rng.randint(0, d**m // 2)))
         for m in support
     }
-    return PresentedAlgebra(d, relations, degree_cap=cap)
+    return PresentedAlgebra(d, relations)
 
 
 def sparse(vec):
@@ -347,8 +351,8 @@ class TestFirstOutsideTensor:
         for _ in range(6):
             dA, dB = rng.randint(1, 3), rng.randint(1, 3)
             n = 3 if dA * dB <= 4 else 2
-            A = small_ideal_algebra(rng, dA, supports[0], n)
-            B = small_ideal_algebra(rng, dB, supports[1], n)
+            A = small_ideal_algebra(rng, dA, supports[0])
+            B = small_ideal_algebra(rng, dB, supports[1])
             target = TensorSum(ideal_component(A, n), ideal_component(B, n))
             size = (dA * dB) ** n
             vectors = [ideal_vector(rng, A, B, n) for _ in range(4)]

@@ -447,6 +447,55 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe", b"[" * 200000], ids=["not-utf8", "nested-too-deep"]
+    )
+    def test_undecodable_input_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        out = tmp_path / "out.json"
+        assert main(["dual", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("dual", {"dim": 2, "structure": [{"degree": 4000000000, "matrix": []}]}),
+            ("project", {"dim": 2, "degree": 4000000000, "basis": [["1", "0"]]}),
+        ],
+    )
+    def test_degree_too_large_for_rows_exits_two(self, tmp_path, capsys, command, data):
+        # 2**4000000000 has half a gigabyte of digits: the readers must
+        # reject the degree without taking the power.
+        path = tmp_path / "huge_degree.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "a.json", "b.json"],
+            ["dual", "a.json"],
+            ["hom", "a.json", "b.json"],
+            ["project", "rel.json"],
+            ["hilbert", "a.json"],
+            ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        for name in ("a.json", "b.json", "rel.json"):
+            shutil.copy(INPUTS / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "missing/x.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_report_serialization_is_canonical():
     reports = [

@@ -58,6 +58,46 @@ class TestRref:
             got = [[Fraction(x) for x in row] for row in rref(m).cells]
             assert got == naive_rref(m.cells, m.cols)
 
+    @staticmethod
+    def assert_rref_matches_oracle(rows, ncols):
+        got = Subspace.from_rows(ncols, rows).basis.cells
+        assert [[Fraction(x) for x in row] for row in got] == naive_rref(rows, ncols)
+
+    def test_large_integer_rows_match_oracle(self):
+        # Cross products of entries near 10^6 pass 2^96 within a few steps
+        # of elimination; four rows are combinations of others, so the
+        # echelon form has rank 14 and fractional entries.
+        rng = random.Random(23)
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(18)] for _ in range(14)]
+        for _ in range(4):
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randint(-9, 9), rng.randint(1, 9)
+            rows.insert(rng.randrange(len(rows)), [s * x + t * y for x, y in zip(a, b)])
+        self.assert_rref_matches_oracle(rows, 18)
+
+    def test_coprime_denominator_rows_match_oracle(self):
+        primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+        rng = random.Random(29)
+        rows = [
+            [Fraction(rng.randint(-50, 50), rng.choice(primes)) for _ in range(12)]
+            for _ in range(9)
+        ]
+        self.assert_rref_matches_oracle(rows, 12)
+
+    def test_wide_sparse_rows_match_oracle(self):
+        # Shaped like the rows of the normal-word recursion: wide, with a few
+        # nonzeros each, drawn from a pool of columns so the rows interact.
+        rng = random.Random(31)
+        width = 320
+        pool = rng.sample(range(width), 48)
+        rows = []
+        for _ in range(40):
+            row = [0] * width
+            for col in rng.sample(pool, rng.randint(1, 4)):
+                row[col] = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 7)))
+            rows.append(row)
+        self.assert_rref_matches_oracle(rows, width)
+
 
 class TestKernel:
     def test_identity_has_zero_kernel(self):
