@@ -26,7 +26,6 @@ intended to be confined to one thread (the caches are not locked).
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, Scalar, Subspace, column_space
@@ -59,12 +58,11 @@ class _Degree:
     def __init__(self, span: Subspace, codes: Sequence[int]):
         pivots = span.pivot_columns()
         pivot_set = set(pivots)
-        free = [c for c in range(len(codes)) if c not in pivot_set]
-        self.words = [codes[c] for c in free]
+        self.words = [codes[c] for c in range(len(codes)) if c not in pivot_set]
         self.index = {w: i for i, w in enumerate(self.words)}
         self.rewrites: dict[int, dict[int, Scalar]] = {
-            codes[p]: {codes[c]: -row[c] for c in free if row[c] != 0}
-            for row, p in zip(span.basis.cells, pivots)
+            codes[p]: {codes[c]: -x for c, x in row.items() if c != p}
+            for p, row in zip(pivots, span.basis.nonzeros)
         }
 
     def reduce(self, terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
@@ -117,22 +115,24 @@ class PresentedAlgebra:
     def _next_degree(self, n: int) -> _Degree:
         """B_n and the rewrite rules of degree n from those of lower degrees."""
         d = self.gen_dim
+        live = sorted(m for m, rel in self.relations.items() if m <= n and rel.dim)
+        if live == [n]:
+            # n is the least relation degree: every word of degree n - 1 is
+            # normal, and the rows below would be the canonical rows of R_n.
+            return _Degree(self.relations[n], range(d**n))
         prev = self._degree(n - 1)
         codes = [b * d + x for b in prev.words for x in range(d)]
-        rows: list[list[Scalar]] = []
-        for m, rel in sorted(self.relations.items()):
-            if m > n or rel.dim == 0:
-                continue
+        rows: list[dict[int, Scalar]] = []
+        for m in live:
             shift = d**m
             for b in self._degree(n - m).words:
-                for r in rel.basis.cells:
-                    row: list[Scalar] = [0] * len(codes)
-                    for s, c in enumerate(r):
-                        if c == 0:
-                            continue
+                for r in self.relations[m].basis.nonzeros:
+                    row: dict[int, Scalar] = {}
+                    for s, c in r.items():
                         u, x = divmod(b * shift + s, d)
                         for t, e in self._word_nf(n - 1, u).items():
-                            row[prev.index[t] * d + x] += c * e
+                            col = prev.index[t] * d + x
+                            row[col] = row.get(col, 0) + c * e
                     rows.append(row)
         return _Degree(Subspace.from_rows(len(codes), rows), codes)
 
@@ -249,8 +249,7 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
         if rel is None:
             continue
         table = phi_table(A.gen_dim, B.gen_dim, n)
-        pushed = ({table[i]: row[i] for i in compress(range(len(row)), row)}
-                  for row in rel.basis.cells)
+        pushed = ({table[i]: x for i, x in row.items()} for row in rel.basis.nonzeros)
         bad = _first_outside_tensor(A, B, n, pushed)
         if bad is not None:
             return VerificationReport(
@@ -265,16 +264,19 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
 def structure_projector(rel: Subspace) -> Matrix:
     """Idempotent matrix with column space exactly rel.
 
-    Columns are the canonical basis vectors of rel, composed with the
-    selection of their pivot coordinates; P² = P holds because the pivot
-    coordinates of an echelon basis form an identity block.
+    Column p is the canonical basis vector of rel with pivot p, and the
+    other columns are zero: the basis vectors composed with the selection
+    of their pivot coordinates.  P² = P holds because the pivot coordinates
+    of an echelon basis form an identity block.
     """
-    n = rel.ambient_dim
-    cols = rel.basis.transpose()
-    select = [[0] * n for _ in range(rel.dim)]
-    for r, p in enumerate(rel.pivot_columns()):
-        select[r][p] = 1
-    return cols * Matrix(select, cols=n)
+    # One allocation: rows without a nonzero share the empty dict.
+    rows: list[dict[int, Scalar]] = [{}] * rel.ambient_dim
+    for p, row in zip(rel.pivot_columns(), rel.basis.nonzeros):
+        for i, x in row.items():
+            if not rows[i]:
+                rows[i] = {}
+            rows[i][p] = x
+    return Matrix._trusted(rows, rel.ambient_dim)
 
 
 def check_algebra_morphism(

@@ -9,11 +9,11 @@ whitespace.  ``parse_rational`` yields only ints and Fractions, and
 as ``str(x)`` without checking it again, joining the bytes dumps_canonical
 would give without the JSON encoder.  Every zero spells "0", so the writer
 converts only the nonzero entries; the reader parses each distinct string
-once per file.  Report serialization is canonical: checks sorted by name,
-keys sorted, fixed indentation; identical inputs give identical bytes.  A
-report spells a value by what it is, not by its Python type: an integer
-(int or integral Fraction) is a JSON number and any other rational the
-string "p/q".
+once per file and keeps only the nonzeros.  Report serialization is
+canonical: checks sorted by name, keys sorted, fixed indentation; identical
+inputs give identical bytes.  A report spells a value by what it is, not by
+its Python type: an integer (int or integral Fraction) is a JSON number and
+any other rational the string "p/q".
 """
 
 from __future__ import annotations
@@ -50,20 +50,23 @@ def parse_rational(text: str) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _rational_rows(rows: list, width: int, what: str) -> list[list[Scalar]]:
-    """Parse a JSON list of rows of rational strings, each of width entries."""
+def _rational_rows(rows: list, width: int, what: str) -> list[dict[int, Scalar]]:
+    """Parse a JSON list of rows of rational strings, each of width entries, to sparse rows."""
     memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
+    nonzero: dict[str, bool] = {}  # a bool's truth test, unlike a Fraction's, runs in C
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != width:
             raise SpaceFormatError(f"{what} must have {width} entries")
         try:
-            out.append(list(map(memo.__getitem__, row)))
+            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
         except (KeyError, TypeError):
             for text in row:
                 if not isinstance(text, str) or text not in memo:
                     memo[text] = parse_rational(text)
-            out.append(list(map(memo.__getitem__, row)))
+                    nonzero[text] = memo[text] != 0
+            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
+        out.append({j: memo[row[j]] for j in cols})
     return out
 
 
@@ -135,10 +138,10 @@ def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> 
         for k, (n, mat) in enumerate(items):
             f.write(f'{"," if k else ""}\n    {{\n      "degree": {n},\n      "matrix": [')
             zeros = ["0"] * mat.cols
-            for i, row in enumerate(mat.cells):
+            for i, row in enumerate(mat.nonzeros):
                 cells = zeros.copy()
-                for j in compress(range(len(row)), row):
-                    cells[j] = str(row[j])
+                for j, x in row.items():
+                    cells[j] = str(x)
                 entries = '",\n          "'.join(cells)
                 f.write(f'{"," if i else ""}\n        [\n          "{entries}"\n        ]')
             f.write("\n      ]\n    }")

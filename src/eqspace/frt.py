@@ -17,14 +17,14 @@ are tested by normal forms in the tensor product of two quotient algebras.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from .algebras import PresentedAlgebra, _first_outside_tensor, apply_U
 from .linalg import Matrix, Scalar, Subspace, column_space, kernel
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
-from .tensors import decode_index, push_row, tau23_table
+from .tensors import decode_index, tau23_table
 
 
 def gen_flat(i: int, j: int, dV: int) -> int:
@@ -59,12 +59,12 @@ def frt_relation_generators(
         vec: list[Scalar] = [0] * (g_count * g_count)
         col = i * dV + j
         for k, l in product(range(dV), repeat=2):
-            c = R.cells[k * dV + l][col]
+            c = R[k * dV + l, col]
             if c != 0:
                 vec[gen_flat(k, n, dV) * g_count + gen_flat(l, m, dV)] += c
         row = n * dW + m
         for k, l in product(range(dW), repeat=2):
-            c = S.cells[row][k * dW + l]
+            c = S[row, k * dW + l]
             if c != 0:
                 vec[gen_flat(i, k, dV) * g_count + gen_flat(j, l, dV)] -= c
         out.append(((i, j, n, m), vec))
@@ -100,9 +100,9 @@ def verify_hom_equals_frt(V: EquippedSpace, W: EquippedSpace) -> VerificationRep
     dims = {"pipeline": pipeline.dim, "explicit": explicit.dim}
     if pipeline == explicit:
         return VerificationReport("hom-equals-frt", True, dimensions=dims)
-    bad = explicit.first_outside(pipeline.basis.cells)
+    bad = explicit.first_outside(pipeline.basis.nonzeros)
     if bad is None:
-        mismatch = explicit.basis.cells[pipeline.first_outside(explicit.basis.cells)]
+        mismatch = explicit.basis.cells[pipeline.first_outside(explicit.basis.nonzeros)]
     else:
         mismatch = pipeline.basis.cells[bad]
     return VerificationReport(
@@ -147,13 +147,13 @@ class Comultiplication(NamedTuple):
         right_total = self.right_size ** len(word)
         return [l * right_total + r for l, r in zip(lcodes, rcodes)]
 
-    def on_vector(self, coords: Sequence[Scalar], degree: int) -> dict[int, Scalar]:
-        """Image of a degree-p element as {index: coefficient}, nonzeros only."""
+    def on_vector(self, coords: dict[int, Scalar], degree: int) -> dict[int, Scalar]:
+        """Image of a degree-p element {word code: c} as {index: c}, nonzeros only."""
         g_count = self.dW * self.dV
         out: dict[int, Scalar] = {}
-        for code in compress(range(len(coords)), coords):
+        for code, c in coords.items():
             for idx in self._image(decode_index(code, g_count, degree)):
-                out[idx] = coords[code]  # images of distinct words are disjoint
+                out[idx] = c  # images of distinct words are disjoint
         return out
 
 
@@ -243,7 +243,7 @@ def check_comult_well_defined(
     right = PresentedAlgebra(delta.right_size, {2: frt_relations(U_mid, W)})
     source = frt_relations(V, W)
     dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right)}
-    images = (delta.on_vector(row, 2) for row in source.basis.cells)
+    images = (delta.on_vector(row, 2) for row in source.basis.nonzeros)
     bad = _first_outside_tensor(left, right, 2, images)
     if bad is not None:
         return VerificationReport(
@@ -296,16 +296,16 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     im_r = column_space(V.structure_at(2))
     dims = {"source": im_r.dim, "target_ideal": _tensor_ideal_dim(quantum, target)}
 
-    def image(row: Sequence[Scalar]) -> dict[int, Scalar]:
+    def image(row: dict[int, Scalar]) -> dict[int, Scalar]:
         out: dict[int, Scalar] = {}
-        for code in compress(range(len(row)), row):
+        for code, c in row.items():
             i1, i2 = divmod(code, dV)
             for j1, j2 in product(range(dW), repeat=2):
                 gcode = gen_flat(i1, j1, dV) * g_count + gen_flat(i2, j2, dV)
-                out[gcode * w_total + (j1 * dW + j2)] = row[code]
+                out[gcode * w_total + (j1 * dW + j2)] = c
         return out
 
-    bad = _first_outside_tensor(quantum, target, 2, map(image, im_r.basis.cells))
+    bad = _first_outside_tensor(quantum, target, 2, map(image, im_r.basis.nonzeros))
     if bad is not None:
         return VerificationReport(
             "corepresentation-well-defined",
@@ -330,10 +330,11 @@ def manin_hom_relations(A: PresentedAlgebra, B: PresentedAlgebra) -> Subspace:
     rel_b = B.relations.get(2, Subspace.zero(dW * dW))
     ann = kernel(rel_b.basis)
     table = tau23_table(dW, dV)
-    rows = []
-    for arow in ann.basis.cells:
-        for brow in rel_a.basis.cells:
-            rows.append(push_row([x * y for x in arow for y in brow], table))
+    rows = [
+        {table[j * dV * dV + k]: x * y for j, x in arow.items() for k, y in brow.items()}
+        for arow in ann.basis.nonzeros
+        for brow in rel_a.basis.nonzeros
+    ]
     return Subspace.from_rows((dW * dV) ** 2, rows)
 
 
@@ -347,7 +348,7 @@ def check_manin_epi(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     manin = manin_hom_relations(apply_U(V), apply_U(W))
     frt = frt_relations(V, W)
     dims = {"manin": manin.dim, "frt": frt.dim}
-    bad = frt.first_outside(manin.basis.cells)
+    bad = frt.first_outside(manin.basis.nonzeros)
     if bad is not None:
         return VerificationReport(
             "manin-relations-in-frt",

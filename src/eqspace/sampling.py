@@ -50,12 +50,9 @@ def random_structure_matrix(rng: random.Random, dim: int, degree: int) -> Matrix
             ],
             cols=size,
         )
-    dense = random_matrix(rng, size, size)
+    dense = [[random_rational(rng) for _ in range(size)] for _ in range(size)]
     keep = [rng.random() < 0.5 for _ in range(size)]
-    return Matrix(
-        [[x if keep[j] else 0 for j, x in enumerate(row)] for row in dense.cells],
-        cols=size,
-    )
+    return Matrix([[x if k else 0 for x, k in zip(row, keep)] for row in dense], cols=size)
 
 
 def random_equipped(

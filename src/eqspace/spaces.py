@@ -18,7 +18,6 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .linalg import Matrix, Scalar, _kron_sum_apply, kronecker
@@ -92,30 +91,28 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
 
     Built by index bookkeeping: entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is
     Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and conjugating by the permutation φ just
-    relabels both indices.  Only nonzeros are visited.  The cells of Rn⊗I
-    are distinct, so they are set; a cell of I⊗Sn meets one of them only
-    when i = j and k = l, so it is added only where the cell is nonzero.
-    Conjugating by the permutation matrix of φ gives the same matrix; tests
-    assert the agreement.
+    relabels both indices.  So row (i,k) is row i of Rn at the columns
+    (j,k) and row k of Sn at the columns (i,l), which meet only on the
+    diagonal (i,k), where the entry is Rn[i,i] + Sn[k,k]; each row is built
+    from the two rows' nonzeros at once.  Conjugating by the permutation
+    matrix of φ gives the same matrix; tests assert the agreement.
     """
     size = (dV * dW) ** n
     inv = invert_table(phi_table(dV, dW, n))
     wn = dW**n
-    out = [[0] * size for _ in range(size)]
-    for i, row in enumerate(Rn.cells):
-        targets = inv[i * wn : (i + 1) * wn]
-        for j in compress(range(len(row)), row):
-            val = row[j]
-            for s, t in zip(targets, inv[j * wn : (j + 1) * wn]):
-                out[s][t] = val
-    vn = dV**n
-    for k, row in enumerate(Sn.cells):
-        for l in compress(range(wn), row):
-            val = row[l]
-            for i in range(vn):
-                orow = out[inv[i * wn + k]]
-                t = inv[i * wn + l]
-                orow[t] = orow[t] + val if orow[t] else val
+    out: list = [None] * size
+    for i, rrow in enumerate(Rn.nonzeros):
+        base = i * wn
+        for k, srow in enumerate(Sn.nonzeros):
+            row = {inv[j * wn + k]: x for j, x in rrow.items()}
+            row.update({inv[base + l]: y for l, y in srow.items()})
+            s = inv[base + k]
+            diagonal = rrow.get(i, 0) + srow.get(k, 0)
+            if diagonal:
+                row[s] = diagonal
+            else:
+                row.pop(s, None)
+            out[s] = row
     return Matrix._trusted(out, size)
 
 
@@ -142,8 +139,15 @@ def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
 
 
 def dagger(V: EquippedSpace) -> EquippedSpace:
-    """Dual space with structure -Rᵀ per degree."""
-    return EquippedSpace(V.dim, {n: -mat.transpose() for n, mat in V.structure_items()})
+    """Dual space with structure -Rᵀ per degree, written in one pass over the nonzeros."""
+    structure = {}
+    for n, mat in V.structure_items():
+        cols: list[dict[int, Scalar]] = [{} for _ in range(mat.cols)]
+        for i, row in enumerate(mat.nonzeros):
+            for j, x in row.items():
+                cols[j][i] = -x
+        structure[n] = Matrix._trusted(cols, mat.rows)
+    return EquippedSpace(V.dim, structure)
 
 
 def hom_space(W: EquippedSpace, V: EquippedSpace) -> EquippedSpace:
@@ -170,9 +174,7 @@ def check_morphism(l: Matrix, V: EquippedSpace, W: EquippedSpace) -> Verificatio
         rhs = W.structure_at(n) * ln
         if lhs != rhs:
             diff = lhs - rhs
-            col = next(
-                c for c in range(diff.cols) if any(diff[r, c] != 0 for r in range(diff.rows))
-            )
+            col = min(c for row in diff.nonzeros for c in row)
             return VerificationReport(
                 "morphism-intertwines",
                 False,

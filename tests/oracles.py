@@ -38,7 +38,11 @@ These groups are former library code kept as references:
   space, the loop that the pivot-driven Subspace.reduce_vector replaced;
 - dense_on_word enumerates every middle-index tuple into a dense image,
   and dense_on_vector, dense_coassociativity and dense_counit_law are the
-  frt loops that walked those dense images before the sparse ones.
+  frt loops that walked those dense images before the sparse ones;
+- dense_add, dense_sub, dense_neg, dense_mul, dense_apply,
+  dense_transpose, dense_kronecker, dense_kron_sum_apply and dense_is_zero
+  are the operations of the dense Matrix that sparse rows replaced, on
+  tuples of dense rows (``Matrix.cells``).
 """
 
 import json
@@ -440,7 +444,7 @@ class TensorSum:
             if len(vec) != a * b:
                 raise ValueError("ambient dimension mismatch")
             blocks = [
-                self.right.reduce_vector(vec[k * b : (k + 1) * b]) for k in range(a)
+                dense_reduce_vector(self.right, vec[k * b : (k + 1) * b]) for k in range(a)
             ]
             if self.left.first_outside(zip(*blocks)) is not None:
                 return i
@@ -524,3 +528,56 @@ def span_algebra_morphism(l, A, B):
                 witness={"degree": m, "relation": list(row), "image": list(lm.apply(row))},
             )
     return VerificationReport("algebra-morphism-preserves-relations", True)
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_neg(a):
+    return [[-x for x in r] for r in a]
+
+
+def dense_mul(a, b, inner, cols):
+    """a (rows x inner) times b (inner x cols), every cell summed."""
+    return [[sum((r[k] * b[k][j] for k in range(inner)), 0) for j in range(cols)] for r in a]
+
+
+def dense_apply(a, vec):
+    return tuple(sum((x * y for x, y in zip(r, vec)), 0) for r in a)
+
+
+def dense_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def dense_kronecker(a, b, a_cols, b_cols):
+    """(a⊗b)[(i,k),(j,l)] = a[i][j]·b[k][l], left factor major."""
+    return [
+        [ra[j] * rb[l] for j in range(a_cols) for l in range(b_cols)]
+        for ra in a
+        for rb in b
+    ]
+
+
+def dense_kron_sum_apply(a, b, vec):
+    """(a⊗I + I⊗b)·vec for square a (p x p) and b (q x q), built cell by cell."""
+    p, q = len(a), len(b)
+    total = [
+        [
+            (a[i][j] if k == l else 0) + (b[k][l] if i == j else 0)
+            for j in range(p)
+            for l in range(q)
+        ]
+        for i in range(p)
+        for k in range(q)
+    ]
+    return dense_apply(total, vec)
+
+
+def dense_is_zero(a):
+    return all(x == 0 for r in a for x in r)

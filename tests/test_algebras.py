@@ -19,7 +19,8 @@ from eqspace import (
     structure_projector,
     unit_K,
 )
-from eqspace.algebras import _first_outside_tensor
+from eqspace import linalg
+from eqspace.algebras import _Degree, _first_outside_tensor
 from eqspace.sampling import random_equipped, random_matrix
 from conftest import QP_MATRIX, random_quadratic
 from oracles import (
@@ -219,6 +220,44 @@ class TestRecursionMatchesOracles:
         assert_matches_oracles(rng, 2, {2: identity(4)}, 5)
         assert_matches_oracles(rng, 3, {2: identity(9)}, 4)
         assert_matches_oracles(rng, 2, {2: [], 3: identity(8)}, 5)
+
+
+class TestLeastRelationDegree:
+    """At the least relation degree the canonical relation span is the degree's span."""
+
+    def test_no_elimination_and_the_recursion_result(self, monkeypatch):
+        rng = random.Random(73)
+        for d, count in [(2, 1), (2, 3), (3, 2), (3, 9), (2, 0)]:
+            rel = Subspace.from_rows(d * d, random_rows(rng, d * d, count))
+            A = PresentedAlgebra(d, {2: rel})
+            assert A.graded_dim(1) == d
+            calls = []
+            real = linalg._rref_rows
+            monkeypatch.setattr(
+                linalg, "_rref_rows", lambda rows, n: calls.append(n) or real(rows, n)
+            )
+            assert A.graded_dim(2) == d * d - rel.dim
+            assert calls == ([] if rel.dim else [d * d])
+            monkeypatch.undo()
+            # The recursion eliminates rel's rows again in the coordinates B_1×V.
+            recursion = _Degree(Subspace.from_rows(d * d, rel.basis.nonzeros), range(d * d))
+            assert A._degree(2).words == recursion.words
+            assert A._degree(2).rewrites == recursion.rewrites
+            words, _ = oracle_normal_forms({2: rel.basis.cells}, d, 2, [])
+            assert A.complement_words(2) == words
+
+    def test_higher_degrees_still_eliminate(self, monkeypatch):
+        rng = random.Random(79)
+        rows = {2: random_rows(rng, 4, 1), 3: random_rows(rng, 8, 2)}
+        relations = {m: Subspace.from_rows(2**m, r) for m, r in rows.items()}
+        A = PresentedAlgebra(2, relations)
+        assert A.graded_dim(1) == 2
+        calls = []
+        real = linalg._rref_rows
+        monkeypatch.setattr(linalg, "_rref_rows", lambda r, n: calls.append(n) or real(r, n))
+        assert A.hilbert(4) == oracle_graded_dims(2, rows, 4)
+        # Degree 2 is the relation span; degrees 3 and 4 eliminate in B_{n-1}×V.
+        assert calls == [2 * A.graded_dim(2), 2 * A.graded_dim(3)]
 
 
 def circle_hilbert(A, B, max_degree):

@@ -124,13 +124,12 @@ class TestHomEqualsFrt:
 class TestComultiplication:
     def test_single_middle_index(self):
         delta = Comultiplication(2, 2, 1)
-        unit = [int(g == gen_flat(1, 0, 2)) for g in range(4)]
         # t_1^0 -> t'_1^0 (x) t''_0^0: left letter 0*2+1, right letter 0*1+0.
-        assert delta.on_vector(unit, 1) == {1 * 2 + 0: 1}
+        assert delta.on_vector({gen_flat(1, 0, 2): 1}, 1) == {1 * 2 + 0: 1}
 
     def test_word_image_is_multiplicative(self):
         delta = Comultiplication(2, 2, 2)
-        image = delta.on_vector([int(code == 0 * 4 + 3) for code in range(16)], 2)
+        image = delta.on_vector({0 * 4 + 3: 1}, 2)
         assert len(image) == 4  # one term per middle-index pair
         assert all(c == 1 for c in image.values())
 
@@ -176,13 +175,12 @@ class TestSparseImagesAgainstDenseLoops:
             codes = rng.sample(range(size), min(size, 3))
             for code in codes:
                 word = [code // g_count**e % g_count for e in reversed(range(degree))]
-                unit = [int(c == code) for c in range(size)]
-                got = delta.on_vector(unit, degree)
+                got = delta.on_vector({code: 1}, degree)
                 assert dense(got, total) == dense_on_word(dV, dW, dU, word)
             coords = [0] * size
             for code in codes:
                 coords[code] = rng.choice((Fraction(0), 2, -1, Fraction(-5, 3)))
-            got = delta.on_vector(coords, degree)
+            got = delta.on_vector({c: x for c, x in enumerate(coords) if x != 0}, degree)
             assert all(c != 0 for c in got.values())
             assert dense(got, total) == dense_on_vector(dV, dW, dU, coords, degree)
 

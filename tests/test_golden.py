@@ -1,8 +1,9 @@
 """Golden command-line outputs: stdout, written files and exit codes, byte for byte.
 
 Each case runs one command through ``cli.main`` in a directory holding
-copies of ``golden/inputs``, so reports echo the same relative paths on
-every machine.  ``golden/expected/<case>.stdout`` is the expected standard
+copies of ``golden/inputs`` and, as ``product.json``, of the file the
+``product`` case writes, so reports echo the same relative paths on every
+machine.  ``golden/expected/<case>.stdout`` is the expected standard
 output and ``golden/expected/<case>.out.json`` the expected ``--out``
 file, when the command writes one.  To regenerate after an intended change
 of output bytes, run ``python tests/test_golden.py`` from the repository
@@ -36,6 +37,14 @@ CASES = {
     "product-ba": (["product", "b.json", "a.json", "--out", OUT], 0),
     "dual": (["dual", "a.json", "--out", OUT], 0),
     "hom": (["hom", "a.json", "b.json", "--out", OUT], 0),
+    # graded.json has degrees 2 and 3 and non-integral entries; a.json has
+    # degree 2 only, so the product's degree 3 has a zero factor, and the
+    # diagonal of hom(graded, graded) cancels.
+    "product-graded": (["product", "graded.json", "a.json", "--out", OUT], 0),
+    "hom-graded": (["hom", "graded.json", "graded.json", "--out", OUT], 0),
+    "dual-graded": (["dual", "graded.json", "--out", OUT], 0),
+    # The dual of the product case's file, copied in as product.json.
+    "dual-product": (["dual", "product.json", "--out", OUT], 0),
     "project": (["project", "rel.json", "--out", OUT], 0),
     "hilbert": (["hilbert", "a.json", "--max-degree", "4", "--out", OUT], 0),
     "verify-all": (
@@ -82,6 +91,7 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
     argv, _ = CASES[name]
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
+    shutil.copy(EXPECTED / f"product.{OUT}", workdir / "product.json")
     saved = suites.suite_checks
     if name == "verify-failing":
         suites.suite_checks = _identity_is_not_a_morphism

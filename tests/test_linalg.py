@@ -7,9 +7,23 @@ from fractions import Fraction
 import pytest
 
 from eqspace import FreeElement, Matrix, Subspace, VerificationReport, column_space
-from eqspace.linalg import _kron_sum_apply, kernel, kronecker
+from eqspace.linalg import _kron_sum_apply, _rref_rows, kernel, kronecker
 from conftest import QP_MATRIX
-from oracles import TensorSum, dense_reduce_vector, naive_rref, oracle_contains
+from oracles import (
+    TensorSum,
+    dense_add,
+    dense_apply,
+    dense_is_zero,
+    dense_kron_sum_apply,
+    dense_kronecker,
+    dense_mul,
+    dense_neg,
+    dense_reduce_vector,
+    dense_sub,
+    dense_transpose,
+    naive_rref,
+    oracle_contains,
+)
 
 
 def rand_matrix(rng, rows, cols):
@@ -175,6 +189,12 @@ class TestSubspaces:
             Subspace.from_rows(3, [[1, 0, 0], [2]])
         with pytest.raises(ValueError):
             Subspace.from_rows(2, iter([[1, 0, 0]]))
+        # A sparse row must name columns inside the ambient space.
+        for row in ({2: 1}, {-1: 1}, {0: 1, 5: 2}):
+            with pytest.raises(ValueError):
+                Subspace.from_rows(2, [row])
+            with pytest.raises(ValueError):
+                Subspace.full(2).first_outside([row])
 
     def test_containment_by_reduction(self):
         big = Subspace.from_rows(3, [[1, 0, 1], [0, 1, 1]])
@@ -224,6 +244,15 @@ class TestFirstOutside:
 
 
 
+def densify(row, n):
+    """A dict of nonzeros as a dense tuple of length n."""
+    return tuple(row.get(j, 0) for j in range(n))
+
+
+def sparse_row(vec):
+    return {j: x for j, x in enumerate(vec) if x != 0}
+
+
 class TestReduceVectorAgainstDenseLoop:
     """The pivot-driven residue equals the dense row-by-row loop, entry by entry."""
 
@@ -249,16 +278,19 @@ class TestReduceVectorAgainstDenseLoop:
             span = Subspace.from_rows(n, rows)
             for vec in self.vectors(rng, span, n):
                 got = span.reduce_vector(vec)
-                assert got == dense_reduce_vector(span, vec)
-                assert span.first_outside([vec]) == (0 if any(got) else None)
+                assert densify(got, n) == dense_reduce_vector(span, vec)
+                assert all(x != 0 for x in got.values())
+                assert span.reduce_vector(sparse_row(vec)) == got
+                assert span.first_outside([vec]) == (0 if got else None)
 
     def test_zero_and_full_spans(self):
         rng = random.Random(43)
         for n in (1, 3, 6):
             for span in (Subspace.zero(n), Subspace.full(n)):
                 for vec in self.vectors(rng, span, n):
-                    assert span.reduce_vector(vec) == dense_reduce_vector(span, vec)
-            assert Subspace.full(n).reduce_vector([Fraction(5, 2)] * n) == (0,) * n
+                    got = densify(span.reduce_vector(vec), n)
+                    assert got == dense_reduce_vector(span, vec)
+            assert Subspace.full(n).reduce_vector([Fraction(5, 2)] * n) == {}
 
 
 def dense_tensor_sum(left, right):
@@ -408,6 +440,17 @@ class TestExactScalars:
     def test_matrix_accepts_int_and_fraction(self):
         m = Matrix([[1, Fraction(1, 2)], [Fraction(2), -3]])
         assert [type(x) for row in m.cells for x in row] == [int, Fraction, Fraction, int]
+        m = Matrix([[1, Fraction(2)]])
+        assert [type(x) for x in m.nonzeros[0].values()] == [int, Fraction]
+
+    def test_inexact_zeros_are_refused_too(self):
+        # A constructor that only looked at the nonzeros would accept these.
+        for bad in (0.0, False, Decimal(0)):
+            with pytest.raises(TypeError):
+                Matrix([[bad, 1]])
+        for row in ([0.0, 1], [False, 1], {0: 0.0, 1: 1}):
+            with pytest.raises(TypeError):
+                Subspace.from_rows(2, [row])
 
     def test_from_rows_rejects_inexact_entries(self):
         for row in ([0.5, 1], [True, 1], [1, False], ["1", 0], [0, Decimal(2)]):
@@ -501,7 +544,148 @@ class TestValueRecords:
     def test_validation(self):
         with pytest.raises(ValueError):
             Subspace(2, Matrix([[2, 0]]))
+        for not_rref in ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [0, 0]], [[1, 0], [1, 0]]):
+            with pytest.raises(ValueError):
+                Subspace(2, Matrix(not_rref))
+        assert Subspace(3, Matrix([[1, 2, 0], [0, 0, 1]])).pivot_columns() == [0, 2]
         with pytest.raises(ValueError):
             Subspace(3, Matrix([[1, 0]]))
         with pytest.raises(ValueError):
             VerificationReport("check", False)
+
+
+def seeded_cells(rng, rows, cols, density, kind):
+    """Dense rows with about density nonzeros; kind "int", "frac" or "mixed"."""
+    def entry():
+        if rng.random() >= density:
+            return rng.choice((0, Fraction(0))) if kind != "int" else 0
+        n = rng.choice((-3, -2, -1, 1, 2, 5))
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return n
+        return Fraction(n, rng.choice((1, 2, 3)))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def matrix_pairs():
+    """Seeded (a_cells, b_cells, rows, cols) of one shape, every shape kind."""
+    rng = random.Random(2026)
+    shapes = [(0, 4), (4, 0), (0, 0), (3, 5), (5, 3), (6, 6), (1, 7), (12, 12)]
+    out = []
+    for rows, cols in shapes:
+        for density in (1.0, 0.07, 0.4):
+            for kind in ("int", "frac", "mixed"):
+                a = seeded_cells(rng, rows, cols, density, kind)
+                b = seeded_cells(rng, rows, cols, density, kind)
+                out.append((a, b, rows, cols))
+                # A sum that cancels to 0, in part or in full.
+                cancel = [[-x if rng.random() < 0.6 else y for x, y in zip(ra, rb)]
+                          for ra, rb in zip(a, b)]
+                out.append((a, cancel, rows, cols))
+                out.append((a, dense_neg(a), rows, cols))
+    return out
+
+
+def same_matrix(got, cells, cols):
+    """got equals, and hashes as, what the checked constructor builds from cells."""
+    want = Matrix(cells, cols=cols)
+    assert got == want and hash(got) == hash(want)
+    assert (got.rows, got.cols) == (len(cells), cols)
+    assert got.cells == tuple(map(tuple, cells))
+    assert all(x != 0 for row in got.nonzeros for x in row.values())
+
+
+class TestSparseMatrixAgainstDenseOracles:
+    """Every Matrix operation equals the dense reference on seeded shapes."""
+
+    def test_constructor_keeps_nonzeros_only(self):
+        for a, _, rows, cols in matrix_pairs():
+            m = Matrix(a, cols=cols)
+            assert m.nonzeros == tuple(
+                {j: x for j, x in enumerate(r) if x != 0} for r in a
+            )
+            assert m.cells == tuple(map(tuple, a))
+            assert all(m[i, j] == a[i][j] for i in range(rows) for j in range(cols))
+            assert m.is_zero() == dense_is_zero(a)
+
+    def test_elementwise_operations(self):
+        for a, b, _, cols in matrix_pairs():
+            ma, mb = Matrix(a, cols=cols), Matrix(b, cols=cols)
+            same_matrix(ma + mb, dense_add(a, b), cols)
+            same_matrix(ma - mb, dense_sub(a, b), cols)
+            same_matrix(-ma, dense_neg(a), cols)
+            assert (ma + mb).is_zero() == dense_is_zero(dense_add(a, b))
+
+    def test_transpose_product_and_apply(self):
+        rng = random.Random(7)
+        for a, b, rows, cols in matrix_pairs():
+            ma, mb = Matrix(a, cols=cols), Matrix(b, cols=cols)
+            same_matrix(ma.transpose(), dense_transpose(a, cols), rows)
+            bt = dense_transpose(b, cols)
+            same_matrix(ma * mb.transpose(), dense_mul(a, bt, cols, rows), rows)
+            same_matrix(mb.transpose() * ma, dense_mul(bt, a, rows, cols), cols)
+            vec = [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(cols)]
+            assert ma.apply(vec) == dense_apply(a, vec)
+
+    def test_kronecker(self):
+        pairs = matrix_pairs()
+        rng = random.Random(9)
+        for _ in range(60):
+            a, _, ra, ca = rng.choice(pairs)
+            b, _, rb, cb = rng.choice(pairs)
+            if ra * rb * ca * cb > 2000:
+                continue
+            got = kronecker(Matrix(a, cols=ca), Matrix(b, cols=cb))
+            same_matrix(got, dense_kronecker(a, b, ca, cb), ca * cb)
+
+    def test_kron_sum_apply(self):
+        rng = random.Random(13)
+        for p, q in [(0, 3), (3, 0), (1, 1), (2, 3), (4, 4), (3, 5)]:
+            for density in (1.0, 0.07, 0.4):
+                a = seeded_cells(rng, p, p, density, "mixed")
+                b = seeded_cells(rng, q, q, density, "mixed")
+                vec = [rng.choice((0, 0, 0, 1, -1, Fraction(2, 3))) for _ in range(p * q)]
+                got = _kron_sum_apply(Matrix(a, cols=p), Matrix(b, cols=q), vec)
+                assert got == dense_kron_sum_apply(a, b, vec)
+
+    def test_equal_values_hash_equal_whatever_the_path(self):
+        # Row dicts filled in different orders, and Fraction(2) against 2.
+        a = Matrix([[1, 0, Fraction(2)], [0, 3, 0]])
+        b = Matrix([[1, 0, 2], [0, 3, 0]]).transpose().transpose()
+        c = (a + a) - a
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert a != Matrix([[1, 0, 2], [0, 3, 1]])
+        assert Matrix.zero(0, 3) != Matrix.zero(0, 2)
+
+
+class TestRrefRows:
+    """_rref_rows takes dense and sparse rows and gives the naive oracle's basis."""
+
+    def test_sparse_and_dense_rows_match_oracle(self):
+        rng = random.Random(37)
+        for trial in range(80):
+            ncols = rng.randint(1, 12)
+            density = (1.0, 0.07, 0.3)[trial % 3]
+            rows = seeded_cells(rng, rng.randint(0, 8), ncols, density, "mixed")
+            if rows and trial % 4 == 0:
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+            expected = naive_rref(rows, ncols) if rows else []
+            for given in (rows, [sparse_row(r) for r in rows]):
+                basis, pivots = _rref_rows(given, ncols)
+                assert [densify(r, ncols) for r in basis] == [tuple(r) for r in expected]
+                assert pivots == [min(r) for r in basis]
+                assert all(x != 0 for r in basis for x in r.values())
+
+    def test_forward_pass_stops_when_every_row_is_a_pivot(self):
+        # Without the stop this walks 2^40 columns.
+        assert Subspace.from_rows(2**40, []) == Subspace.zero(2**40)
+        assert Subspace.from_rows(2**40, []).dim == 0
+
+    def test_subspace_takes_the_pivots_of_the_elimination(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            rows = seeded_cells(rng, 4, 6, 0.5, "mixed")
+            span = Subspace.from_rows(6, rows)
+            checked = Subspace(6, span.basis)
+            assert checked == span
+            assert checked.pivot_columns() == span.pivot_columns()
+            assert span.pivot_columns() == [min(r) for r in span.basis.nonzeros]
