@@ -26,7 +26,8 @@ intended to be confined to one thread (the caches are not locked).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from math import lcm
 
 from .linalg import Matrix, Scalar, Subspace, column_space
 from .report import Record, VerificationReport
@@ -197,6 +198,18 @@ def apply_U(V: EquippedSpace) -> PresentedAlgebra:
     return PresentedAlgebra(V.dim, relations)
 
 
+def _int_rule(
+    alg: PresentedAlgebra, n: int, w: int, cache: dict[int, tuple[int, dict[int, int]]]
+) -> tuple[int, dict[int, int]]:
+    """(m, m·NF(w)) for the degree-n word w, m the lcm of NF(w)'s denominators."""
+    rule = cache.get(w)
+    if rule is None:
+        nf = alg._word_nf(n, w)
+        m = lcm(*(e.denominator for e in nf.values()))
+        rule = cache[w] = (m, {t: e.numerator * (m // e.denominator) for t, e in nf.items()})
+    return rule
+
+
 def _first_outside_tensor(
     A: PresentedAlgebra, B: PresentedAlgebra, n: int, vectors: Iterable[Mapping[int, Scalar]]
 ) -> int | None:
@@ -207,19 +220,36 @@ def _first_outside_tensor(
     Quadratic Algebras, ch. 3) it lies in I_A(n)⊗full + full⊗I_B(n) exactly
     when NF_A⊗NF_B kills it; NF_B is applied to the right leg, then NF_A to
     the left.  The vectors are consumed lazily, as by Subspace.first_outside.
+
+    The arithmetic is in integers.  A vector is scaled by the lcm of its
+    denominators and each word normal form by the lcm of its own (cached
+    per call); each leg rescales the normal forms it uses to the lcm of
+    their scales.  Whether the image is zero does not depend on the scale.
     """
     size = B.gen_dim**n
+    rules_a: dict[int, tuple[int, dict[int, int]]] = {}
+    rules_b: dict[int, tuple[int, dict[int, int]]] = {}
     for i, vec in enumerate(vectors):
-        right: dict[tuple[int, int], Scalar] = {}
-        for code, c in vec.items():
-            u, v = divmod(code, size)
-            for t, e in B._word_nf(n, v).items():
+        scale = lcm(*(c.denominator for c in vec.values()))
+        terms = [
+            (divmod(code, size), c.numerator * (scale // c.denominator))
+            for code, c in vec.items()
+        ]
+        rules = [_int_rule(B, n, v, rules_b) for (_, v), _ in terms]
+        m = lcm(*(r for r, _ in rules))
+        right: dict[tuple[int, int], int] = {}
+        for ((u, _), c), (r, nf) in zip(terms, rules):
+            c *= m // r
+            for t, e in nf.items():
                 right[u, t] = right.get((u, t), 0) + c * e
-        both: dict[tuple[int, int], Scalar] = {}
-        for (u, t), c in right.items():
-            if c != 0:
-                for s, e in A._word_nf(n, u).items():
-                    both[s, t] = both.get((s, t), 0) + c * e
+        terms = [(key, c) for key, c in right.items() if c]
+        rules = [_int_rule(A, n, u, rules_a) for (u, _), _ in terms]
+        m = lcm(*(r for r, _ in rules))
+        both: dict[tuple[int, int], int] = {}
+        for ((_, t), c), (r, nf) in zip(terms, rules):
+            c *= m // r
+            for s, e in nf.items():
+                both[s, t] = both.get((s, t), 0) + c * e
         if any(both.values()):
             return i
     return None

@@ -3,15 +3,21 @@
 Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
-invariant violation, 4 resource cap exceeded.  The algebra and suite
-modules are imported by the handlers that run them, not at start-up.
+invariant violation, 4 resource cap exceeded (running out of memory
+included).  The algebra and suite modules are imported by the handlers
+that run them, not at start-up.
+
+One table, COMMANDS, gives each subcommand's handler, positionals and
+options; parse_args reads argv and writes the -h text from it.  It
+accepts ``--opt value``, ``--opt=value``, unique prefixes of option names
+and options on either side of the positionals, the last occurrence of an
+option winning.  A run imports no argument-parsing library.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .fileio import (
     SpaceFormatError,
@@ -36,75 +42,36 @@ SUITE_NAMES = ("bialgebra", "rigidity", "epi", "all")
 GENERATOR_NOTE = "t[i][j] = w^j (x) v_i at flat index j*dim_v + i"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eqspace",
-        description="Exact-rational constructions and checks for equipped spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("product", help="monoidal product of two space files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("dual", help="dagger dual of a space file")
-    p.add_argument("a")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("hom", help="internal hom space of two space files")
-    p.add_argument("w", help="source space")
-    p.add_argument("v", help="target space")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("hilbert", help="graded dimensions of the quotient algebra")
-    p.add_argument("space")
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--cap-override", action="store_true")
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.add_argument("u", nargs="?")
-    p.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--epi-degree", type=int, default=3)
-    p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("project", help="structure projector from a relation basis")
-    p.add_argument("relations")
-    p.add_argument("--out", required=True)
-    return parser
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _emit_report(report: dict, out: str | None, pretty: bool) -> None:
     text = dumps_canonical(report)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     sys.stdout.write(render_report_text(report) if pretty else text)
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: SimpleNamespace) -> int:
     write_space(args.out, boxtimes(read_space(args.a), read_space(args.b)))
     return EXIT_PASS
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: SimpleNamespace) -> int:
     write_space(args.out, dagger(read_space(args.a)))
     return EXIT_PASS
 
 
-def _cmd_hom(args: argparse.Namespace) -> int:
+def _cmd_hom(args: SimpleNamespace) -> int:
     W = read_space(args.w)
     V = read_space(args.v)
     write_space(args.out, hom_space(W, V), note=GENERATOR_NOTE)
     return EXIT_PASS
 
 
-def _cmd_hilbert(args: argparse.Namespace) -> int:
+def _cmd_hilbert(args: SimpleNamespace) -> int:
     from .algebras import apply_U
     if args.max_degree < 0:
         raise SpaceFormatError("--max-degree must be nonnegative")
@@ -122,14 +89,12 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             True,
             dimensions={str(n): dim for n, dim in enumerate(series)},
         )
-        Path(args.out).write_text(
-            dumps_canonical(report_to_dict(_echo(args), [record])), encoding="utf-8"
-        )
+        _write_text(args.out, dumps_canonical(report_to_dict(args.argv, [record])))
     sys.stdout.write(" ".join(str(x) for x in series) + "\n")
     return EXIT_PASS
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .suites import randomized_checks, suite_checks
     if args.epi_degree < 2:
         raise SpaceFormatError("--epi-degree must be at least 2")
@@ -148,12 +113,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks += randomized_checks(
             args.suite, V, W, U, args.seed, args.trials, args.epi_degree
         )
-    report = report_to_dict(_echo(args), checks)
+    report = report_to_dict(args.argv, checks)
     _emit_report(report, args.out, args.pretty)
     return EXIT_PASS if report["pass"] else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: SimpleNamespace) -> int:
     from .algebras import structure_projector
     dim, degree, rel = read_relations(args.relations)
     projector = structure_projector(rel)
@@ -161,32 +126,207 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _echo(args: argparse.Namespace) -> list[str]:
-    return list(getattr(args, "_argv", []))
+# An option is (name, type, default, help).  The type is int or str, a
+# tuple of the accepted strings, or bool for a flag that takes no value;
+# the default REQUIRED makes the option required.  A positional is (name,
+# help), and a name ending in "?" may be left out (its value is None).
+REQUIRED = object()
+_OUT = ("--out", str, REQUIRED, "space file to write")
+_REPORT = ("--out", str, None, "JSON report file to write")
 
-
-_HANDLERS = {
-    "product": _cmd_product,
-    "dual": _cmd_dual,
-    "hom": _cmd_hom,
-    "hilbert": _cmd_hilbert,
-    "verify": _cmd_verify,
-    "project": _cmd_project,
+# subcommand -> (handler, summary, positionals, options)
+COMMANDS = {
+    "product": (
+        _cmd_product,
+        "monoidal product of two space files",
+        (("a", "first space file"), ("b", "second space file")),
+        (_OUT,),
+    ),
+    "dual": (_cmd_dual, "dagger dual of a space file", (("a", "space file"),), (_OUT,)),
+    "hom": (
+        _cmd_hom,
+        "internal hom space of two space files",
+        (("w", "source space file"), ("v", "target space file")),
+        (_OUT,),
+    ),
+    "hilbert": (
+        _cmd_hilbert,
+        "graded dimensions of the quotient algebra",
+        (("space", "space file"),),
+        (
+            ("--max-degree", int, 4, "highest degree of the table"),
+            ("--cap-override", bool, False, f"allow --max-degree above {HILBERT_CAP}"),
+            _REPORT,
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a verification suite",
+        (
+            ("v", "first space file"),
+            ("w", "second space file"),
+            ("u?", "middle space file, needed by the bialgebra checks"),
+        ),
+        (
+            ("--suite", SUITE_NAMES, "all", "checks to run"),
+            ("--seed", int, 0, "seed of the random trials"),
+            ("--trials", int, 20, "number of random trials"),
+            ("--epi-degree", int, 3, "highest degree of the epimorphism checks"),
+            _REPORT,
+            ("--pretty", bool, False, "print a PASS/FAIL table instead of JSON"),
+        ),
+    ),
+    "project": (
+        _cmd_project,
+        "structure projector from a relation basis",
+        (("relations", "relation-basis file"),),
+        (_OUT,),
+    ),
 }
+
+
+def _is_option(token: str) -> bool:
+    """Whether token names an option; "-" and negative numbers are values."""
+    return len(token) > 1 and token[0] == "-" and not (token[1].isdigit() or token[1] == ".")
+
+
+def _is_help(token: str) -> bool:
+    return token == "-h" or (len(token) > 2 and "--help".startswith(token))
+
+
+def _label(name: str, kind: object) -> str:
+    """An option with its metavar: ``--seed SEED``, ``--suite {a,b}``, or a flag's name."""
+    if kind is bool:
+        return name
+    if isinstance(kind, tuple):
+        return name + " {" + ",".join(kind) + "}"
+    return f"{name} {name[2:].upper().replace('-', '_')}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: eqspace [-h] {" + ",".join(COMMANDS) + "} ...\n"
+    _, _, positionals, options = COMMANDS[command]
+    parts = [f"[{name[:-1]}]" if name.endswith("?") else name for name, _ in positionals]
+    for name, kind, default, _ in options:
+        label = _label(name, kind)
+        parts.append(label if default is REQUIRED else f"[{label}]")
+    return f"usage: eqspace {command} [-h] {' '.join(parts)}\n"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        summary = "Exact-rational constructions and checks for equipped spaces."
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+        rows.append(("COMMAND -h", "the arguments of one command"))
+    else:
+        _, summary, positionals, options = COMMANDS[command]
+        rows = [(name.rstrip("?"), text) for name, text in positionals]
+        rows.append(("-h, --help", "show this help and exit"))
+        for name, kind, default, text in options:
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None and kind is not bool:
+                text += f" (default: {default})"
+            rows.append((_label(name, kind), text))
+    table = "".join(
+        f"  {label:<22}{text}\n" if len(label) < 21 else f"  {label}\n{'':24}{text}\n"
+        for label, text in rows
+    )
+    return f"{_usage(command)}\n{summary}\n\n{table}"
+
+
+def _fail(command: str | None, message: str) -> None:
+    """Print the usage and an error line to stderr and exit 2."""
+    prog = "eqspace" if command is None else f"eqspace {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_PARSE)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand argv[0] and its arguments, read by the COMMANDS table.
+
+    The namespace has an attribute per positional and option (dashes in
+    option names become underscores), plus ``command`` and ``argv``.  A
+    help flag prints help to stdout and raises SystemExit(0); a usage error
+    prints the usage and an ``error:`` line to stderr and raises
+    SystemExit(2).
+    """
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command is not None and _is_help(command):
+            sys.stdout.write(_help(None))
+            raise SystemExit(EXIT_PASS)
+        if command is None:
+            _fail(None, "the following arguments are required: command")
+        _fail(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    _, _, positionals, options = COMMANDS[command]
+    kinds = {name: kind for name, kind, _, _ in options}
+    values = {name: default for name, _, default, _ in options}
+    given: list[str] = []
+    unknown: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            given.extend(tokens)
+        elif not _is_option(token):
+            given.append(token)
+        elif _is_help(token):
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_PASS)
+        else:
+            name, has_value, value = token.partition("=")
+            matches = [name] if name in kinds else [n for n in kinds if n.startswith(name)]
+            if not matches or len(name) < 3:
+                unknown.append(token)
+                continue
+            if len(matches) > 1:
+                _fail(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+            name = matches[0]
+            kind = kinds[name]
+            if kind is bool:
+                if has_value:
+                    _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+                value = True
+            elif not has_value:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    _fail(command, f"argument {name}: expected one argument")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(command, f"argument {name}: invalid int value: {value!r}")
+            elif isinstance(kind, tuple) and value not in kind:
+                _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+            values[name] = value
+    names = [name.rstrip("?") for name, _ in positionals]
+    least = sum(not name.endswith("?") for name, _ in positionals)
+    missing = names[len(given):least] + [n for n, v in values.items() if v is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    unknown += given[len(names):]
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    fields.update(zip(names, given + [None] * (len(names) - len(given))))
+    return SimpleNamespace(command=command, argv=argv, **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
-    args._argv = argv
+    args = parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except SpaceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_PARSE
+    except MemoryError:
+        sys.stderr.write("error: out of memory (resource cap exceeded)\n")
+        return EXIT_CAP
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT

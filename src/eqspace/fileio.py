@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from os import PathLike
 
 from .linalg import Matrix, Scalar, Subspace
 from .report import VerificationReport
@@ -70,7 +70,7 @@ def _rational_rows(rows: list, width: int, what: str) -> list[dict[int, Scalar]]
     return out
 
 
-def _int_field(data: dict, key: str, least: int, default: Any = None) -> int:
+def _int_field(data: dict, key: str, least: int, default: object = None) -> int:
     """data[key] as a JSON integer >= least (a JSON boolean is not one)."""
     value = data.get(key, default)
     if type(value) is not int or value < least:
@@ -79,10 +79,11 @@ def _int_field(data: dict, key: str, least: int, default: Any = None) -> int:
     return value
 
 
-def _load_object(path: str | Path, what: str) -> dict:
+def _load_object(path: str | PathLike, what: str) -> dict:
     """Read path and decode it as JSON that must hold an object."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
     try:
@@ -125,11 +126,11 @@ def space_from_dict(data: dict) -> EquippedSpace:
     return EquippedSpace(dim, structure)
 
 
-def read_space(path: str | Path) -> EquippedSpace:
+def read_space(path: str | PathLike) -> EquippedSpace:
     return space_from_dict(_load_object(path, "space"))
 
 
-def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> None:
+def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None) -> None:
     """Write V as the bytes dumps_canonical gives, streamed without the JSON encoder."""
     note_line = "" if note is None else f'  "generators": {json.dumps(note)},\n'
     items = V.structure_items()
@@ -148,7 +149,7 @@ def write_space(path: str | Path, V: EquippedSpace, note: str | None = None) -> 
         f.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
-def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
+def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
     data = _load_object(path, "relation")
     dim = _int_field(data, "dim", 1)
@@ -164,7 +165,7 @@ def read_relations(path: str | Path) -> tuple[int, int, Subspace]:
     )
 
 
-def _jsonable(value: Any) -> Any:
+def _jsonable(value: object) -> object:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else str(value)
     if isinstance(value, (list, tuple)):
@@ -177,7 +178,7 @@ def _jsonable(value: Any) -> Any:
 def report_to_dict(command: Sequence[str], checks: Iterable[VerificationReport]) -> dict:
     records = []
     for rep in sorted(checks, key=lambda r: r.name):
-        record: dict[str, Any] = {"name": rep.name, "pass": rep.passed}
+        record: dict[str, object] = {"name": rep.name, "pass": rep.passed}
         if rep.witness is not None:
             record["witness"] = _jsonable(rep.witness)
         if rep.dimensions is not None:
@@ -190,7 +191,7 @@ def report_to_dict(command: Sequence[str], checks: Iterable[VerificationReport])
     }
 
 
-def dumps_canonical(data: Any) -> str:
+def dumps_canonical(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

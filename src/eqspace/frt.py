@@ -16,13 +16,13 @@ are tested by normal forms in the tensor product of two quotient algebras.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Sequence
 
 from .algebras import PresentedAlgebra, _first_outside_tensor, apply_U
 from .linalg import Matrix, Scalar, Subspace, column_space, kernel
-from .report import VerificationReport
+from .report import Record, VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
 from .tensors import decode_index, tau23_table
 
@@ -110,7 +110,7 @@ def verify_hom_equals_frt(V: EquippedSpace, W: EquippedSpace) -> VerificationRep
     )
 
 
-class Comultiplication(NamedTuple):
+class Comultiplication(Record):
     """Symbolic map t_i^j -> sum_k t'_i^k ⊗ t''_k^j, extended to words.
 
     Left-leg generators t'_i^k live on dU·dV letters (flat k·dV + i),
@@ -120,9 +120,10 @@ class Comultiplication(NamedTuple):
     l·right_size^p + r.
     """
 
-    dV: int
-    dW: int
-    dU: int
+    __slots__ = ("dV", "dW", "dU")
+
+    def __init__(self, dV: int, dW: int, dU: int):
+        self._set(dV, dW, dU)
 
     @property
     def left_size(self) -> int:

@@ -17,15 +17,15 @@ algebras module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 from .report import Record
 
-Scalar = Union[int, Fraction]
-Vector = Union[Sequence[Scalar], dict[int, Scalar]]  # coordinates, or a dict of nonzeros
+Scalar = int | Fraction
+Vector = Sequence[Scalar] | dict[int, Scalar]  # coordinates, or a dict of nonzeros
 _EXACT = frozenset((int, Fraction))
 
 

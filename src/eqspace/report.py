@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
 
 
 class Record:
@@ -15,14 +15,14 @@ class Record:
 
     __slots__ = ()
 
-    def _set(self, *values: Any) -> None:
+    def _set(self, *values: object) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _items(self) -> list[tuple[str, Any]]:
+    def _items(self) -> list[tuple[str, object]]:
         return [(f, getattr(self, f)) for f in self.__slots__ if not f.startswith("_")]
 
-    def __setattr__(self, name: str, value: Any = None) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
@@ -52,7 +52,7 @@ class VerificationReport(Record):
         self,
         name: str,
         passed: bool,
-        witness: Mapping[str, Any] | None = None,
+        witness: Mapping[str, object] | None = None,
         dimensions: Mapping[str, int] | None = None,
     ):
         if not passed and witness is None:

@@ -7,8 +7,8 @@ so randomized runs stay small, exact and reproducible.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Matrix
 from .spaces import EquippedSpace

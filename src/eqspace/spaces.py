@@ -18,7 +18,7 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .linalg import Matrix, Scalar, _kron_sum_apply, kronecker
 from .report import VerificationReport

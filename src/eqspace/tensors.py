@@ -14,7 +14,7 @@ inverse table, live with the test oracles.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .linalg import Scalar
 

@@ -371,6 +371,12 @@ def small_ideal_algebra(rng, d, support):
     return PresentedAlgebra(d, relations)
 
 
+def basis_changed(relation, g):
+    """The span of g⊗g applied to one relation vector of degree 2."""
+    g = Matrix(g)
+    return Subspace.from_rows(g.rows**2, [linalg.kronecker(g, g).apply(relation)])
+
+
 def sparse(vec):
     return {k: c for k, c in enumerate(vec) if c != 0}
 
@@ -392,20 +398,40 @@ class TestFirstOutsideTensor:
             n = 3 if dA * dB <= 4 else 2
             A = small_ideal_algebra(rng, dA, supports[0])
             B = small_ideal_algebra(rng, dB, supports[1])
-            target = TensorSum(ideal_component(A, n), ideal_component(B, n))
-            size = (dA * dB) ** n
-            vectors = [ideal_vector(rng, A, B, n) for _ in range(4)]
-            vectors += [random_matrix(rng, 1, size).cells[0] for _ in range(2)]
-            vectors.append([0] * size)
-            rng.shuffle(vectors)
-            for k in range(len(vectors) + 1):
-                got = _first_outside_tensor(A, B, n, map(sparse, vectors[k:]))
-                assert got == target.first_outside(vectors[k:])
-            inside = [v for v in vectors if target.first_outside([v]) is None]
-            assert len(inside) >= 5
-            assert _first_outside_tensor(A, B, n, map(sparse, inside)) is None
-            outside += len(vectors) - len(inside)
+            outside += self.compare_with_oracle(rng, A, B, n)
         assert outside >= 3
+
+    def test_basis_changed_pair_matches_tensor_sum_oracle(self):
+        # q-commutation relations moved by dense, non-integral changes of
+        # basis, so the word normal forms are dense with fractional
+        # coefficients, as in the basis-changed benchmark inputs.
+        f = Fraction
+        A = PresentedAlgebra(2, {2: basis_changed([0, 1, -2, 0], [[1, f(1, 2)], [f(-1, 3), 1]])})
+        B = PresentedAlgebra(2, {2: basis_changed([0, 1, f(1, 3), 0], [[2, f(1, 3)], [f(3, 4), 1]])})
+        for alg in (A, B):
+            rules = [nf for w in range(8) for nf in [alg._word_nf(3, w)] if nf != {w: 1}]
+            assert max(map(len, rules)) >= 3
+            assert any(type(e) is Fraction for nf in rules for e in nf.values())
+        rng = random.Random(97)
+        outside = sum(self.compare_with_oracle(rng, A, B, n) for n in (2, 3, 3))
+        assert outside >= 3
+
+    @staticmethod
+    def compare_with_oracle(rng, A, B, n):
+        """Test _first_outside_tensor against the oracle on drawn vectors; count those outside."""
+        target = TensorSum(ideal_component(A, n), ideal_component(B, n))
+        size = (A.gen_dim * B.gen_dim) ** n
+        vectors = [ideal_vector(rng, A, B, n) for _ in range(4)]
+        vectors += [random_matrix(rng, 1, size).cells[0] for _ in range(2)]
+        vectors.append([0] * size)
+        rng.shuffle(vectors)
+        for k in range(len(vectors) + 1):
+            got = _first_outside_tensor(A, B, n, map(sparse, vectors[k:]))
+            assert got == target.first_outside(vectors[k:])
+        inside = [v for v in vectors if target.first_outside([v]) is None]
+        assert len(inside) >= 5
+        assert _first_outside_tensor(A, B, n, map(sparse, inside)) is None
+        return len(vectors) - len(inside)
 
     def test_zero_and_full_ideals(self):
         free, killed = PresentedAlgebra(2), PresentedAlgebra(2, {2: Subspace.full(4)})

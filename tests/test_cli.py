@@ -8,6 +8,7 @@ import pytest
 
 import eqspace
 from eqspace import EquippedSpace, Matrix, VerificationReport
+from eqspace import cli
 from eqspace.cli import main
 from eqspace.fileio import (
     SpaceFormatError,
@@ -21,7 +22,7 @@ from eqspace.fileio import (
 from eqspace.sampling import random_equipped
 from conftest import DJ_MATRIX, QP_MATRIX
 from oracles import dumps_reference, space_to_dict
-from test_golden import CASES, INPUTS
+from test_golden import CASES, EXPECTED, INPUTS
 
 import random
 import sys
@@ -442,6 +443,34 @@ class TestExitCodes:
         assert not out.exists()
         assert "too many digits" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_four(self, tmp_path):
+        # The projector of a 2^40-dimensional relation space needs a list of
+        # 2^40 rows: the allocation fails at once.  The child runs under a
+        # 1 GiB address-space limit where there is one, so that it fails
+        # whatever the machine's overcommit policy.
+        try:
+            import resource
+        except ImportError:
+            limit = None
+        else:
+            def limit():
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        (tmp_path / "rel.json").write_text(json.dumps({"dim": 2, "degree": 40, "basis": []}))
+        script = (
+            "import sys, time\n"
+            "from eqspace.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["project", "rel.json", "--out", "out.json"]
+        proc = run_python(script, argv, tmp_path, preexec_fn=limit)
+        assert proc.returncode == 4, proc.stderr
+        assert float(proc.stdout) < 0.5
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -519,23 +548,34 @@ def test_witness_value_is_spelled_by_what_it_is():
     assert data["checks"][0]["witness"]["vector"] == [2, 2, "-3/2"]
 
 
-def modules_after(script, argv=(), cwd=None):
-    """Last stdout line of script run by a fresh interpreter on this eqspace, split."""
+def run_python(script, argv=(), cwd=None, flags=(), **kwargs):
+    """script run by a fresh interpreter on this eqspace, with interpreter flags."""
     src_dir = str(Path(eqspace.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *argv],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,
+        **kwargs,
     )
+
+
+def modules_after(script, argv=(), cwd=None, flags=()):
+    """Last stdout line of script run by a fresh interpreter on this eqspace, split."""
+    proc = run_python(script, argv, cwd, flags)
     return proc.returncode, set(proc.stdout.splitlines()[-1].split()), proc.stderr
 
 
 class TestImportBudget:
-    """Each subcommand loads only the modules it runs, and no dataclasses."""
+    """Each subcommand loads only the modules it runs.
+
+    The runs use ``python -S``, so no site hook preloads anything, and no
+    subcommand may load an argument-parsing library, typing, pathlib or
+    dataclasses.
+    """
 
     SCRIPT = (
         "import sys\n"
@@ -547,6 +587,7 @@ class TestImportBudget:
         "sys.exit(code)\n"
     )
     HEAVY = {"eqspace.algebras", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
+    FORBIDDEN = {"argparse", "gettext", "locale", "typing", "pathlib", "dataclasses"}
 
     def loaded_by(self, case, tmp_path, argv=None):
         """Modules that a fresh interpreter loads to run one golden case, or argv."""
@@ -554,28 +595,26 @@ class TestImportBudget:
         argv = golden_argv if argv is None else argv
         for src in INPUTS.iterdir():
             shutil.copy(src, tmp_path / src.name)
-        returncode, loaded, stderr = modules_after(self.SCRIPT, argv, tmp_path)
+        returncode, loaded, stderr = modules_after(self.SCRIPT, argv, tmp_path, ["-S"])
         assert returncode == code, stderr
         assert "eqspace.cli" in loaded
+        assert not loaded & self.FORBIDDEN
         return loaded
 
     @pytest.mark.parametrize("case", ["product", "dual", "hom"])
     def test_constructions_load_no_algebra_or_suite(self, case, tmp_path):
         loaded = self.loaded_by(case, tmp_path)
         assert not loaded & self.HEAVY
-        assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize("case", ["hilbert", "project"])
     def test_algebra_commands_load_no_frt_or_suite(self, case, tmp_path):
+        # Beyond what the constructions load, only the algebra module.
         loaded = self.loaded_by(case, tmp_path)
-        assert "eqspace.algebras" in loaded
-        assert not loaded & (self.HEAVY - {"eqspace.algebras"})
-        assert "dataclasses" not in loaded
+        assert loaded - self.loaded_by("dual", tmp_path) == {"eqspace.algebras"}
 
     def test_verify_loads_no_dataclasses(self, tmp_path):
         loaded = self.loaded_by("verify-all", tmp_path)
         assert self.HEAVY <= loaded
-        assert "dataclasses" not in loaded
 
     def test_rigidity_suite_loads_no_algebra_frt_or_sampling(self, tmp_path):
         loaded = self.loaded_by("verify-rigidity", tmp_path)
@@ -587,6 +626,93 @@ class TestImportBudget:
         loaded = self.loaded_by("verify-all", tmp_path, argv)
         assert self.HEAVY - {"eqspace.sampling"} <= loaded
         assert "eqspace.sampling" not in loaded
+
+
+class TestArgumentForms:
+    """The argument table's parser, run as a program on the golden inputs:
+    exit code, output and no traceback."""
+
+    CLI = "import sys\nfrom eqspace.cli import main\nsys.exit(main())\n"
+
+    def run(self, argv, tmp_path):
+        for src in INPUTS.iterdir():
+            shutil.copy(src, tmp_path / src.name)
+        proc = run_python(self.CLI, argv, tmp_path)
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    @pytest.mark.parametrize(
+        "argv, case",
+        [
+            (["dual", "a.json", "--out=out.json"], "dual"),
+            (["product", "a.json", "b.json", "--o", "out.json"], "product"),
+            (["hom", "--out", "out.json", "a.json", "b.json"], "hom"),
+        ],
+        ids=["opt=value", "prefix", "options-first"],
+    )
+    def test_construction_forms(self, tmp_path, argv, case):
+        proc = self.run(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.json").read_bytes() == (EXPECTED / f"{case}.out.json").read_bytes()
+
+    def test_last_occurrence_wins(self, tmp_path):
+        # --max-degree 9 alone would exit 4 (over the cap).
+        proc = self.run(["hilbert", "--max-deg=9", "a.json", "--max-degree", "4"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (EXPECTED / "hilbert.stdout").read_text(encoding="utf-8")
+
+    def test_positionals_between_options(self, tmp_path):
+        proc = self.run(["verify", "--suite=rigidity", "a.json", "--tri", "0", "b.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        expected = json.loads((EXPECTED / "verify-rigidity.stdout").read_text(encoding="utf-8"))
+        assert json.loads(proc.stdout)["checks"] == expected["checks"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dual", "a.json"], "the following arguments are required: --out"),
+            (["verify", "a.json", "b.json", "--trials", "x"], "invalid int value: 'x'"),
+            (["verify", "a.json", "b.json", "--suite", "nope"], "invalid choice: 'nope'"),
+            (["dual", "a.json", "b.json", "--out", "out.json"], "unrecognized arguments: b.json"),
+            (["dual", "a.json", "--bogus", "--out", "out.json"], "unrecognized arguments: --bogus"),
+            (["verify", "a.json", "b.json", "--s", "1"], "ambiguous option: --s"),
+            (["dual", "a.json", "--out"], "argument --out: expected one argument"),
+            (["verify", "a.json", "b.json", "--pretty=1"], "ignored explicit argument '1'"),
+            (["frobnicate"], "invalid command 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=[
+            "missing-out", "bad-int", "bad-choice", "extra-positional", "unknown-option",
+            "ambiguous-prefix", "missing-value", "flag-with-value", "unknown-command",
+            "no-command",
+        ],
+    )
+    def test_usage_errors_exit_two(self, tmp_path, argv, message):
+        proc = self.run(argv, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: eqspace")
+        assert ": error: " in lines[-1] and message in lines[-1]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_top_level_help(self, tmp_path):
+        proc = self.run(["-h"], tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: eqspace [-h]")
+        assert all(f"\n  {name} " in proc.stdout for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "a.json", flag, "--bogus"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: eqspace {command} [-h]")
+        for name, *_ in cli.COMMANDS[command][3]:
+            assert f"\n  {name}" in out
 
 
 class TestLazyPackageRoot:
