@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from math import lcm
 
-from .linalg import Matrix, Scalar, Subspace, column_space
+from .linalg import Matrix, Scalar, Subspace, _as_row, column_space
 from .report import Record, VerificationReport
 from .spaces import EquippedSpace, _tensor_power, boxtimes
 from .tensors import phi_table
@@ -180,13 +180,10 @@ class PresentedAlgebra:
         """
         n = x.degree
         deg = self._degree(n)
-        if len(x.coords) != self.gen_dim**n:
-            raise ValueError("ambient dimension mismatch")
         nf: dict[int, Scalar] = {}
-        for w, c in enumerate(x.coords):
-            if c != 0:
-                for t, e in self._word_nf(n, w).items():
-                    nf[t] = nf.get(t, 0) + c * e
+        for w, c in _as_row(x.coords, self.gen_dim**n).items():
+            for t, e in self._word_nf(n, w).items():
+                nf[t] = nf.get(t, 0) + c * e
         return tuple(nf.get(w, 0) for w in deg.words)
 
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are exactly ``int`` and ``fractions.Fraction``: ``Matrix`` and
-``Subspace.from_rows`` raise TypeError on any other entry type, bool,
-float, str and Decimal included, zeros included, so every value past them
-is exact and equality tests carry zero tolerance.  A ``Matrix`` keeps only
+Scalars are exactly ``int`` and ``fractions.Fraction``: every vector or
+row the module takes, in ``Matrix``, ``Matrix.apply`` and the ``Subspace``
+methods, is checked by one function, which raises TypeError on any other
+entry type, bool, float, str and Decimal included, zeros included, and on
+a sparse row's column that is not exactly int.  So every value past them is
+exact and equality tests carry zero tolerance.  A ``Matrix`` keeps only
 its nonzeros, row by row, and its operations visit nothing else.  Maps act
 on column coordinate vectors, images are column spaces, and subspaces are
 stored as reduced row-echelon bases, which makes the RREF the unique
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 
 from .report import Record
@@ -27,23 +29,34 @@ from .report import Record
 Scalar = int | Fraction
 Vector = Sequence[Scalar] | dict[int, Scalar]  # coordinates, or a dict of nonzeros
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
-def _require_exact(rows: Iterable[Iterable[object]]) -> None:
+def _require_exact(entries: Iterable[object]) -> None:
     """Raise TypeError unless every entry's type is exactly int or Fraction."""
-    if not _EXACT.issuperset(map(type, chain.from_iterable(rows))):
-        bad = next(x for x in chain.from_iterable(rows) if type(x) not in _EXACT)
+    if not _EXACT.issuperset(map(type, entries)):
+        bad = next(x for x in entries if type(x) not in _EXACT)
         raise TypeError(f"entries must be int or Fraction, got {bad!r}")
 
 
 def _as_row(vec: Vector, ncols: int) -> dict[int, Scalar]:
-    """A sparse row as it is, or the nonzeros of a sequence of exactly ncols entries."""
+    """A sparse row as it is, or the nonzeros of a sequence of exactly ncols entries.
+
+    Matrix, Matrix.apply, the Subspace methods and normal forms take their
+    vectors through here: each entry given, zeros included, must be exactly
+    int or Fraction, and each column of a sparse row exactly int.
+    """
     if isinstance(vec, dict):
+        if not _INT.issuperset(map(type, vec)):
+            bad = next(j for j in vec if type(j) is not int)
+            raise TypeError(f"columns must be int, got {bad!r}")
         if vec and not 0 <= min(vec) <= max(vec) < ncols:
             raise ValueError(f"row with a column outside ambient dimension {ncols}")
+        _require_exact(vec.values())
         return vec
     if len(vec) != ncols:
         raise ValueError(f"row of length {len(vec)} in ambient dimension {ncols}")
+    _require_exact(vec)
     return dict(zip(compress(range(ncols), vec), compress(vec, vec)))
 
 
@@ -78,7 +91,6 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        _require_exact(rows)
         self._data = tuple(_as_row(r, cols) for r in rows)
         self._cols = cols
 
@@ -151,10 +163,9 @@ class Matrix:
         return Matrix._trusted(out, other._cols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Matrix times column coordinate vector."""
-        if len(vec) != self._cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum([x * vec[j] for j, x in r.items() if vec[j]]) for r in self._data)
+        """Matrix times column coordinate vector, whose entries are checked as rows are."""
+        v = _as_row(vec, self._cols)
+        return tuple(sum([x * v[j] for j, x in r.items() if j in v]) for r in self._data)
 
     def transpose(self) -> "Matrix":
         out: list[dict[int, Scalar]] = [{} for _ in range(self._cols)]
@@ -186,25 +197,6 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._trusted(rows, a.cols * q)
 
 
-def _kron_sum_apply(a: Matrix, b: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """(a⊗I + I⊗b)·vec = vec(a·X + X·bᵀ) for square a, b; X is vec reshaped row-major.
-
-    X is built sparse, so only the nonzeros of a, b and vec are visited.
-    """
-    p, q = a.rows, b.rows
-    if len(vec) != p * q:
-        raise ValueError("vector length does not match column count")
-    xrows: list[dict[int, Scalar]] = [{} for _ in range(p)]
-    for t in compress(range(p * q), vec):
-        xrows[t // q][t % q] = vec[t]
-    x = Matrix._trusted(xrows, q)
-    out: list[Scalar] = [0] * (p * q)
-    for i, row in enumerate((a * x + x * b.transpose()).nonzeros):
-        for k, y in row.items():
-            out[i * q + k] = y
-    return tuple(out)
-
-
 def _primitive(row: list[int]) -> list[int]:
     """row divided by the gcd of its entries."""
     g = gcd(*row)
@@ -226,7 +218,6 @@ def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> tuple[list[dict[int, S
     """
     work: list[list[int]] = []
     for r in raw_rows:
-        _require_exact((r.values() if isinstance(r, dict) else r,))
         r = _as_row(r, ncols)
         scale = lcm(*[x.denominator for x in r.values()])
         row = [0] * ncols

@@ -5,10 +5,10 @@ of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ``boxtimes`` (R⊠S = φ⁻¹(R⊗I + I⊗S)φ per degree), the duality ``dagger``
 ((V*, -Rᵀ)), the check that a linear map intertwines two structures, the
 evaluation and coevaluation arrows of the rigid structure with that check
-applied to them, and internal hom spaces.  Structure matrices of products
-are built from the index table of φ; the ev/coev checks apply them to one
-vector through the same table and never build R⊠S.  The permutation
-matrices they are tested against live with the test oracles.
+applied to them, and internal hom spaces.  Every row of R⊠S comes from one
+rule on the index table of φ: products and homs build all rows, and the
+ev/coev checks sum only the pairing rows (J,J).  The permutation matrices
+they are tested against live with the test oracles.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -18,11 +18,11 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from .linalg import Matrix, Scalar, _kron_sum_apply, kronecker
+from .linalg import Matrix, Scalar, kronecker
 from .report import VerificationReport
-from .tensors import invert_table, phi_table, push_row
+from .tensors import invert_table, phi_table
 
 
 class EquippedSpace:
@@ -86,46 +86,59 @@ def unit_K() -> EquippedSpace:
     return EquippedSpace(1, {})
 
 
-def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
-    """Degree-n structure φ⁻¹(Rn⊗I + I⊗Sn)φ of a product space.
+def _boxtimes_row(
+    rrow: dict[int, Scalar], srow: dict[int, Scalar], i: int, k: int, inv: list[int], wn: int
+) -> tuple[int, dict[int, Scalar]]:
+    """Index s and nonzeros of row s = φ⁻¹(i,k) of φ⁻¹(Rn⊗I + I⊗Sn)φ.
 
-    Built by index bookkeeping: entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is
-    Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and conjugating by the permutation φ just
-    relabels both indices.  So row (i,k) is row i of Rn at the columns
-    (j,k) and row k of Sn at the columns (i,l), which meet only on the
-    diagonal (i,k), where the entry is Rn[i,i] + Sn[k,k]; each row is built
-    from the two rows' nonzeros at once.  Conjugating by the permutation
-    matrix of φ gives the same matrix; tests assert the agreement.
+    Entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and
+    conjugating by the permutation φ relabels both indices through inv, the
+    inverse of φ's table.  So the row is row i of Rn, rrow, at the columns
+    (j,k) and row k of Sn, srow, at the columns (i,l); they meet only on
+    the diagonal (i,k), where the entry is Rn[i,i] + Sn[k,k].
+    """
+    base = i * wn
+    row = {inv[j * wn + k]: x for j, x in rrow.items()}
+    row.update({inv[base + l]: y for l, y in srow.items()})
+    s = inv[base + k]
+    diagonal = rrow.get(i, 0) + srow.get(k, 0)
+    if diagonal:
+        row[s] = diagonal
+    else:
+        row.pop(s, None)
+    return s, row
+
+
+def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
+    """Degree-n structure φ⁻¹(Rn⊗I + I⊗Sn)φ of a product space, row by row.
+
+    Conjugating by the permutation matrix of φ gives the same matrix; tests
+    assert the agreement.
     """
     size = (dV * dW) ** n
     inv = invert_table(phi_table(dV, dW, n))
     wn = dW**n
     out: list = [None] * size
     for i, rrow in enumerate(Rn.nonzeros):
-        base = i * wn
         for k, srow in enumerate(Sn.nonzeros):
-            row = {inv[j * wn + k]: x for j, x in rrow.items()}
-            row.update({inv[base + l]: y for l, y in srow.items()})
-            s = inv[base + k]
-            diagonal = rrow.get(i, 0) + srow.get(k, 0)
-            if diagonal:
-                row[s] = diagonal
-            else:
-                row.pop(s, None)
+            s, row = _boxtimes_row(rrow, srow, i, k, inv, wn)
             out[s] = row
     return Matrix._trusted(out, size)
 
 
-def _boxtimes_apply(
-    Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int, vec: Sequence[Scalar]
-) -> tuple[Scalar, ...]:
-    """boxtimes_degree(Rn, Sn, dV, dW, n).apply(vec) without building the matrix.
+def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scalar]:
+    """Nonzeros of the sum of the rows (J,J) of Rn⊠Sn, J over the d^n words.
 
-    Its entry (s, t) is entry (φ(s), φ(t)) of Rn⊗I + I⊗Sn, applied by _kron_sum_apply.
+    That is the pairing row, 1 at each (J,J) through φ, times Rn⊠Sn; only
+    d^n of its (d²)^n rows are built.
     """
-    table = phi_table(dV, dW, n)
-    image = _kron_sum_apply(Rn, Sn, push_row(vec, table))
-    return tuple(image[t] for t in table)
+    inv = invert_table(phi_table(d, d, n))
+    wn = d**n
+    acc: dict[int, Scalar] = {}
+    for J, (rrow, srow) in enumerate(zip(Rn.nonzeros, Sn.nonzeros)):
+        for c, x in _boxtimes_row(rrow, srow, J, J, inv, wn)[1].items():
+            acc[c] = acc[c] + x if c in acc else x
+    return {c: x for c, x in acc.items() if x}
 
 
 def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
@@ -200,28 +213,32 @@ def coev_column(d: int) -> Matrix:
 def ev_map(V: EquippedSpace) -> VerificationReport:
     """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
 
-    Reports what check_morphism gives on the built product; the row
-    ev^{⊗n}·(R†⊠R)_n is computed as (R†ᵀ⊠Rᵀ)_n·ev^{⊗n}.  A failure is a bug,
-    never bad input: the pairing intertwines any structure with zero.
+    Reports what check_morphism gives on the built product: the row
+    ev^{⊗n}·(R†⊠R)_n is the sum of the pairing rows of (R†⊠R)_n.  A failure
+    is a bug, never bad input: the pairing intertwines any structure with zero.
     """
     D, d = dagger(V), V.dim
     for n in sorted(set(D.support) | set(V.support)):
-        Dt, Rt = D.structure_at(n).transpose(), V.structure_at(n).transpose()
-        row = _boxtimes_apply(Dt, Rt, d, d, n, _tensor_power(ev_row(d), n).cells[0])
-        col = next((c for c, x in enumerate(row) if x != 0), None)
-        if col is not None:
+        row = _pairing_rows_sum(D.structure_at(n), V.structure_at(n), d, n)
+        if row:
+            col = min(row)
             witness = {"degree": n, "column": col, "difference": [row[col]]}
             return VerificationReport("ev-morphism", False, witness=witness)
     return VerificationReport("ev-morphism", True)
 
 
 def coev_map(V: EquippedSpace) -> VerificationReport:
-    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism, as ev_map does."""
+    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism, as ev_map does.
+
+    The column (R⊠R†)_n·coev^{⊗n} is the sum of the pairing rows of its
+    transpose, (Rᵀ⊠R†ᵀ)_n.
+    """
     D, d = dagger(V), V.dim
     for n in sorted(set(D.support) | set(V.support)):
-        vec = _tensor_power(coev_column(d), n).transpose().cells[0]
-        image = _boxtimes_apply(V.structure_at(n), D.structure_at(n), d, d, n, vec)
-        if any(x != 0 for x in image):
-            witness = {"degree": n, "column": 0, "difference": [-x for x in image]}
+        Rt, Dt = V.structure_at(n).transpose(), D.structure_at(n).transpose()
+        image = _pairing_rows_sum(Rt, Dt, d, n)
+        if image:
+            difference = [-image.get(c, 0) for c in range(d ** (2 * n))]
+            witness = {"degree": n, "column": 0, "difference": difference}
             return VerificationReport("coev-morphism", False, witness=witness)
     return VerificationReport("coev-morphism", True)

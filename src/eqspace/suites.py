@@ -7,24 +7,25 @@ the sampler.
 
 from __future__ import annotations
 
-from .linalg import Matrix, _kron_sum_apply, kronecker
+from .linalg import Matrix, kronecker
 from .report import VerificationReport
-from .spaces import EquippedSpace, coev_column, coev_map, ev_map, ev_row
+from .spaces import EquippedSpace, _pairing_rows_sum, coev_column, coev_map, ev_map, ev_row
 
 
 def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
-    """Degree-wise identity (R_n⊗I − I⊗R_nᵀ) · coev_n = 0, factor by factor."""
+    """Degree-wise identity (R_n⊗I − I⊗R_nᵀ) · coev_n = 0, factor by factor.
+
+    The image is the sum of the pairing rows of R_nᵀ⊠(−R_n) at degree 1 on
+    V^{⊗n}, where φ is the identity.
+    """
     d = V.dim
     for n, Rn in V.structure_items():
         size = d**n
-        vec = [int(i == j) for i in range(size) for j in range(size)]
-        image = list(_kron_sum_apply(Rn, -Rn.transpose(), vec))
-        if any(x != 0 for x in image):
-            return VerificationReport(
-                "coev-kron-identity",
-                False,
-                witness={"degree": n, "image": image},
-            )
+        image = _pairing_rows_sum(Rn.transpose(), -Rn, size, 1)
+        if image:
+            dense = [image.get(c, 0) for c in range(size * size)]
+            witness = {"degree": n, "image": dense}
+            return VerificationReport("coev-kron-identity", False, witness=witness)
     return VerificationReport("coev-kron-identity", True)
 
 

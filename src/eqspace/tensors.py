@@ -6,17 +6,15 @@ sum r_k * d^(n-1-k), leftmost digit major.  Kronecker products follow the
 same rule (left factor major), so index code = flattened tensor word.
 
 Permutations are index tables (``table[src] = dst``, meaning the map
-sends basis vector e_src to e_dst), applied to coordinate rows by
-``push_row``; no permutation matrix is ever built.  The materialized
-matrices that the tables are tested against, and the application of an
-inverse table, live with the test oracles.
+sends basis vector e_src to e_dst), used to relabel the columns of sparse
+rows; no permutation matrix is ever built.  The materialized matrices that
+the tables are tested against, and the application of a table or its
+inverse to coordinate rows, live with the test oracles.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from .linalg import Scalar
 
 
 def decode_index(code: int, radix: int, length: int) -> tuple[int, ...]:
@@ -33,15 +31,6 @@ def invert_table(table: Sequence[int]) -> list[int]:
     for src, dst in enumerate(table):
         inv[dst] = src
     return inv
-
-
-def push_row(row: Sequence[Scalar], table: Sequence[int]) -> list[Scalar]:
-    """Coordinates of P·x for the row form of x (out[table[i]] = row[i])."""
-    out: list[Scalar] = [0] * len(table)
-    for i, x in enumerate(row):
-        if x != 0:
-            out[table[i]] = x
-    return out
 
 
 def phi_table(dV: int, dW: int, n: int) -> list[int]:

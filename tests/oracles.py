@@ -23,26 +23,27 @@ These groups are former library code kept as references:
   the checks as they ran on those spans, with dense images;
 - permutation_matrix and the matrices phi_iso, flip and tau23 materialize
   the index tables the package works with (encode_digits spells word
-  codes, pull_row applies the inverse of a table), so tests can compare
-  the tables and the products built from them with literal matrix
-  conjugation;
+  codes, push_row and pull_row apply a table and its inverse to a
+  coordinate row), so tests can compare the tables and the products built
+  from them with literal matrix conjugation;
 - space_to_dict and dumps_reference spell a space file through the JSON
   encoder, the path the joined-string writer replaced;
 - ev_reference and coev_reference run check_morphism on the materialized
-  products dagger(V) ⊠ V and V ⊠ dagger(V), the path the one-vector ev/coev
-  checks replaced.  They call spaces.dagger through the module, so a test
-  that patches it changes both paths;
+  products dagger(V) ⊠ V and V ⊠ dagger(V), the path the pairing-row sums
+  of the ev/coev checks replaced.  They call spaces.dagger through the
+  module, so a test that patches it changes both paths;
 - boxtimes_conjugation is the literal φ⁻¹(R⊗I + I⊗S)φ that the index
-  bookkeeping of spaces.boxtimes_degree replaced;
+  bookkeeping of spaces.boxtimes_degree and of its pairing-row sum
+  replaced;
 - dense_reduce_vector subtracts each basis row over the whole ambient
   space, the loop that the pivot-driven Subspace.reduce_vector replaced;
 - dense_on_word enumerates every middle-index tuple into a dense image,
   and dense_on_vector, dense_coassociativity and dense_counit_law are the
   frt loops that walked those dense images before the sparse ones;
 - dense_add, dense_sub, dense_neg, dense_mul, dense_apply,
-  dense_transpose, dense_kronecker, dense_kron_sum_apply and dense_is_zero
-  are the operations of the dense Matrix that sparse rows replaced, on
-  tuples of dense rows (``Matrix.cells``).
+  dense_transpose, dense_kronecker and dense_is_zero are the operations
+  of the dense Matrix that sparse rows replaced, on tuples of dense rows
+  (``Matrix.cells``).
 """
 
 import json
@@ -54,7 +55,7 @@ from eqspace.algebras import FreeElement, apply_U
 from eqspace.frt import counit_on_word, gen_flat, gen_split
 from eqspace.linalg import Matrix, Subspace, column_space, kronecker
 from eqspace.report import VerificationReport
-from eqspace.tensors import phi_table, push_row, tau23_table
+from eqspace.tensors import phi_table, tau23_table
 
 
 def naive_rref(rows, ncols):
@@ -206,6 +207,15 @@ def circle_ideal_component(A, B, n):
     if comp_b.dim:
         rows.extend(kronecker(Matrix.identity(dA**n), comp_b.basis).cells)
     return Subspace.from_rows((dA * dB) ** n, [pull_row(row, table) for row in rows])
+
+
+def push_row(row, table):
+    """Coordinates of P·x for the row form of x (out[table[i]] = row[i])."""
+    out = [0] * len(table)
+    for i, x in enumerate(row):
+        if x != 0:
+            out[table[i]] = x
+    return out
 
 
 def pull_row(row, table):
@@ -562,21 +572,6 @@ def dense_kronecker(a, b, a_cols, b_cols):
         for ra in a
         for rb in b
     ]
-
-
-def dense_kron_sum_apply(a, b, vec):
-    """(a⊗I + I⊗b)·vec for square a (p x p) and b (q x q), built cell by cell."""
-    p, q = len(a), len(b)
-    total = [
-        [
-            (a[i][j] if k == l else 0) + (b[k][l] if i == j else 0)
-            for j in range(p)
-            for l in range(q)
-        ]
-        for i in range(p)
-        for k in range(q)
-    ]
-    return dense_apply(total, vec)
 
 
 def dense_is_zero(a):

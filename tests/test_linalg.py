@@ -6,15 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from eqspace import FreeElement, Matrix, Subspace, VerificationReport, column_space
-from eqspace.linalg import _kron_sum_apply, _rref_rows, kernel, kronecker
+from eqspace import FreeElement, Matrix, PresentedAlgebra, Subspace, VerificationReport, column_space
+from eqspace.linalg import _rref_rows, kernel, kronecker
 from conftest import QP_MATRIX
 from oracles import (
     TensorSum,
     dense_add,
     dense_apply,
     dense_is_zero,
-    dense_kron_sum_apply,
     dense_kronecker,
     dense_mul,
     dense_neg,
@@ -397,20 +396,7 @@ class TestKronecker:
             assert k[i * 2 + p, j * 2 + q] == a[i, j] * b[p, q]
 
 
-def kron_sum(a, b):
-    """Dense a⊗I + I⊗b for square a and b."""
-    return kronecker(a, Matrix.identity(b.rows)) + kronecker(Matrix.identity(a.rows), b)
-
-
 class TestKronApply:
-    def test_matches_materialized_sum_on_seeded_shapes(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            p, q = rng.randint(1, 4), rng.randint(1, 4)
-            a, b = rand_matrix(rng, p, p), rand_matrix(rng, q, q)
-            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p * q)]
-            assert _kron_sum_apply(a, b, vec) == kron_sum(a, b).apply(vec)
-
     def test_apply_equals_product_with_a_column(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -418,15 +404,6 @@ class TestKronApply:
             vec = [rng.choice([0, 0, 1, Fraction(-2, 3)]) for _ in range(a.cols)]
             column = a * Matrix([[x] for x in vec], cols=1)
             assert a.apply(vec) == tuple(row[0] for row in column.cells)
-
-    def test_empty_factors(self):
-        a, b = Matrix.zero(0, 0), rand_matrix(random.Random(1), 3, 3)
-        assert _kron_sum_apply(a, b, []) == kron_sum(a, b).apply([]) == ()
-        assert _kron_sum_apply(b, a, []) == kron_sum(b, a).apply([]) == ()
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError):
-            _kron_sum_apply(Matrix.identity(2), Matrix.identity(2), [1, 0, 0])
 
 
 class TestExactScalars:
@@ -471,6 +448,32 @@ class TestExactScalars:
             assert m == Matrix(m.cells, cols=m.cols)
             assert all(type(x) in (int, Fraction) for row in m.cells for x in row)
             assert type(m.cells) is tuple and all(type(r) is tuple for r in m.cells)
+
+    # Each call below was once worked out in floats, or failed inside
+    # elimination, instead of refusing the input.
+    def test_first_outside_refuses_floats(self):
+        with pytest.raises(TypeError):
+            Subspace.from_rows(2, [[1, 1]]).first_outside([[0.1 + 0.2, 0.3]])
+
+    def test_reduce_vector_refuses_floats(self):
+        with pytest.raises(TypeError):
+            Subspace.from_rows(2, [[1, 1]]).reduce_vector([1.5, 1.5])
+
+    def test_reduce_vector_refuses_a_float_column(self):
+        with pytest.raises(TypeError, match="columns must be int"):
+            Subspace.from_rows(3, [[1, 0, 0]]).reduce_vector({0.5: 1})
+
+    def test_from_rows_refuses_a_float_column(self):
+        with pytest.raises(TypeError, match="columns must be int"):
+            Subspace.from_rows(3, [{0.5: 1}])
+
+    def test_apply_refuses_inexact_entries(self):
+        with pytest.raises(TypeError):
+            Matrix([[1, 2]]).apply([0.5, True])
+
+    def test_normal_form_refuses_floats(self):
+        with pytest.raises(TypeError):
+            PresentedAlgebra(2).normal_form(FreeElement(2, (0.5, 0.25, 0, 0)))
 
     def test_from_rows_accepts_int_and_fraction(self):
         assert Subspace.from_rows(2, [[2, Fraction(1, 2)]]).basis == Matrix(
@@ -636,16 +639,6 @@ class TestSparseMatrixAgainstDenseOracles:
                 continue
             got = kronecker(Matrix(a, cols=ca), Matrix(b, cols=cb))
             same_matrix(got, dense_kronecker(a, b, ca, cb), ca * cb)
-
-    def test_kron_sum_apply(self):
-        rng = random.Random(13)
-        for p, q in [(0, 3), (3, 0), (1, 1), (2, 3), (4, 4), (3, 5)]:
-            for density in (1.0, 0.07, 0.4):
-                a = seeded_cells(rng, p, p, density, "mixed")
-                b = seeded_cells(rng, q, q, density, "mixed")
-                vec = [rng.choice((0, 0, 0, 1, -1, Fraction(2, 3))) for _ in range(p * q)]
-                got = _kron_sum_apply(Matrix(a, cols=p), Matrix(b, cols=q), vec)
-                assert got == dense_kron_sum_apply(a, b, vec)
 
     def test_equal_values_hash_equal_whatever_the_path(self):
         # Row dicts filled in different orders, and Fraction(2) against 2.

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,11 +19,12 @@ from eqspace import (
 )
 from eqspace import spaces
 from eqspace.linalg import kronecker
-from eqspace.sampling import random_equipped, random_matrix
-from eqspace.spaces import _boxtimes_apply, boxtimes_degree, coev_column, ev_row
+from eqspace.sampling import random_equipped, random_matrix, random_rational
+from eqspace.spaces import _pairing_rows_sum, boxtimes_degree, coev_column, ev_row
 from oracles import (
     boxtimes_conjugation,
     coev_reference,
+    encode_digits,
     ev_reference,
     flip_table,
     oracle_rank,
@@ -111,18 +113,43 @@ class TestBoxtimes:
             assert built == boxtimes_conjugation(R, S, dv, dw, n)
             assert built[0, 0] == 0
 
-    def test_apply_equals_columns_of_the_built_product(self):
+    def test_pairing_rows_sum_equals_the_rows_of_the_conjugation(self):
+        # The rows of word pairs (J,J), i.e. pair digits (j,j), of the
+        # literal φ⁻¹(R⊗I + I⊗S)φ, summed.  Random factors leave the sum
+        # nonzero, as in every failing ev/coev witness.
         rng = random.Random(29)
-        for dv, dw in [(1, 2), (2, 3), (3, 2)]:
+
+        def draw(size, density):
+            return Matrix([
+                [random_rational(rng) if rng.random() < density else 0 for _ in range(size)]
+                for _ in range(size)
+            ])
+
+        def pairing_sum(R, S, d, n):
+            product = boxtimes_conjugation(R, S, d, d, n)
+            total = [0] * product.cols
+            for word in itertools.product(range(d), repeat=n):
+                row = product.cells[encode_digits([j * d + j for j in word], d * d)]
+                total = [x + y for x, y in zip(total, row)]
+            return {c: x for c, x in enumerate(total) if x != 0}
+
+        for d in (1, 2, 3):
             for n in (1, 2, 3):
-                R = random_matrix(rng, dv**n, dv**n)
-                S = random_matrix(rng, dw**n, dw**n)
-                built = boxtimes_degree(R, S, dv, dw, n)
-                size = (dv * dw) ** n
-                for j in rng.sample(range(size), min(size, 6)):
-                    e_j = [int(k == j) for k in range(size)]
-                    column = tuple(built[r, j] for r in range(size))
-                    assert _boxtimes_apply(R, S, dv, dw, n, e_j) == column
+                for density in (1.0, 0.3):
+                    R, S = draw(d**n, density), draw(d**n, density)
+                    want = pairing_sum(R, S, d, n)
+                    assert _pairing_rows_sum(R, S, d, n) == want
+                    if density == 1.0:
+                        assert want
+        # R[J,J] + S[J,J] = 0 cancels the diagonal of row (J,J), the only
+        # row of the sum with a nonzero in column (J,J).
+        R = draw(4, 1.0)
+        cells = [list(row) for row in draw(4, 1.0).cells]
+        cells[3][3] = -R[3, 3]
+        S = Matrix(cells)
+        got = _pairing_rows_sum(R, S, 2, 2)
+        assert got == pairing_sum(R, S, 2, 2)
+        assert encode_digits([3, 3], 4) not in got and got
 
 
 class TestDagger:

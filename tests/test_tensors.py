@@ -8,7 +8,6 @@ from eqspace.tensors import (
     decode_index,
     invert_table,
     phi_table,
-    push_row,
     tau23_table,
 )
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     permutation_matrix,
     phi_iso,
     pull_row,
+    push_row,
     tau23,
 )
 
