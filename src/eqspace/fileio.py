@@ -9,11 +9,26 @@ whitespace.  ``parse_rational`` yields only ints and Fractions, and
 as ``str(x)`` without checking it again, joining the bytes dumps_canonical
 would give without the JSON encoder.  Every zero spells "0", so the writer
 converts only the nonzero entries; the reader parses each distinct string
-once per file and keeps only the nonzeros.  Report serialization is
-canonical: checks sorted by name, keys sorted, fixed indentation; identical
-inputs give identical bytes.  A report spells a value by what it is, not by
-its Python type: an integer (int or integral Fraction) is a JSON number and
-any other rational the string "p/q".
+once per file and keeps only the nonzeros.
+
+Reading streams a file row by row.  _Reader reads _CHUNK characters at a
+time and walks the top-level object and its structure, matrix and basis
+lists itself; json's C scanner decodes every other value whole, each row
+among them, and each row becomes its nonzeros at once.  So reading holds
+one row and the nonzeros, not the text and every row as strings, about
+twice the file.  A file is accepted or rejected as decoding it whole with
+json.loads and then checking it would be, duplicate keys included: the
+last one wins, so a problem met in a streamed value is raised only after
+the whole file has been read.  A rejection still exits 2.  Only the
+problem named may differ when a file has several, as the checks run in
+another order: a bad row is found while reading, before the shape of its
+matrix is checked.
+
+Report serialization is canonical: checks sorted by name, keys sorted,
+fixed indentation; identical inputs give identical bytes.  A report spells
+a value by what it is, not by its Python type: an integer (int or
+integral Fraction) is a JSON number and any other rational the string
+"p/q".
 """
 
 from __future__ import annotations
@@ -30,6 +45,10 @@ from .report import VerificationReport
 from .spaces import EquippedSpace
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_CHUNK = 1 << 16  # characters read from a file at a time
+_scan = json.JSONDecoder().raw_decode
+_blank = json.decoder.WHITESPACE.match
+_ROWS = "rows"  # the spec of a streamed list of rows (see _Reader._read)
 
 
 class SpaceFormatError(Exception):
@@ -50,26 +69,6 @@ def parse_rational(text: str) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _rational_rows(rows: list, width: int, what: str) -> list[dict[int, Scalar]]:
-    """Parse a JSON list of rows of rational strings, each of width entries, to sparse rows."""
-    memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
-    nonzero: dict[str, bool] = {}  # a bool's truth test, unlike a Fraction's, runs in C
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != width:
-            raise SpaceFormatError(f"{what} must have {width} entries")
-        try:
-            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
-        except (KeyError, TypeError):
-            for text in row:
-                if not isinstance(text, str) or text not in memo:
-                    memo[text] = parse_rational(text)
-                    nonzero[text] = memo[text] != 0
-            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
-        out.append({j: memo[row[j]] for j in cols})
-    return out
-
-
 def _int_field(data: dict, key: str, least: int, default: object = None) -> int:
     """data[key] as a JSON integer >= least (a JSON boolean is not one)."""
     value = data.get(key, default)
@@ -77,22 +76,6 @@ def _int_field(data: dict, key: str, least: int, default: object = None) -> int:
         kind = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise SpaceFormatError(f"'{key}' must be {kind}")
     return value
-
-
-def _load_object(path: str | PathLike, what: str) -> dict:
-    """Read path and decode it as JSON that must hold an object."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpaceFormatError(f"{what} file must hold a JSON object")
-    return data
 
 
 def _is_power(length: int, dim: int, degree: int) -> bool:
@@ -106,7 +89,155 @@ def _is_power(length: int, dim: int, degree: int) -> bool:
     return dim**degree == length
 
 
-def space_from_dict(data: dict) -> EquippedSpace:
+class _Reader:
+    """A JSON file read _CHUNK characters at a time and walked left to right.
+
+    The reader walks the top-level object, and the list of rows or of
+    structure entries in it, itself; json's C scanner decodes every other
+    value whole, each row among them.  Only the unread text is kept.
+    Rows become sparse rows as they are read, through one parse memo for
+    the whole file.
+    """
+
+    def __init__(self, f):
+        self.f, self.text, self.pos, self.done, self.eof = f, "", 0, 0, False
+        self.memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
+        self.nonzero: dict[str, bool] = {}  # a bool's truth test, unlike a Fraction's, runs in C
+
+    def _fail(self, msg: object) -> None:
+        at = self.done + self.pos
+        raise SpaceFormatError(f"{self.f.name}: invalid JSON at character {at}: {msg}")
+
+    def _peek(self, need: int = 1) -> str:
+        """Skip whitespace and return the next character, "" at the end of the file.
+
+        Reads on first, a chunk at a time, until need characters are unread.
+        """
+        while True:
+            self.pos = _blank(self.text, self.pos).end()
+            if len(self.text) - self.pos >= need or self.eof:
+                return self.text[self.pos : self.pos + 1]
+            chunk = self.f.read(_CHUNK)
+            self.done += self.pos
+            self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
+
+    def _take(self, chars: str) -> str:
+        """Step over the next character, which must be one of chars."""
+        c = self._peek()
+        if not c or c not in chars:
+            self._fail(f"expecting one of {chars}")
+        self.pos += 1
+        return c
+
+    def _value(self) -> object:
+        """Decode the next value whole, reading on while the text read may cut it short."""
+        self._peek()
+        while True:
+            try:
+                value, end = _scan(self.text, self.pos)
+                # A number may go on in text not yet read, and in valid JSON
+                # no other value is followed by a character a number has.
+                if self.eof or self.text[end : end + 1] not in "+-.0123456789Ee":
+                    self.pos = end
+                    return value
+            except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+                if self.eof:
+                    self._fail(getattr(exc, "msg", exc))
+            self._peek(2 * (len(self.text) - self.pos))
+
+    def _walk(self, close: str):
+        """Yield each key of the object, or None per element of the list, whose bracket is next.
+
+        The caller reads each value; the walk reads the keys and punctuation.
+        """
+        self._take("{[")
+        if self._peek() == close:
+            self.pos += 1
+            return
+        while True:
+            key = None
+            if close == "}":
+                key = self._value() if self._peek() == '"' else self._fail("expecting a key")
+                self._take(":")
+            yield key
+            if self._take("," + close) == close:
+                return
+
+    def _read(self, spec: object) -> object:
+        """The next value, streamed as spec says and otherwise decoded whole.
+
+        A dict spec streams an object and gives the spec of the value at each
+        key; a list spec streams a list and gives the spec of its elements;
+        _ROWS streams a list of rows.  A value of another shape than its spec
+        asks for is decoded whole, for the caller to reject.
+        """
+        c = self._peek()
+        if c == "{" and isinstance(spec, dict):
+            return {k: self._read(spec.get(k)) for k in self._walk("}")}
+        if c == "[" and isinstance(spec, list):
+            return [self._read(spec[0]) for _ in self._walk("]")]
+        return self._rows() if c == "[" and spec == _ROWS else self._value()
+
+    def _rows(self) -> Matrix | SpaceFormatError:
+        """The list of rows of rational strings that comes next, as a Matrix.
+
+        Every row must have the width of the first, which is the Matrix's
+        column count.  The first error met comes back in place of the
+        Matrix, and the rest of the list is still read.
+        """
+        rows: list | SpaceFormatError = []
+        width = None
+        for _ in self._walk("]"):
+            row = self._value()
+            if width is None:
+                width = len(row) if isinstance(row, list) else 0
+            if isinstance(rows, list):
+                try:
+                    rows.append(self._row(row, width))
+                except SpaceFormatError as exc:
+                    rows = exc
+        return Matrix._trusted(rows, width or 0) if isinstance(rows, list) else rows
+
+    def _row(self, row: object, width: int) -> dict[int, Scalar]:
+        """row, a list of width rational strings, as its nonzeros {column: value}."""
+        if not isinstance(row, list) or len(row) != width:
+            raise SpaceFormatError(f"rows must be lists of {width} entries, as long as the first")
+        memo, nonzero = self.memo, self.nonzero
+        try:
+            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
+        except (KeyError, TypeError):
+            for text in row:
+                if not isinstance(text, str) or text not in memo:
+                    memo[text] = parse_rational(text)
+                    nonzero[text] = memo[text] != 0
+            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
+        return {j: memo[row[j]] for j in cols}
+
+
+def _load(path: str | PathLike, spec: dict) -> dict:
+    """The object a JSON file holds, streamed as spec says (see _Reader._read)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            reader = _Reader(f)
+            data = reader._read(spec)
+            if reader._peek():
+                reader._fail("extra data")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpaceFormatError(f"{path} must hold a JSON object")
+    return data
+
+
+def _streamed(value: object, message: str) -> Matrix:
+    """The Matrix of a streamed list of rows; raise the error met in it, or message."""
+    if not isinstance(value, Matrix):
+        raise value if isinstance(value, SpaceFormatError) else SpaceFormatError(message)
+    return value
+
+
+def read_space(path: str | PathLike) -> EquippedSpace:
+    data = _load(path, {"structure": [{"matrix": _ROWS}]})
     dim = _int_field(data, "dim", 1)
     entries = data.get("structure", [])
     if not isinstance(entries, list):
@@ -118,16 +249,11 @@ def space_from_dict(data: dict) -> EquippedSpace:
         degree = _int_field(entry, "degree", 1)
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
-        rows = entry.get("matrix")
-        if not isinstance(rows, list) or not _is_power(len(rows), dim, degree):
-            raise SpaceFormatError(f"matrix must be a list of {dim}^{degree} rows")
-        size = len(rows)
-        structure[degree] = Matrix._trusted(_rational_rows(rows, size, "matrix rows"), size)
+        message = f"matrix must be a list of {dim}^{degree} rows"
+        mat = structure[degree] = _streamed(entry.get("matrix"), message)
+        if mat.rows != mat.cols or not _is_power(mat.rows, dim, degree):
+            raise SpaceFormatError(message)
     return EquippedSpace(dim, structure)
-
-
-def read_space(path: str | PathLike) -> EquippedSpace:
-    return space_from_dict(_load_object(path, "space"))
 
 
 def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None) -> None:
@@ -151,18 +277,13 @@ def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None)
 
 def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
-    data = _load_object(path, "relation")
+    data = _load(path, {"basis": _ROWS})
     dim = _int_field(data, "dim", 1)
     degree = _int_field(data, "degree", 2, default=2)
-    basis = data.get("basis")
-    if not isinstance(basis, list):
-        raise SpaceFormatError("'basis' must be a list of vectors")
-    if basis and not (isinstance(basis[0], list) and _is_power(len(basis[0]), dim, degree)):
+    basis = _streamed(data.get("basis"), "'basis' must be a list of vectors")
+    if basis.rows and not _is_power(basis.cols, dim, degree):
         raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
-    ambient = dim**degree
-    return dim, degree, Subspace.from_rows(
-        ambient, _rational_rows(basis, ambient, "basis vectors")
-    )
+    return dim, degree, Subspace.from_rows(dim**degree, basis.nonzeros)
 
 
 def _jsonable(value: object) -> object:

@@ -18,11 +18,11 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .linalg import Matrix, Scalar, kronecker
 from .report import VerificationReport
-from .tensors import invert_table, phi_table
+from .tensors import phi_inverse
 
 
 class EquippedSpace:
@@ -87,7 +87,7 @@ def unit_K() -> EquippedSpace:
 
 
 def _boxtimes_row(
-    rrow: dict[int, Scalar], srow: dict[int, Scalar], i: int, k: int, inv: list[int], wn: int
+    rrow: dict[int, Scalar], srow: dict[int, Scalar], i: int, k: int, inv: Sequence[int], wn: int
 ) -> tuple[int, dict[int, Scalar]]:
     """Index s and nonzeros of row s = φ⁻¹(i,k) of φ⁻¹(Rn⊗I + I⊗Sn)φ.
 
@@ -116,7 +116,7 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
     assert the agreement.
     """
     size = (dV * dW) ** n
-    inv = invert_table(phi_table(dV, dW, n))
+    inv = phi_inverse(dV, dW, n)
     wn = dW**n
     out: list = [None] * size
     for i, rrow in enumerate(Rn.nonzeros):
@@ -132,7 +132,7 @@ def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scala
     That is the pairing row, 1 at each (J,J) through φ, times Rn⊠Sn; only
     d^n of its (d²)^n rows are built.
     """
-    inv = invert_table(phi_table(d, d, n))
+    inv = phi_inverse(d, d, n)
     wn = d**n
     acc: dict[int, Scalar] = {}
     for J, (rrow, srow) in enumerate(zip(Rn.nonzeros, Sn.nonzeros)):

@@ -15,6 +15,7 @@ inverse to coordinate rows, live with the test oracles.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 
 
 def decode_index(code: int, radix: int, length: int) -> tuple[int, ...]:
@@ -37,22 +38,24 @@ def phi_table(dV: int, dW: int, n: int) -> list[int]:
     """Index table of the shuffle (V⊗W)^{⊗n} -> V^{⊗n} ⊗ W^{⊗n}.
 
     A pair-digit word ((a_1,b_1),...,(a_n,b_n)) goes to the concatenation
-    (a_1,...,a_n,b_1,...,b_n).
+    (a_1,...,a_n,b_1,...,b_n).  The table is built digit by digit:
+    appending the pair digit (a, b) to a word appends a to the code of its
+    V-part and b to the code of its W-part.
     """
     if dV < 1 or dW < 1 or n < 0:
         raise ValueError("dimensions must be positive and n nonnegative")
-    size = (dV * dW) ** n
+    a_codes, b_codes = [0], [0]
+    for _ in range(n):
+        a_codes = [x * dV + a for x in a_codes for a in range(dV) for _ in range(dW)]
+        b_codes = [y * dW + b for y in b_codes for _ in range(dV) for b in range(dW)]
     wn = dW**n
-    table = [0] * size
-    for src in range(size):
-        a_code = 0
-        b_code = 0
-        for g in decode_index(src, dV * dW, n):
-            a, b = divmod(g, dW)
-            a_code = a_code * dV + a
-            b_code = b_code * dW + b
-        table[src] = a_code * wn + b_code
-    return table
+    return [x * wn + y for x, y in zip(a_codes, b_codes)]
+
+
+@cache
+def phi_inverse(dV: int, dW: int, n: int) -> tuple[int, ...]:
+    """Inverse of phi_table(dV, dW, n), built once per process."""
+    return tuple(invert_table(phi_table(dV, dW, n)))
 
 
 def tau23_table(dA: int, dB: int) -> list[int]:

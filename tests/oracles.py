@@ -28,6 +28,11 @@ These groups are former library code kept as references:
   from them with literal matrix conjugation;
 - space_to_dict and dumps_reference spell a space file through the JSON
   encoder, the path the joined-string writer replaced;
+- read_space_reference and read_relations_reference decode a whole file
+  with json.loads and validate the decoded object (space_from_dict for a
+  space file), the path the streaming readers replaced;
+- phi_table_reference decodes every source index digit by digit, the loop
+  that the digit recurrence of tensors.phi_table replaced;
 - ev_reference and coev_reference run check_morphism on the materialized
   products dagger(V) ⊠ V and V ⊠ dagger(V), the path the pairing-row sums
   of the ev/coev checks replaced.  They call spaces.dagger through the
@@ -52,10 +57,12 @@ from itertools import product
 
 from eqspace import frt, spaces
 from eqspace.algebras import FreeElement, apply_U
+from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
 from eqspace.linalg import Matrix, Subspace, column_space, kronecker
 from eqspace.report import VerificationReport
-from eqspace.tensors import phi_table, tau23_table
+from eqspace.spaces import EquippedSpace
+from eqspace.tensors import decode_index, phi_table, tau23_table
 
 
 def naive_rref(rows, ncols):
@@ -281,6 +288,89 @@ def space_to_dict(V, note=None):
 def dumps_reference(data):
     """Canonical JSON text: sorted keys, indent 2, trailing newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _load_reference(path):
+    """The JSON value of the file at path, decoded whole."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SpaceFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpaceFormatError("file must hold a JSON object")
+    return data
+
+
+def _reference_rows(rows, width, what):
+    """Sparse rows of a decoded list of rows of width rational strings each."""
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise SpaceFormatError(f"{what} must have {width} entries")
+        values = [parse_rational(text) for text in row]
+        out.append({j: x for j, x in enumerate(values) if x})
+    return out
+
+
+def space_from_dict(data):
+    """The space a decoded space file describes, checked as the file format asks."""
+    dim = _int_field(data, "dim", 1)
+    entries = data.get("structure", [])
+    if not isinstance(entries, list):
+        raise SpaceFormatError("'structure' must be a list")
+    structure = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SpaceFormatError("structure entries must be objects")
+        degree = _int_field(entry, "degree", 1)
+        if degree in structure:
+            raise SpaceFormatError(f"duplicate degree {degree}")
+        rows = entry.get("matrix")
+        if not isinstance(rows, list) or not _is_power(len(rows), dim, degree):
+            raise SpaceFormatError(f"matrix must be a list of {dim}^{degree} rows")
+        size = len(rows)
+        structure[degree] = Matrix._trusted(_reference_rows(rows, size, "matrix rows"), size)
+    return EquippedSpace(dim, structure)
+
+
+def read_space_reference(path):
+    return space_from_dict(_load_reference(path))
+
+
+def read_relations_reference(path):
+    """dim, degree and spanned subspace of a relation-basis file, decoded whole."""
+    data = _load_reference(path)
+    dim = _int_field(data, "dim", 1)
+    degree = _int_field(data, "degree", 2, default=2)
+    basis = data.get("basis")
+    if not isinstance(basis, list):
+        raise SpaceFormatError("'basis' must be a list of vectors")
+    if basis and not (isinstance(basis[0], list) and _is_power(len(basis[0]), dim, degree)):
+        raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
+    ambient = dim**degree
+    rows = _reference_rows(basis, ambient, "basis vectors")
+    return dim, degree, Subspace.from_rows(ambient, rows)
+
+
+def phi_table_reference(dV, dW, n):
+    """Index table of φ, each source index decoded into its n pair digits."""
+    size = (dV * dW) ** n
+    wn = dW**n
+    table = [0] * size
+    for src in range(size):
+        a_code = 0
+        b_code = 0
+        for g in decode_index(src, dV * dW, n):
+            a, b = divmod(g, dW)
+            a_code = a_code * dV + a
+            b_code = b_code * dW + b
+        table[src] = a_code * wn + b_code
+    return table
 
 
 def ev_reference(V):

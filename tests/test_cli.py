@@ -16,7 +16,6 @@ from eqspace.fileio import (
     parse_rational,
     read_space,
     report_to_dict,
-    space_from_dict,
     write_space,
 )
 from eqspace.sampling import random_equipped
@@ -27,6 +26,13 @@ from test_golden import CASES, EXPECTED, INPUTS
 import random
 import sys
 from fractions import Fraction
+
+
+def read_dict(tmp_path, data):
+    """Read data, written out as a JSON space file, with read_space."""
+    path = tmp_path / "from_dict.json"
+    path.write_text(json.dumps(data))
+    return read_space(path)
 
 
 def write_qp(path):
@@ -77,21 +83,21 @@ class TestSpaceFiles:
             write_space(path, V)
             assert read_space(path) == V
 
-    def test_duplicate_degrees_rejected(self):
+    def test_duplicate_degrees_rejected(self, tmp_path):
         entry = {"degree": 2, "matrix": [["0"] * 4 for _ in range(4)]}
         with pytest.raises(SpaceFormatError):
-            space_from_dict({"dim": 2, "structure": [entry, dict(entry)]})
+            read_dict(tmp_path, {"dim": 2, "structure": [entry, dict(entry)]})
 
-    def test_boolean_dim_and_degree_rejected(self):
+    def test_boolean_dim_and_degree_rejected(self, tmp_path):
         matrix = [["0"] * 4 for _ in range(4)]
         with pytest.raises(SpaceFormatError):
-            space_from_dict({"dim": True, "structure": []})
+            read_dict(tmp_path, {"dim": True, "structure": []})
         with pytest.raises(SpaceFormatError):
-            space_from_dict(
-                {"dim": 2, "structure": [{"degree": True, "matrix": [["0", "0"]] * 2}]}
+            read_dict(
+                tmp_path, {"dim": 2, "structure": [{"degree": True, "matrix": [["0", "0"]] * 2}]}
             )
         with pytest.raises(SpaceFormatError):
-            space_from_dict({"dim": 2, "structure": [{"degree": 2.0, "matrix": matrix}]})
+            read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2.0, "matrix": matrix}]})
 
     def test_boolean_dim_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bool_dim.json"
@@ -100,7 +106,7 @@ class TestSpaceFiles:
         assert not (tmp_path / "out.json").exists()
         capsys.readouterr()
 
-    def test_repeated_bad_entry_rejected_after_good_ones(self):
+    def test_repeated_bad_entry_rejected_after_good_ones(self, tmp_path):
         good = ["1", "-2/3", "0", "1"]
         for rows in (
             [good, ["1", "-2/3", "1.5", "1.5"]] + [good] * 2,
@@ -108,18 +114,18 @@ class TestSpaceFiles:
             [good, good, good, ["1", "0", "0", 1]],
         ):
             with pytest.raises(SpaceFormatError):
-                space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+                read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
 
-    def test_number_after_same_string_rejected(self):
+    def test_number_after_same_string_rejected(self, tmp_path):
         rows = [["1", "0", "0", "0"], [1, "0", "0", "0"], ["0"] * 4, ["0"] * 4]
         with pytest.raises(SpaceFormatError):
-            space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+            read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
 
     def test_non_string_entries_exit_two(self, tmp_path, capsys):
         for bad in ([], {}, None, True, ["1"], {"1": "1"}):
             rows = [["0"] * 4, ["1", "0", bad, "0"], ["0"] * 4, ["0"] * 4]
             with pytest.raises(SpaceFormatError):
-                space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+                read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
             path = tmp_path / "bad_entry.json"
             path.write_text(json.dumps({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]}))
             out = tmp_path / "out.json"
@@ -127,18 +133,16 @@ class TestSpaceFiles:
             assert not out.exists()
         capsys.readouterr()
 
-    def test_equal_rationals_read_as_one_value(self):
+    def test_equal_rationals_read_as_one_value(self, tmp_path):
         rows = [["2/4", "1/2", "4/2", "2"]] + [["0"] * 4] * 3
-        V = space_from_dict({"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
+        V = read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2, "matrix": rows}]})
         got = V.structure_at(2).cells[0]
         assert got == (Fraction(1, 2), Fraction(1, 2), 2, 2)
         assert [type(x) for x in got] == [Fraction, Fraction, int, int]
 
-    def test_bad_matrix_shape_rejected(self):
+    def test_bad_matrix_shape_rejected(self, tmp_path):
         with pytest.raises(SpaceFormatError):
-            space_from_dict(
-                {"dim": 2, "structure": [{"degree": 2, "matrix": [["1", "0"]]}]}
-            )
+            read_dict(tmp_path, {"dim": 2, "structure": [{"degree": 2, "matrix": [["1", "0"]]}]})
 
     def test_writer_matches_json_encoder(self, tmp_path):
         rng = random.Random(11)

@@ -1,0 +1,281 @@
+"""The streaming space and relation readers against the whole-file reference.
+
+read_space and read_relations walk a file _CHUNK characters at a time;
+read_space_reference and read_relations_reference in oracles.py decode it
+whole with json.loads and validate the decoded object.  On every input here
+the two must accept the same files and build the same values, with the same
+entry types; they may word a rejection differently.
+"""
+
+import json
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from eqspace import EquippedSpace, Matrix, fileio
+from eqspace.cli import main
+from eqspace.fileio import SpaceFormatError, read_relations, read_space, write_space
+from eqspace.sampling import random_equipped
+from eqspace.spaces import boxtimes
+from oracles import read_relations_reference, read_space_reference
+from test_golden import EXPECTED, INPUTS
+
+GOLDEN_FILES = sorted(INPUTS.glob("*.json")) + sorted(EXPECTED.glob("*.json"))
+
+
+def _typed(mat):
+    return [sorted((j, type(x).__name__, x) for j, x in row.items()) for row in mat.nonzeros]
+
+
+def outcome(reader, path):
+    """What reader makes of path, with entry types spelled out, or how it fails.
+
+    A ValueError is a well-formed file whose structure breaks an invariant
+    of EquippedSpace, as a nonzero degree-1 matrix does.
+    """
+    try:
+        got = reader(path)
+    except SpaceFormatError:
+        return "rejected"
+    except ValueError:
+        return "invariant"
+    if isinstance(got, EquippedSpace):
+        return got.dim, [(n, mat.rows, _typed(mat)) for n, mat in got.structure_items()]
+    dim, degree, rel = got
+    return dim, degree, rel.ambient_dim, _typed(rel.basis)
+
+
+def assert_agree(path):
+    """Both readers agree on path as a space file and as a relation file; the space outcome."""
+    space = outcome(read_space, path)
+    assert space == outcome(read_space_reference, path)
+    assert outcome(read_relations, path) == outcome(read_relations_reference, path)
+    return space
+
+
+def write_text(tmp_path, text, name="case.json"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def space_dict(**extra):
+    return {"dim": 2, "structure": [{"degree": 2, "matrix": MATRIX}], **extra}
+
+
+MATRIX = [["0", "1/2", "-1", "0"], ["0"] * 4, ["3", "0", "0", "-7/3"], ["0"] * 4]
+ROWS = json.dumps(MATRIX)
+BAD_ROWS = json.dumps([["x", "0", "0", "0"]] + MATRIX[1:])
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_golden_files(path):
+    assert_agree(path)
+
+
+def test_golden_inputs_read_as_before():
+    for name in ("a.json", "b.json", "graded.json", "cubic.json", "u.json"):
+        assert assert_agree(INPUTS / name) != "rejected"
+    assert outcome(read_relations, INPUTS / "rel.json") != "rejected"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_chunk_edges(tmp_path, monkeypatch, chunk):
+    # Rows, strings, keys and numbers straddle chunk edges; multi-digit and
+    # signed numbers sit in dim, degree and an unknown key.
+    monkeypatch.setattr(fileio, "_CHUNK", chunk)
+    names = ("a.json", "graded.json", "cubic.json", "rel.json", "u.json")
+    texts = [
+        json.dumps({"dim": 12, "degree": 2, "basis": [], "x": [-1.5e3, 10, 2.25e-2]}),
+        json.dumps({"dim": 1, "degree": 10, "basis": [["1"], ["-22/7"]]}),
+        json.dumps(space_dict(note=-123456789, generators="t \u2297 \u00e9"), ensure_ascii=False),
+        json.dumps(space_dict()) + " \n\t",
+        json.dumps(space_dict()) + "7",
+        '{"dim": 2, "x": 1.5e',
+        '{"dim": 2, "x": 1.',
+        '{"dim": 2, "x": -',
+    ]
+    cases = [INPUTS / name for name in names]
+    cases += [write_text(tmp_path, text, f"t{k}.json") for k, text in enumerate(texts)]
+    results = [assert_agree(path) for path in cases]
+    assert results[0] != "rejected" and results[-1] == "rejected"
+
+
+def test_key_orders(tmp_path):
+    texts = [
+        '{"structure": [{"matrix": %s, "degree": 2}], "dim": 2}' % ROWS,
+        '{"structure": [{"matrix": [["1","0","0","0"],["0"],["0"],["0"]], "degree": 2}], "dim": 2}',
+        '{"structure": [], "dim": 3}',
+        '{"structure": [{"matrix": [["0","0"],["-0","0/3"]], "degree": 1}], "dim": 2}',
+        '{"structure": [{"matrix": [["0","1"],["-1","0"]], "degree": 1}], "dim": 2}',
+        '{"basis": [["0","1","-1","0"]], "degree": 2, "dim": 2}',
+        '{"degree": 3, "basis": [["0","1","-1","0","0","0","0","0"]], "dim": 2}',
+    ]
+    results = [assert_agree(write_text(tmp_path, text)) for text in texts]
+    in_order = write_text(tmp_path, json.dumps(space_dict()), "in_order.json")
+    assert results[0] == outcome(read_space, in_order) != "rejected"
+    assert results[4] == "invariant"
+
+
+def test_duplicate_keys_last_wins(tmp_path):
+    good = json.dumps(space_dict()["structure"])
+    bad = '[{"degree": 2, "matrix": %s}]' % BAD_ROWS
+    texts = [
+        '{"dim": 5, "structure": %s, "dim": 2}' % good,
+        '{"dim": 2, "structure": %s, "dim": 5}' % good,
+        '{"dim": 2, "structure": %s, "structure": %s}' % (bad, good),
+        '{"dim": 2, "structure": %s, "structure": %s}' % (good, bad),
+        '{"dim": 2, "structure": 7, "structure": %s}' % good,
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": [["1"]], "matrix": %s}]}' % ROWS,
+        '{"dim": 2, "structure": [{"degree": 9, "matrix": %s, "degree": 2}]}' % ROWS,
+        '{"dim": 2, "basis": [["x"]], "basis": [["0","1","-1","0"]]}',
+        '{"dim": 2, "basis": [["0","1","-1","0"]], "basis": {}}',
+    ]
+    results = [assert_agree(write_text(tmp_path, text)) for text in texts]
+    assert results[0] != "rejected" and results[2] != "rejected" and results[3] == "rejected"
+
+
+def test_unknown_keys_and_odd_values(tmp_path):
+    texts = [
+        json.dumps(space_dict(generators="t[i][j] = w^j (x) v_i", extra={"a": [1, None, True]})),
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": %s, "note": [[]]}]}' % ROWS,
+        json.dumps(space_dict(x=float("nan"))),
+        '{"dim": 2, "structure": [7]}',
+        '{"dim": 2, "structure": {"degree": 2}}',
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": "no"}]}',
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": []}]}',
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": [[], [], [], []]}]}',
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": [7, ["0"], ["0"], ["0"]]}]}',
+        '{"dim": 2, "structure": [{"degree": 2}]}',
+        '{"dim": 2, "basis": []}',
+        '{"dim": 2, "degree": 2}',
+        '{"dim": 2, "basis": [[]]}',
+        '{"dim": 2, "basis": [["0","1","-1","0"], ["0","1"]]}',
+        '{"dim": 2, "basis": [["0","1","-1","0"], 5]}',
+        '{"dim": 2, "degree": 1, "basis": []}',
+        '{"dim": NaN, "basis": []}',
+        "{}",
+        "[]",
+        '"text"',
+        "",
+        "   ",
+    ]
+    results = [assert_agree(write_text(tmp_path, text)) for text in texts]
+    assert results[0] != "rejected" and results[1] != "rejected"
+
+
+def test_layouts(tmp_path):
+    rng = random.Random(3)
+    shapes = ((1, (2,)), (2, (2, 3)), (3, (2,)))
+    spaces = [random_equipped(rng, d, support) for d, support in shapes]
+    cells = [[Fraction(-7, 3), 0, 0, 5], [0] * 4, [0] * 4, [1, 0, 0, 0]]
+    spaces.append(EquippedSpace(2, {2: Matrix(cells)}))
+    for k, V in enumerate(spaces):
+        path = tmp_path / f"s{k}.json"
+        write_space(path, V, note="g")
+        data = json.loads(path.read_text())
+        expected = outcome(read_space, path)
+        assert expected != "rejected"
+        for text in (
+            json.dumps(data, separators=(",", ":")),
+            json.dumps(data, indent=0),
+            path.read_text().replace("\n", "\r\n"),
+            json.dumps(data, indent="\t").replace("\n", "\r"),
+        ):
+            assert assert_agree(write_text(tmp_path, text)) == expected
+
+
+def test_every_truncation_of_a_json_rejected(tmp_path):
+    data = (INPUTS / "a.json").read_bytes()
+    close = data.rindex(b"}")
+    for end in range(len(data)):
+        path = write_text(tmp_path, data[:end])
+        got = assert_agree(path)
+        assert (got == "rejected") == (end <= close), end
+
+
+def test_trailing_data_and_bom(tmp_path):
+    data = (INPUTS / "a.json").read_bytes()
+    for text in (
+        data + b"x",
+        data + b"{}",
+        data + b"\n\n0",
+        data + b"\x00",
+        b"\xef\xbb\xbf" + data,
+        b"\xef\xbb\xbf" + (INPUTS / "rel.json").read_bytes(),
+        data.replace(b"\n", b"\n\x0c", 1),
+    ):
+        assert assert_agree(write_text(tmp_path, text)) == "rejected"
+
+
+def test_non_utf8_after_first_chunk(tmp_path, capsys):
+    data = (EXPECTED / "product-graded.out.json").read_bytes()
+    assert len(data) > fileio._CHUNK
+    cut = data.index(b'"0"', fileio._CHUNK)
+    path = write_text(tmp_path, data[:cut] + b'"\xff"' + data[cut + 3 :])
+    assert assert_agree(path) == "rejected"
+    assert main(["dual", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deep_nesting(tmp_path):
+    rows = space_dict()["structure"][0]["matrix"]
+    cell = json.dumps(rows)[1:-1]
+    for depth in (50, 100000):
+        nested = "[" * depth + "]" * depth
+        texts = [
+            '{"dim": 2, "structure": [{"degree": 2, "matrix": [["0", %s, "0", "0"], %s]}]}'
+            % (nested, ", ".join(json.dumps(r) for r in rows[1:])),
+            '{"dim": 2, "x": %s, "structure": [{"degree": 2, "matrix": [%s]}]}' % (nested, cell),
+            '{"dim": 2, "degree": 2, "basis": [["0", "1", "-1", "0"]], "x": %s}' % nested,
+            nested,
+        ]
+        results = [assert_agree(write_text(tmp_path, text)) for text in texts]
+        assert results[0] == "rejected"
+        assert (results[1] == "rejected") == (depth > 50)
+
+
+def test_rejections_exit_two(tmp_path, capsys):
+    # A literal past the interpreter's int-string limit is a parse error too.
+    data = (INPUTS / "a.json").read_bytes()
+    for k, text in enumerate([
+        data[: len(data) // 2],
+        data + b"x",
+        b"\xef\xbb\xbf" + data,
+        b'{"dim": ' + b"1" * 5000 + b', "structure": []}',
+    ]):
+        path = write_text(tmp_path, text, f"bad{k}.json")
+        out = tmp_path / "out.json"
+        assert main(["dual", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reading_holds_rows_not_the_file(tmp_path):
+    # The dim-9 product of two dense dim-3 spaces, as construct-rigidity
+    # builds it: about 7.8 MB.  Decoding the whole file held about twice that.
+    rng = random.Random(1)
+
+    def entry():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2, 3)))
+
+    def dense(size):
+        return Matrix([[entry() for _ in range(size)] for _ in range(size)])
+
+    a, b = (EquippedSpace(3, {2: dense(9), 3: dense(27)}) for _ in range(2))
+    path = tmp_path / "prod.json"
+    write_space(path, boxtimes(a, b))
+    size = path.stat().st_size
+    assert size > 7_000_000
+    tracemalloc.start()
+    try:
+        got = read_space(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dim == 9 and got.support == (2, 3)
+    assert peak < size / 2, (peak, size)

@@ -7,6 +7,7 @@ from eqspace.linalg import kronecker
 from eqspace.tensors import (
     decode_index,
     invert_table,
+    phi_inverse,
     phi_table,
     tau23_table,
 )
@@ -16,6 +17,7 @@ from oracles import (
     flip,
     permutation_matrix,
     phi_iso,
+    phi_table_reference,
     pull_row,
     push_row,
     tau23,
@@ -53,6 +55,20 @@ class TestPhi:
         assert src == dst == 6
         m = phi_iso(2, 2, 2)
         assert m[dst, src] == 1
+
+    def test_recurrence_matches_digit_decoding(self):
+        for dV in (1, 2, 3):
+            for dW in (1, 2, 3):
+                for n in range(4):
+                    table = phi_table(dV, dW, n)
+                    assert table == phi_table_reference(dV, dW, n), (dV, dW, n)
+                    inv = phi_inverse(dV, dW, n)
+                    assert type(inv) is tuple and list(inv) == invert_table(table)
+
+    def test_inverse_built_once(self):
+        phi_inverse.cache_clear()
+        assert phi_inverse(2, 3, 2) is phi_inverse(2, 3, 2)
+        assert phi_inverse.cache_info().misses == 1
 
     def test_orthogonality(self):
         m = phi_iso(2, 2, 2)
