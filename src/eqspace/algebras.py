@@ -17,8 +17,8 @@ rules of degree n (the diamond-lemma recursion; Bergman 1978,
 Polishchuk-Positselski, Quadratic Algebras, ch. 1).  Leading words of a
 sum split as lead(J + H) = lead(J) ⊔ lead(H mod J), so B_n and the normal
 forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
-I_n is never assembled: containment in it, or in a tensor sum of two such
-ideals, is a test that the normal form vanishes.
+I_n is never assembled: containment in it, or (in frt) in a tensor sum of
+two such ideals, is a test that the normal form vanishes.
 
 Degrees and word normal forms are memoized per instance; instances are
 intended to be confined to one thread (the caches are not locked).
@@ -27,12 +27,11 @@ intended to be confined to one thread (the caches are not locked).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from math import lcm
 
-from .linalg import Matrix, Scalar, Subspace, _as_row, column_space
+from .linalg import Subspace, column_space
+from .matrix import Matrix, Scalar, _as_row, _tensor_power
 from .report import Record, VerificationReport
-from .spaces import EquippedSpace, _tensor_power, boxtimes
-from .tensors import phi_table
+from .spaces import EquippedSpace
 
 
 class FreeElement(Record):
@@ -195,99 +194,6 @@ def apply_U(V: EquippedSpace) -> PresentedAlgebra:
     return PresentedAlgebra(V.dim, relations)
 
 
-def _int_rule(
-    alg: PresentedAlgebra, n: int, w: int, cache: dict[int, tuple[int, dict[int, int]]]
-) -> tuple[int, dict[int, int]]:
-    """(m, m·NF(w)) for the degree-n word w, m the lcm of NF(w)'s denominators."""
-    rule = cache.get(w)
-    if rule is None:
-        nf = alg._word_nf(n, w)
-        m = lcm(*(e.denominator for e in nf.values()))
-        rule = cache[w] = (m, {t: e.numerator * (m // e.denominator) for t, e in nf.items()})
-    return rule
-
-
-def _first_outside_tensor(
-    A: PresentedAlgebra, B: PresentedAlgebra, n: int, vectors: Iterable[Mapping[int, Scalar]]
-) -> int | None:
-    """Index of the first vector that is not zero in A_n⊗B_n, or None.
-
-    A vector is sparse, {u·d_B^n + v: coefficient} for degree-n words u of
-    A and v of B.  By (F/X)⊗(F/Y) = (F⊗F)/(X⊗F + F⊗Y) (Polishchuk-Positselski,
-    Quadratic Algebras, ch. 3) it lies in I_A(n)⊗full + full⊗I_B(n) exactly
-    when NF_A⊗NF_B kills it; NF_B is applied to the right leg, then NF_A to
-    the left.  The vectors are consumed lazily, as by Subspace.first_outside.
-
-    The arithmetic is in integers.  A vector is scaled by the lcm of its
-    denominators and each word normal form by the lcm of its own (cached
-    per call); each leg rescales the normal forms it uses to the lcm of
-    their scales.  Whether the image is zero does not depend on the scale.
-    """
-    size = B.gen_dim**n
-    rules_a: dict[int, tuple[int, dict[int, int]]] = {}
-    rules_b: dict[int, tuple[int, dict[int, int]]] = {}
-    for i, vec in enumerate(vectors):
-        scale = lcm(*(c.denominator for c in vec.values()))
-        terms = [
-            (divmod(code, size), c.numerator * (scale // c.denominator))
-            for code, c in vec.items()
-        ]
-        rules = [_int_rule(B, n, v, rules_b) for (_, v), _ in terms]
-        m = lcm(*(r for r, _ in rules))
-        right: dict[tuple[int, int], int] = {}
-        for ((u, _), c), (r, nf) in zip(terms, rules):
-            c *= m // r
-            for t, e in nf.items():
-                right[u, t] = right.get((u, t), 0) + c * e
-        terms = [(key, c) for key, c in right.items() if c]
-        rules = [_int_rule(A, n, u, rules_a) for (u, _), _ in terms]
-        m = lcm(*(r for r, _ in rules))
-        both: dict[tuple[int, int], int] = {}
-        for ((_, t), c), (r, nf) in zip(terms, rules):
-            c *= m // r
-            for s, e in nf.items():
-                both[s, t] = both.get((s, t), 0) + c * e
-        if any(both.values()):
-            return i
-    return None
-
-
-def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationReport:
-    """Per-degree containment of the product-space ideal in the circle ideal.
-
-    The circle ideal, the ideal of U(V)∘U(W), is the kernel of the algebra
-    map T(V⊗W) -> U(V)⊗U(W), so it is two-sided and holds the ideal of the
-    quotient of V⊠W exactly when it holds that ideal's generators, the
-    basis rows of Im (R⊠S)_n.  A generator x of degree n is in it when
-    φ(x) is zero in U(V)_n⊗U(W)_n.  Passing for every n <= N witnesses the
-    functorial epimorphism between the two quotients; the reported ideal
-    dimensions come from the Hilbert series.
-    """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    left = apply_U(boxtimes(V, W))
-    A, B = apply_U(V), apply_U(W)
-    dims: dict[str, int] = {}
-    for n in range(2, N + 1):
-        size = left.gen_dim**n
-        dims[f"product_ideal_{n}"] = size - left.graded_dim(n)
-        dims[f"circle_ideal_{n}"] = size - A.graded_dim(n) * B.graded_dim(n)
-        rel = left.relations.get(n)
-        if rel is None:
-            continue
-        table = phi_table(A.gen_dim, B.gen_dim, n)
-        pushed = ({table[i]: x for i, x in row.items()} for row in rel.basis.nonzeros)
-        bad = _first_outside_tensor(A, B, n, pushed)
-        if bad is not None:
-            return VerificationReport(
-                "product-ideal-in-circle-ideal",
-                False,
-                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
-                dimensions=dims,
-            )
-    return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
-
-
 def structure_projector(rel: Subspace) -> Matrix:
     """Idempotent matrix with column space exactly rel.
 
@@ -311,9 +217,7 @@ def check_algebra_morphism(
 ) -> VerificationReport:
     """Check that l^{⊗m} sends each relation span of A into B's ideal."""
     if l.rows != B.gen_dim or l.cols != A.gen_dim:
-        raise ValueError(
-            f"map must be {B.gen_dim}x{A.gen_dim}, got {l.rows}x{l.cols}"
-        )
+        raise ValueError(f"map must be {B.gen_dim}x{A.gen_dim}, got {l.rows}x{l.cols}")
     for m, rel in sorted(A.relations.items()):
         lm = _tensor_power(l, m)
         for row in rel.basis.cells:

@@ -4,8 +4,9 @@ Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
 invariant violation, 4 resource cap exceeded (running out of memory
-included).  The algebra and suite modules are imported by the handlers
-that run them, not at start-up.
+included).  Start-up loads only the modules that product, dual and hom
+run; the algebra, report and suite modules are imported by the handlers
+that run them.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
 options; parse_args reads argv and writes the -h text from it.  It
@@ -28,7 +29,6 @@ from .fileio import (
     report_to_dict,
     write_space,
 )
-from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
 
 EXIT_PASS = 0
@@ -73,6 +73,7 @@ def _cmd_hom(args: SimpleNamespace) -> int:
 
 def _cmd_hilbert(args: SimpleNamespace) -> int:
     from .algebras import apply_U
+    from .report import VerificationReport
     if args.max_degree < 0:
         raise SpaceFormatError("--max-degree must be nonnegative")
     if args.max_degree > HILBERT_CAP and not args.cap_override:
@@ -84,11 +85,8 @@ def _cmd_hilbert(args: SimpleNamespace) -> int:
     V = read_space(args.space)
     series = apply_U(V).hilbert(args.max_degree)
     if args.out:
-        record = VerificationReport(
-            "hilbert-series",
-            True,
-            dimensions={str(n): dim for n, dim in enumerate(series)},
-        )
+        dims = {str(n): dim for n, dim in enumerate(series)}
+        record = VerificationReport("hilbert-series", True, dimensions=dims)
         _write_text(args.out, dumps_canonical(report_to_dict(args.argv, [record])))
     sys.stdout.write(" ".join(str(x) for x in series) + "\n")
     return EXIT_PASS

@@ -5,7 +5,7 @@ every rational as the string "p/q" (or "p" when the denominator is one) so
 no float ever enters the pipeline.  A rational string is a full match of
 ``[+-]?[0-9]+(/[1-9][0-9]*)?``: ASCII digits only, no surrounding
 whitespace.  ``parse_rational`` yields only ints and Fractions, and
-``linalg.Matrix`` admits no other entry type, so the writer spells an entry
+``matrix.Matrix`` admits no other entry type, so the writer spells an entry
 as ``str(x)`` without checking it again, joining the bytes dumps_canonical
 would give without the JSON encoder.  Every zero spells "0", so the writer
 converts only the nonzero entries; the reader parses each distinct string
@@ -40,8 +40,7 @@ from fractions import Fraction
 from itertools import compress
 from os import PathLike
 
-from .linalg import Matrix, Scalar, Subspace
-from .report import VerificationReport
+from .matrix import Matrix, Scalar
 from .spaces import EquippedSpace
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -253,6 +252,8 @@ def read_space(path: str | PathLike) -> EquippedSpace:
         mat = structure[degree] = _streamed(entry.get("matrix"), message)
         if mat.rows != mat.cols or not _is_power(mat.rows, dim, degree):
             raise SpaceFormatError(message)
+        if degree == 1 and not mat.is_zero():
+            raise SpaceFormatError("degree-1 structure must be the zero matrix")
     return EquippedSpace(dim, structure)
 
 
@@ -277,6 +278,7 @@ def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None)
 
 def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
+    from .linalg import Subspace
     data = _load(path, {"basis": _ROWS})
     dim = _int_field(data, "dim", 1)
     degree = _int_field(data, "degree", 2, default=2)

@@ -9,22 +9,25 @@ generator convention) is presented by the span of the vectors
 over all (i, j, n, m).  The module builds that span directly, checks it
 against the column space of the dagger/boxtimes pipeline, and verifies
 the comultiplication, counit and corepresentation maps at the level of
-relation vectors, plus the containment of Manin-style hom relations.
-The comultiplication and corepresentation images are sparse, and they
-are tested by normal forms in the tensor product of two quotient algebras.
+relation vectors, plus the containment of Manin-style hom relations and
+of the product-space ideal in the circle ideal.  Those images are sparse,
+and they are tested by normal forms in the tensor product of two quotient
+algebras.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from .algebras import PresentedAlgebra, _first_outside_tensor, apply_U
-from .linalg import Matrix, Scalar, Subspace, column_space, kernel
+from .algebras import PresentedAlgebra, apply_U
+from .linalg import Subspace, column_space, kernel
+from .matrix import Matrix, Scalar
 from .report import Record, VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
-from .tensors import decode_index, tau23_table
+from .tensors import decode_index, phi_table, tau23_table
 
 
 def gen_flat(i: int, j: int, dV: int) -> int:
@@ -230,6 +233,63 @@ def counit_law_check(dV: int, dW: int) -> VerificationReport:
     return VerificationReport("counit-law", True)
 
 
+def _int_rule(
+    alg: PresentedAlgebra, n: int, w: int, cache: dict[int, tuple[int, dict[int, int]]]
+) -> tuple[int, dict[int, int]]:
+    """(m, m·NF(w)) for the degree-n word w, m the lcm of NF(w)'s denominators."""
+    rule = cache.get(w)
+    if rule is None:
+        nf = alg._word_nf(n, w)
+        m = lcm(*(e.denominator for e in nf.values()))
+        rule = cache[w] = (m, {t: e.numerator * (m // e.denominator) for t, e in nf.items()})
+    return rule
+
+
+def _first_outside_tensor(
+    A: PresentedAlgebra, B: PresentedAlgebra, n: int, vectors: Iterable[Mapping[int, Scalar]]
+) -> int | None:
+    """Index of the first vector that is not zero in A_n⊗B_n, or None.
+
+    A vector is sparse, {u·d_B^n + v: coefficient} for degree-n words u of
+    A and v of B.  By (F/X)⊗(F/Y) = (F⊗F)/(X⊗F + F⊗Y) (Polishchuk-Positselski,
+    Quadratic Algebras, ch. 3) it lies in I_A(n)⊗full + full⊗I_B(n) exactly
+    when NF_A⊗NF_B kills it; NF_B is applied to the right leg, then NF_A to
+    the left.  The vectors are consumed lazily, as by Subspace.first_outside.
+
+    The arithmetic is in integers.  A vector is scaled by the lcm of its
+    denominators and each word normal form by the lcm of its own (cached
+    per call); each leg rescales the normal forms it uses to the lcm of
+    their scales.  Whether the image is zero does not depend on the scale.
+    """
+    size = B.gen_dim**n
+    rules_a: dict[int, tuple[int, dict[int, int]]] = {}
+    rules_b: dict[int, tuple[int, dict[int, int]]] = {}
+    for i, vec in enumerate(vectors):
+        scale = lcm(*(c.denominator for c in vec.values()))
+        terms = [
+            (divmod(code, size), c.numerator * (scale // c.denominator))
+            for code, c in vec.items()
+        ]
+        rules = [_int_rule(B, n, v, rules_b) for (_, v), _ in terms]
+        m = lcm(*(r for r, _ in rules))
+        right: dict[tuple[int, int], int] = {}
+        for ((u, _), c), (r, nf) in zip(terms, rules):
+            c *= m // r
+            for t, e in nf.items():
+                right[u, t] = right.get((u, t), 0) + c * e
+        terms = [(key, c) for key, c in right.items() if c]
+        rules = [_int_rule(A, n, u, rules_a) for (u, _), _ in terms]
+        m = lcm(*(r for r, _ in rules))
+        both: dict[tuple[int, int], int] = {}
+        for ((_, t), c), (r, nf) in zip(terms, rules):
+            c *= m // r
+            for s, e in nf.items():
+                both[s, t] = both.get((s, t), 0) + c * e
+        if any(both.values()):
+            return i
+    return None
+
+
 def check_comult_well_defined(
     V: EquippedSpace, W: EquippedSpace, U_mid: EquippedSpace
 ) -> VerificationReport:
@@ -360,6 +420,42 @@ def check_manin_epi(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     return VerificationReport("manin-relations-in-frt", True, dimensions=dims)
 
 
+def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationReport:
+    """Per-degree containment of the product-space ideal in the circle ideal.
+
+    The circle ideal, the ideal of U(V)∘U(W), is the kernel of the algebra
+    map T(V⊗W) -> U(V)⊗U(W), so it is two-sided and holds the ideal of the
+    quotient of V⊠W exactly when it holds that ideal's generators, the
+    basis rows of Im (R⊠S)_n.  A generator x of degree n is in it when
+    φ(x) is zero in U(V)_n⊗U(W)_n.  Passing for every n <= N witnesses the
+    functorial epimorphism between the two quotients; the reported ideal
+    dimensions come from the Hilbert series.
+    """
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    left = apply_U(boxtimes(V, W))
+    A, B = apply_U(V), apply_U(W)
+    dims: dict[str, int] = {}
+    for n in range(2, N + 1):
+        size = left.gen_dim**n
+        dims[f"product_ideal_{n}"] = size - left.graded_dim(n)
+        dims[f"circle_ideal_{n}"] = size - A.graded_dim(n) * B.graded_dim(n)
+        rel = left.relations.get(n)
+        if rel is None:
+            continue
+        table = phi_table(A.gen_dim, B.gen_dim, n)
+        pushed = ({table[i]: x for i, x in row.items()} for row in rel.basis.nonzeros)
+        bad = _first_outside_tensor(A, B, n, pushed)
+        if bad is not None:
+            return VerificationReport(
+                "product-ideal-in-circle-ideal",
+                False,
+                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
+                dimensions=dims,
+            )
+    return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
+
+
 def frt_relations_conic(V: EquippedSpace, W: EquippedSpace, m: int) -> Subspace:
     """Degree-m relation span for single-degree structures (support ⊆ {m})."""
     if m < 2:
@@ -370,4 +466,3 @@ def frt_relations_conic(V: EquippedSpace, W: EquippedSpace, m: int) -> Subspace:
                 f"conic relations need support within {{{m}}}, got {list(X.support)}"
             )
     return column_space(boxtimes(dagger(W), V).structure_at(m))
-

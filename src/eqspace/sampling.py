@@ -10,7 +10,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linalg import Matrix
+from .matrix import Matrix
 from .spaces import EquippedSpace
 
 MAX_NUMERATOR = 3

@@ -1,14 +1,13 @@
-"""Linear spaces equipped with graded structure maps.
+"""Linear spaces equipped with graded structure maps: the rigid monoidal layer.
 
 An equipped space is a pair (V, R) where R is a finitely supported family
 of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ``boxtimes`` (R⊠S = φ⁻¹(R⊗I + I⊗S)φ per degree), the duality ``dagger``
-((V*, -Rᵀ)), the check that a linear map intertwines two structures, the
-evaluation and coevaluation arrows of the rigid structure with that check
-applied to them, and internal hom spaces.  Every row of R⊠S comes from one
-rule on the index table of φ: products and homs build all rows, and the
-ev/coev checks sum only the pairing rows (J,J).  The permutation matrices
-they are tested against live with the test oracles.
+((V*, -Rᵀ)) and internal hom spaces.  Every row of R⊠S comes from one
+rule on the index table of φ, ``_boxtimes_row``: products and homs build
+all rows, and the ev/coev checks in suites sum only the pairing rows
+(J,J).  The module loads the matrix module, and the tensor index tables
+only to build a product.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -20,9 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .linalg import Matrix, Scalar, kronecker
-from .report import VerificationReport
-from .tensors import phi_inverse
+from .matrix import Matrix, Scalar
 
 
 class EquippedSpace:
@@ -115,6 +112,7 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
     Conjugating by the permutation matrix of φ gives the same matrix; tests
     assert the agreement.
     """
+    from .tensors import phi_inverse
     size = (dV * dW) ** n
     inv = phi_inverse(dV, dW, n)
     wn = dW**n
@@ -124,21 +122,6 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
             s, row = _boxtimes_row(rrow, srow, i, k, inv, wn)
             out[s] = row
     return Matrix._trusted(out, size)
-
-
-def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scalar]:
-    """Nonzeros of the sum of the rows (J,J) of Rn⊠Sn, J over the d^n words.
-
-    That is the pairing row, 1 at each (J,J) through φ, times Rn⊠Sn; only
-    d^n of its (d²)^n rows are built.
-    """
-    inv = phi_inverse(d, d, n)
-    wn = d**n
-    acc: dict[int, Scalar] = {}
-    for J, (rrow, srow) in enumerate(zip(Rn.nonzeros, Sn.nonzeros)):
-        for c, x in _boxtimes_row(rrow, srow, J, J, inv, wn)[1].items():
-            acc[c] = acc[c] + x if c in acc else x
-    return {c: x for c, x in acc.items() if x}
 
 
 def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
@@ -151,94 +134,20 @@ def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
     return EquippedSpace(V.dim * W.dim, structure)
 
 
+def _dual(mat: Matrix) -> Matrix:
+    """-matᵀ, the dual's structure at one degree, written in one pass over the nonzeros."""
+    cols: list[dict[int, Scalar]] = [{} for _ in range(mat.cols)]
+    for i, row in enumerate(mat.nonzeros):
+        for j, x in row.items():
+            cols[j][i] = -x
+    return Matrix._trusted(cols, mat.rows)
+
+
 def dagger(V: EquippedSpace) -> EquippedSpace:
-    """Dual space with structure -Rᵀ per degree, written in one pass over the nonzeros."""
-    structure = {}
-    for n, mat in V.structure_items():
-        cols: list[dict[int, Scalar]] = [{} for _ in range(mat.cols)]
-        for i, row in enumerate(mat.nonzeros):
-            for j, x in row.items():
-                cols[j][i] = -x
-        structure[n] = Matrix._trusted(cols, mat.rows)
-    return EquippedSpace(V.dim, structure)
+    """Dual space with structure -Rᵀ per degree."""
+    return EquippedSpace(V.dim, {n: _dual(mat) for n, mat in V.structure_items()})
 
 
 def hom_space(W: EquippedSpace, V: EquippedSpace) -> EquippedSpace:
     """Internal hom, dagger(W) ⊠ V; generators t_i^j at flat index j·dV + i."""
     return boxtimes(dagger(W), V)
-
-
-def _tensor_power(m: Matrix, n: int) -> Matrix:
-    out = Matrix.identity(1)
-    for _ in range(n):
-        out = kronecker(out, m)
-    return out
-
-
-def check_morphism(l: Matrix, V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
-    """Check l^{⊗n}·R_n = S_n·l^{⊗n} for every supported degree n."""
-    if l.rows != W.dim or l.cols != V.dim:
-        raise ValueError(
-            f"map must be {W.dim}x{V.dim}, got {l.rows}x{l.cols}"
-        )
-    for n in sorted(set(V.support) | set(W.support)):
-        ln = _tensor_power(l, n)
-        lhs = ln * V.structure_at(n)
-        rhs = W.structure_at(n) * ln
-        if lhs != rhs:
-            diff = lhs - rhs
-            col = min(c for row in diff.nonzeros for c in row)
-            return VerificationReport(
-                "morphism-intertwines",
-                False,
-                witness={
-                    "degree": n,
-                    "column": col,
-                    "difference": [diff[r, col] for r in range(diff.rows)],
-                },
-            )
-    return VerificationReport("morphism-intertwines", True)
-
-
-def ev_row(d: int) -> Matrix:
-    """1×d² pairing row on V*⊗V: entry 1 at each flat index (j, j)."""
-    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1]) for g in range(d * d)]])
-
-
-def coev_column(d: int) -> Matrix:
-    """d²×1 coevaluation column on V⊗V*: entry 1 at each flat index (i, i)."""
-    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1])] for g in range(d * d)])
-
-
-def ev_map(V: EquippedSpace) -> VerificationReport:
-    """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
-
-    Reports what check_morphism gives on the built product: the row
-    ev^{⊗n}·(R†⊠R)_n is the sum of the pairing rows of (R†⊠R)_n.  A failure
-    is a bug, never bad input: the pairing intertwines any structure with zero.
-    """
-    D, d = dagger(V), V.dim
-    for n in sorted(set(D.support) | set(V.support)):
-        row = _pairing_rows_sum(D.structure_at(n), V.structure_at(n), d, n)
-        if row:
-            col = min(row)
-            witness = {"degree": n, "column": col, "difference": [row[col]]}
-            return VerificationReport("ev-morphism", False, witness=witness)
-    return VerificationReport("ev-morphism", True)
-
-
-def coev_map(V: EquippedSpace) -> VerificationReport:
-    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism, as ev_map does.
-
-    The column (R⊠R†)_n·coev^{⊗n} is the sum of the pairing rows of its
-    transpose, (Rᵀ⊠R†ᵀ)_n.
-    """
-    D, d = dagger(V), V.dim
-    for n in sorted(set(D.support) | set(V.support)):
-        Rt, Dt = V.structure_at(n).transpose(), D.structure_at(n).transpose()
-        image = _pairing_rows_sum(Rt, Dt, d, n)
-        if image:
-            difference = [-image.get(c, 0) for c in range(d ** (2 * n))]
-            witness = {"degree": n, "column": 0, "difference": difference}
-            return VerificationReport("coev-morphism", False, witness=witness)
-    return VerificationReport("coev-morphism", True)

@@ -1,15 +1,94 @@
 """Named check suites shared by the command line and the test harness.
 
-Each suite imports the modules it runs when it runs, so the rigidity suite
-loads neither the algebra nor the FRT module, and only random trials load
-the sampler.
+The rigidity arrows live beside the suite that runs them: the check that a
+map intertwines two structures, and ev and coev with that check applied,
+each a sum of pairing rows of a product structure.  The other suites
+import their modules when they run, so the rigidity suite loads no
+elimination, algebra or FRT module, and only random trials the sampler.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, kronecker
+from .matrix import Matrix, Scalar, _tensor_power, kronecker
 from .report import VerificationReport
-from .spaces import EquippedSpace, _pairing_rows_sum, coev_column, coev_map, ev_map, ev_row
+from .spaces import EquippedSpace, _boxtimes_row, _dual
+from .tensors import phi_inverse
+
+
+def check_morphism(l: Matrix, V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
+    """Check l^{⊗n}·R_n = S_n·l^{⊗n} for every supported degree n."""
+    if l.rows != W.dim or l.cols != V.dim:
+        raise ValueError(f"map must be {W.dim}x{V.dim}, got {l.rows}x{l.cols}")
+    for n in sorted(set(V.support) | set(W.support)):
+        ln = _tensor_power(l, n)
+        lhs = ln * V.structure_at(n)
+        rhs = W.structure_at(n) * ln
+        if lhs != rhs:
+            diff = lhs - rhs
+            col = min(c for row in diff.nonzeros for c in row)
+            difference = [diff[r, col] for r in range(diff.rows)]
+            witness = {"degree": n, "column": col, "difference": difference}
+            return VerificationReport("morphism-intertwines", False, witness=witness)
+    return VerificationReport("morphism-intertwines", True)
+
+
+def ev_row(d: int) -> Matrix:
+    """1×d² pairing row on V*⊗V: entry 1 at each flat index (j, j)."""
+    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1]) for g in range(d * d)]])
+
+
+def coev_column(d: int) -> Matrix:
+    """d²×1 coevaluation column on V⊗V*: entry 1 at each flat index (i, i)."""
+    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1])] for g in range(d * d)])
+
+
+def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scalar]:
+    """Nonzeros of the sum of the rows (J,J) of Rn⊠Sn, J over the d^n words.
+
+    That is the pairing row, 1 at each (J,J) through φ, times Rn⊠Sn; only
+    d^n of its (d²)^n rows are built.
+    """
+    inv = phi_inverse(d, d, n)
+    wn = d**n
+    acc: dict[int, Scalar] = {}
+    for J, (rrow, srow) in enumerate(zip(Rn.nonzeros, Sn.nonzeros)):
+        for c, x in _boxtimes_row(rrow, srow, J, J, inv, wn)[1].items():
+            acc[c] = acc[c] + x if c in acc else x
+    return {c: x for c, x in acc.items() if x}
+
+
+def ev_map(V: EquippedSpace) -> VerificationReport:
+    """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
+
+    Reports what check_morphism gives on the built product: the row
+    ev^{⊗n}·(R†⊠R)_n is the sum of the pairing rows of (R†⊠R)_n, with
+    R†_n = -R_nᵀ.  A failure is a bug, never bad input: the pairing
+    intertwines any structure with zero.
+    """
+    for n, Rn in V.structure_items():
+        row = _pairing_rows_sum(_dual(Rn), Rn, V.dim, n)
+        if row:
+            col = min(row)
+            witness = {"degree": n, "column": col, "difference": [row[col]]}
+            return VerificationReport("ev-morphism", False, witness=witness)
+    return VerificationReport("ev-morphism", True)
+
+
+def coev_map(V: EquippedSpace) -> VerificationReport:
+    """Check that coevaluation unit -> V ⊠ dagger(V) is a morphism, as ev_map does.
+
+    The column (R⊠R†)_n·coev^{⊗n} is the sum of the pairing rows of its
+    transpose, (Rᵀ⊠R†ᵀ)_n, and R†ᵀ = -R is the dual's structure of Rᵀ.
+    """
+    d = V.dim
+    for n, Rn in V.structure_items():
+        Rt = Rn.transpose()
+        image = _pairing_rows_sum(Rt, _dual(Rt), d, n)
+        if image:
+            difference = [-image.get(c, 0) for c in range(d ** (2 * n))]
+            witness = {"degree": n, "column": 0, "difference": difference}
+            return VerificationReport("coev-morphism", False, witness=witness)
+    return VerificationReport("coev-morphism", True)
 
 
 def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
@@ -32,9 +111,7 @@ def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
 def snake_identity(V: EquippedSpace) -> VerificationReport:
     """Both triangle identities of the pairing, as exact matrix equalities."""
     d = V.dim
-    ident = Matrix.identity(d)
-    ev = ev_row(d)
-    coev = coev_column(d)
+    ident, ev, coev = Matrix.identity(d), ev_row(d), coev_column(d)
     on_dual = kronecker(ev, ident) * kronecker(ident, coev)
     on_primal = kronecker(ident, ev) * kronecker(coev, ident)
     if on_dual != ident or on_primal != ident:
@@ -49,10 +126,12 @@ def snake_identity(V: EquippedSpace) -> VerificationReport:
     return VerificationReport("snake-identity", True)
 
 
+def _renamed(rep: VerificationReport, name: str) -> VerificationReport:
+    return VerificationReport(name, rep.passed, rep.witness, rep.dimensions)
+
+
 def _tagged(rep: VerificationReport, tag: str) -> VerificationReport:
-    return VerificationReport(
-        f"{rep.name}[{tag}]", rep.passed, rep.witness, rep.dimensions
-    )
+    return _renamed(rep, f"{rep.name}[{tag}]")
 
 
 def rigidity_suite(V: EquippedSpace, tag: str) -> list[VerificationReport]:
@@ -88,8 +167,7 @@ def bialgebra_suite(
 def epi_suite(
     V: EquippedSpace, W: EquippedSpace, max_degree: int = 3
 ) -> list[VerificationReport]:
-    from .algebras import check_U_epi
-    from .frt import check_manin_epi, corep_delta_check
+    from .frt import check_U_epi, check_manin_epi, corep_delta_check
 
     return [
         check_manin_epi(V, W),
@@ -147,9 +225,5 @@ def randomized_checks(
         if U is not None:
             draws["u"] = random_equipped(rng, U.dim, shape(U))
         for rep in suite_checks(suite, draws["v"], draws["w"], draws.get("u"), epi_degree):
-            out.append(
-                VerificationReport(
-                    f"trial-{t:03d}/{rep.name}", rep.passed, rep.witness, rep.dimensions
-                )
-            )
+            out.append(_renamed(rep, f"trial-{t:03d}/{rep.name}"))
     return out

@@ -36,7 +36,8 @@ These groups are former library code kept as references:
 - ev_reference and coev_reference run check_morphism on the materialized
   products dagger(V) ⊠ V and V ⊠ dagger(V), the path the pairing-row sums
   of the ev/coev checks replaced.  They call spaces.dagger through the
-  module, so a test that patches it changes both paths;
+  module, and dagger calls spaces._dual, so a test that patches _dual in
+  spaces and in suites changes both paths;
 - boxtimes_conjugation is the literal φ⁻¹(R⊗I + I⊗S)φ that the index
   bookkeeping of spaces.boxtimes_degree and of its pairing-row sum
   replaced;
@@ -55,11 +56,12 @@ import json
 from fractions import Fraction
 from itertools import product
 
-from eqspace import frt, spaces
+from eqspace import frt, spaces, suites
 from eqspace.algebras import FreeElement, apply_U
 from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
-from eqspace.linalg import Matrix, Subspace, column_space, kronecker
+from eqspace.linalg import Subspace, column_space
+from eqspace.matrix import Matrix, _tensor_power, kronecker
 from eqspace.report import VerificationReport
 from eqspace.spaces import EquippedSpace
 from eqspace.tensors import decode_index, phi_table, tau23_table
@@ -334,7 +336,9 @@ def space_from_dict(data):
         if not isinstance(rows, list) or not _is_power(len(rows), dim, degree):
             raise SpaceFormatError(f"matrix must be a list of {dim}^{degree} rows")
         size = len(rows)
-        structure[degree] = Matrix._trusted(_reference_rows(rows, size, "matrix rows"), size)
+        mat = structure[degree] = Matrix._trusted(_reference_rows(rows, size, "matrix rows"), size)
+        if degree == 1 and not mat.is_zero():
+            raise SpaceFormatError("degree-1 structure must be the zero matrix")
     return EquippedSpace(dim, structure)
 
 
@@ -375,14 +379,14 @@ def phi_table_reference(dV, dW, n):
 
 def ev_reference(V):
     D = spaces.dagger(V)
-    rep = spaces.check_morphism(spaces.ev_row(V.dim), spaces.boxtimes(D, V), spaces.unit_K())
+    rep = suites.check_morphism(suites.ev_row(V.dim), spaces.boxtimes(D, V), spaces.unit_K())
     return VerificationReport("ev-morphism", rep.passed, rep.witness, rep.dimensions)
 
 
 def coev_reference(V):
     D = spaces.dagger(V)
-    rep = spaces.check_morphism(
-        spaces.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
+    rep = suites.check_morphism(
+        suites.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
     )
     return VerificationReport("coev-morphism", rep.passed, rep.witness, rep.dimensions)
 
@@ -618,7 +622,7 @@ def tensor_sum_U_epi(V, W, N):
 def span_algebra_morphism(l, A, B):
     """algebras.check_algebra_morphism on B's assembled ideal components."""
     for m, rel in sorted(A.relations.items()):
-        lm = spaces._tensor_power(l, m)
+        lm = _tensor_power(l, m)
         bad = ideal_component(B, m).first_outside(lm.apply(row) for row in rel.basis.cells)
         if bad is not None:
             row = rel.basis.cells[bad]

@@ -32,7 +32,7 @@ from eqspace import (
 from eqspace.cli import main
 from eqspace.fileio import read_space, write_space
 from eqspace.frt import frt_relation_generators
-from eqspace.linalg import kronecker
+from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped
 from eqspace.suites import coev_kron_identity
 

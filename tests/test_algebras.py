@@ -20,7 +20,9 @@ from eqspace import (
     unit_K,
 )
 from eqspace import linalg
-from eqspace.algebras import _Degree, _first_outside_tensor
+from eqspace.algebras import _Degree
+from eqspace.frt import _first_outside_tensor
+from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped, random_matrix
 from conftest import QP_MATRIX, random_quadratic
 from oracles import (
@@ -374,7 +376,7 @@ def small_ideal_algebra(rng, d, support):
 def basis_changed(relation, g):
     """The span of g⊗g applied to one relation vector of degree 2."""
     g = Matrix(g)
-    return Subspace.from_rows(g.rows**2, [linalg.kronecker(g, g).apply(relation)])
+    return Subspace.from_rows(g.rows**2, [kronecker(g, g).apply(relation)])
 
 
 def sparse(vec):

@@ -395,15 +395,22 @@ class TestExitCodes:
         assert main(["hilbert", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
 
-    def test_invariant_violation(self, tmp_path, capsys):
-        data = {
-            "dim": 2,
-            "structure": [{"degree": 1, "matrix": [["1", "0"], ["0", "1"]]}],
-        }
-        path = tmp_path / "bad_degree1.json"
-        path.write_text(json.dumps(data))
-        assert main(["hilbert", str(path)]) == 3
+    def test_invariant_violation(self, capsys):
+        # The epi suite needs quadratic structures; cubic.json has degree 3.
+        cubic = str(INPUTS / "cubic.json")
+        assert main(["verify", cubic, cubic, "--suite", "epi", "--trials", "0"]) == 3
         capsys.readouterr()
+
+    def test_nonzero_degree_one_exits_two(self, tmp_path, capsys):
+        # A space file cannot hold one: it is malformed input, not an invariant break.
+        data = {"dim": 2, "structure": [{"degree": 1, "matrix": [["0", "1"], ["-1", "0"]]}]}
+        path = tmp_path / "degree1.json"
+        path.write_text(json.dumps(data))
+        assert main(["dual", str(path), "--out", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree-1 structure must be the zero matrix\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_epi_degree_below_two_exits_two(self, tmp_path, capsys):
         qp_path = write_qp(tmp_path / "qp.json")
@@ -592,6 +599,16 @@ class TestImportBudget:
     )
     HEAVY = {"eqspace.algebras", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
     FORBIDDEN = {"argparse", "gettext", "locale", "typing", "pathlib", "dataclasses"}
+    # The eqspace.* modules each subcommand loads, and no others.
+    DUAL = {"eqspace.cli", "eqspace.fileio", "eqspace.matrix", "eqspace.spaces"}
+    ALGEBRA = DUAL | {"eqspace.linalg", "eqspace.report", "eqspace.algebras"}
+    LOADS = {
+        "product": DUAL | {"eqspace.tensors"},
+        "hom": DUAL | {"eqspace.tensors"},
+        "dual": DUAL,
+        "hilbert": ALGEBRA,
+        "project": ALGEBRA,
+    }
 
     def loaded_by(self, case, tmp_path, argv=None):
         """Modules that a fresh interpreter loads to run one golden case, or argv."""
@@ -605,16 +622,22 @@ class TestImportBudget:
         assert not loaded & self.FORBIDDEN
         return loaded
 
+    def package_modules(self, loaded):
+        return {m for m in loaded if m.startswith("eqspace.")}
+
     @pytest.mark.parametrize("case", ["product", "dual", "hom"])
     def test_constructions_load_no_algebra_or_suite(self, case, tmp_path):
+        # No elimination, report or algebra module: a construction compiles none.
         loaded = self.loaded_by(case, tmp_path)
         assert not loaded & self.HEAVY
+        assert self.package_modules(loaded) == self.LOADS[case]
 
     @pytest.mark.parametrize("case", ["hilbert", "project"])
     def test_algebra_commands_load_no_frt_or_suite(self, case, tmp_path):
-        # Beyond what the constructions load, only the algebra module.
+        # Beyond what dual loads, elimination, the report and the algebra
+        # module; neither the tensor index tables nor the rigidity checks.
         loaded = self.loaded_by(case, tmp_path)
-        assert loaded - self.loaded_by("dual", tmp_path) == {"eqspace.algebras"}
+        assert self.package_modules(loaded) == self.LOADS[case]
 
     def test_verify_loads_no_dataclasses(self, tmp_path):
         loaded = self.loaded_by("verify-all", tmp_path)
@@ -624,6 +647,7 @@ class TestImportBudget:
         loaded = self.loaded_by("verify-rigidity", tmp_path)
         assert "eqspace.suites" in loaded
         assert not loaded & (self.HEAVY - {"eqspace.suites"})
+        assert "eqspace.linalg" not in loaded
 
     def test_verify_without_trials_loads_no_sampling(self, tmp_path):
         argv = ["verify", "a.json", "b.json", "u.json", "--suite", "all", "--trials", "0"]
@@ -725,7 +749,7 @@ class TestLazyPackageRoot:
         _, loaded, stderr = modules_after("import sys, eqspace" + show)
         assert loaded == {"eqspace"}, stderr
         _, loaded, stderr = modules_after("import sys, eqspace\neqspace.Matrix" + show)
-        assert loaded == {"eqspace", "eqspace.linalg", "eqspace.report"}, stderr
+        assert loaded == {"eqspace", "eqspace.matrix"}, stderr
 
     def test_every_exported_name_resolves(self):
         for name in eqspace.__all__:

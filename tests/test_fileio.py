@@ -30,17 +30,15 @@ def _typed(mat):
 
 
 def outcome(reader, path):
-    """What reader makes of path, with entry types spelled out, or how it fails.
+    """What reader makes of path, with entry types spelled out, or "rejected".
 
-    A ValueError is a well-formed file whose structure breaks an invariant
-    of EquippedSpace, as a nonzero degree-1 matrix does.
+    Both readers reject a file whose structure breaks an invariant of
+    EquippedSpace, as a nonzero degree-1 matrix does, as malformed.
     """
     try:
         got = reader(path)
     except SpaceFormatError:
         return "rejected"
-    except ValueError:
-        return "invariant"
     if isinstance(got, EquippedSpace):
         return got.dim, [(n, mat.rows, _typed(mat)) for n, mat in got.structure_items()]
     dim, degree, rel = got
@@ -116,7 +114,7 @@ def test_key_orders(tmp_path):
     results = [assert_agree(write_text(tmp_path, text)) for text in texts]
     in_order = write_text(tmp_path, json.dumps(space_dict()), "in_order.json")
     assert results[0] == outcome(read_space, in_order) != "rejected"
-    assert results[4] == "invariant"
+    assert results[4] == "rejected"
 
 
 def test_duplicate_keys_last_wins(tmp_path):

@@ -31,7 +31,7 @@ from eqspace.frt import (
     gen_flat,
     gen_split,
 )
-from eqspace.linalg import kronecker
+from eqspace.matrix import kronecker
 from eqspace.suites import suite_checks
 from conftest import cubic_matrix, random_quadratic
 from oracles import (

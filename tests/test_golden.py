@@ -26,9 +26,8 @@ from pathlib import Path
 import pytest
 
 import eqspace.cli as cli
-import eqspace.spaces as spaces
 import eqspace.suites as suites
-from eqspace import EquippedSpace, Matrix, check_morphism
+from eqspace import Matrix, check_morphism
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -96,9 +95,9 @@ def _identity_is_not_a_morphism(suite, V, W, U=None, epi_degree=3):
     return [check_morphism(Matrix.identity(V.dim), V, W)]
 
 
-def _unsigned_dual(V):
-    # (V*, Rᵀ) in place of (V*, -Rᵀ): ev and coev are then not morphisms.
-    return EquippedSpace(V.dim, {n: m.transpose() for n, m in V.structure_items()})
+def _unsigned_dual(mat):
+    # Rᵀ in place of -Rᵀ, the dual's structure: ev and coev are then not morphisms.
+    return mat.transpose()
 
 
 def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
@@ -107,17 +106,17 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
     shutil.copy(EXPECTED / f"product.{OUT}", workdir / "product.json")
-    saved = suites.suite_checks, spaces.dagger
+    saved = suites.suite_checks, suites._dual
     if name == "verify-failing":
         suites.suite_checks = _identity_is_not_a_morphism
     elif name == "verify-rigidity-unsigned-dual":
-        spaces.dagger = _unsigned_dual
+        suites._dual = _unsigned_dual
     buf = io.StringIO()
     try:
         with redirect_stdout(buf):
             code = cli.main(argv)
     finally:
-        suites.suite_checks, spaces.dagger = saved
+        suites.suite_checks, suites._dual = saved
     out = workdir / OUT
     return code, buf.getvalue(), out.read_bytes() if out.exists() else None
 

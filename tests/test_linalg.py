@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from eqspace import FreeElement, Matrix, PresentedAlgebra, Subspace, VerificationReport, column_space
-from eqspace.linalg import _rref_rows, kernel, kronecker
+from eqspace.linalg import _rref_rows, kernel
+from eqspace.matrix import kronecker
 from conftest import QP_MATRIX
 from oracles import (
     TensorSum,

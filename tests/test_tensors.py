@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqspace import Matrix, Subspace
-from eqspace.linalg import kronecker
+from eqspace.matrix import kronecker
 from eqspace.tensors import (
     decode_index,
     invert_table,
