@@ -12,7 +12,7 @@ module that the caller does not use.
 from importlib import import_module
 
 _EXPORTS = {
-    "algebras": "FreeElement PresentedAlgebra apply_U check_algebra_morphism structure_projector",
+    "algebras": "FreeElement PresentedAlgebra apply_U structure_projector",
     "frt": "check_U_epi check_comult_well_defined check_manin_epi coassociativity_check"
     " corep_delta_check counit_check counit_law_check frt_relations frt_relations_conic"
     " manin_hom_relations verify_hom_equals_frt",

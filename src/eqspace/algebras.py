@@ -29,8 +29,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .linalg import Subspace, column_space
-from .matrix import Matrix, Scalar, _as_row, _tensor_power
-from .report import Record, VerificationReport
+from .matrix import Matrix, Scalar, _as_row
+from .report import Record
 from .spaces import EquippedSpace
 
 
@@ -168,10 +168,6 @@ class PresentedAlgebra:
     def hilbert(self, max_degree: int) -> list[int]:
         return [self.graded_dim(n) for n in range(max_degree + 1)]
 
-    def complement_words(self, n: int) -> list[int]:
-        """Word indices spanning the canonical complement of the ideal (B_n)."""
-        return list(self._degree(n).words)
-
     def normal_form(self, x: FreeElement) -> tuple[Scalar, ...]:
         """Coordinates of x on the complement words, after killing the ideal.
 
@@ -211,21 +207,3 @@ def structure_projector(rel: Subspace) -> Matrix:
             rows[i][p] = x
     return Matrix._trusted(rows, rel.ambient_dim)
 
-
-def check_algebra_morphism(
-    l: Matrix, A: PresentedAlgebra, B: PresentedAlgebra
-) -> VerificationReport:
-    """Check that l^{⊗m} sends each relation span of A into B's ideal."""
-    if l.rows != B.gen_dim or l.cols != A.gen_dim:
-        raise ValueError(f"map must be {B.gen_dim}x{A.gen_dim}, got {l.rows}x{l.cols}")
-    for m, rel in sorted(A.relations.items()):
-        lm = _tensor_power(l, m)
-        for row in rel.basis.cells:
-            image = lm.apply(row)
-            if any(B.normal_form(FreeElement(m, image))):
-                return VerificationReport(
-                    "algebra-morphism-preserves-relations",
-                    False,
-                    witness={"degree": m, "relation": list(row), "image": list(image)},
-                )
-    return VerificationReport("algebra-morphism-preserves-relations", True)

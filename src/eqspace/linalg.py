@@ -2,10 +2,12 @@
 
 Subspaces are stored as reduced row-echelon bases, which makes the RREF
 the unique canonical form for subspace equality; images are column
-spaces.  Elimination runs over primitive integer rows, each row operation
-divided by the gcd of its entries, and makes fractions only in the final
-normalization.  Every row taken is checked by ``matrix._as_row``, so only
-ints and Fractions enter.  Containment in a span is
+spaces.  A row keeps one form from input to canonical basis, a sparse
+dict from column to nonzero entry: elimination works on sparse primitive
+integer rows, each row operation divided by the gcd of its entries, and
+makes fractions only in the final normalization, so its cost follows the
+nonzeros and never the ambient dimension.  Every row taken is checked by
+``matrix._as_row``, so only ints and Fractions enter.  Containment in a span is
 ``Subspace.first_outside``; containment in a tensor sum X⊗k^b + k^a⊗Y of
 relation ideals is tested on the quotient side, by normal forms in the
 frt module.
@@ -15,90 +17,88 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import compress
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .matrix import Matrix, Scalar, Vector, _as_row
 from .report import Record
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
     """row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """a·row − b·prow made primitive, with a, b the entries at col, so col drops out."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
     """Canonical reduced row echelon form as sparse rows, and its pivot columns.
 
     A row is a sequence of ncols entries or a dict from column to entry;
-    every entry given is type-checked.  Zero rows are dropped and wrong
-    widths rejected.  Elimination runs over dense primitive integer rows:
-    denominators are cleared per row from its nonzeros, pivots are chosen
-    with minimal magnitude to limit growth, and every row operation's
-    result is divided by the gcd of its entries.  Only the final pivot
-    normalization makes fractions, so everything stays exact.  The pivot
+    every entry given is type-checked, and zero entries and zero rows are
+    dropped.  Working rows are sparse primitive integer rows
+    ``{column: int}``: denominators are cleared per row, and every row
+    operation's result is divided by the gcd of its entries.  The forward
+    pass buckets rows by leading column and pops the columns in ascending
+    order from a heap.  In each bucket the row of least ``|lead|`` is the
+    pivot, to limit growth; it clears the column from the bucket's other
+    rows, which move to the buckets of their new leading columns.  The
+    backward pass clears, in each pivot row, only the other pivot columns
+    it holds.  Only the final normalization makes fractions.  The pivot
     strategy never affects the result, which is the unique RREF of the row
-    space.  The forward pass stops once every row holds a pivot.
+    space, and no step visits a column that no row holds.
     """
-    work: list[list[int]] = []
+    buckets: dict[int, list[dict[int, int]]] = {}
     for r in raw_rows:
-        r = _as_row(r, ncols)
-        scale = lcm(*[x.denominator for x in r.values()])
-        row = [0] * ncols
-        for j, x in r.items():
-            row[j] = x.numerator * (scale // x.denominator)
-        if any(row):
-            work.append(_primitive(row))
-    pivots: list[int] = []
-    rank = 0
-    # Forward pass: integer echelon form.  Rows at index >= rank are zero
-    # left of the current column, so row operations run on tails only.
-    for col in range(ncols):
-        if rank == len(work):
-            break
-        piv = None
-        best = None
-        for r in range(rank, len(work)):
-            v = work[r][col]
-            if v != 0:
-                a = abs(v)
-                if best is None or a < best:
-                    piv, best = r, a
-                    if a == 1:
-                        break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        a = prow[col]
-        ptail = prow[col:]
-        for r in range(rank + 1, len(work)):
-            wr = work[r]
-            b = wr[col]
-            if b == 0:
-                continue
-            work[r] = [0] * col + _primitive([a * x - b * y for x, y in zip(wr[col:], ptail)])
-        pivots.append(col)
-        rank += 1
-    # Backward pass: clear above the pivots, still over integers.
-    for i in range(rank - 2, -1, -1):
-        wi = work[i]
-        for j in range(i + 1, rank):
-            b = wi[pivots[j]]
-            if b == 0:
-                continue
-            a = work[j][pivots[j]]
-            wi = _primitive([a * x - b * y for x, y in zip(wi, work[j])])
-        work[i] = wi
+        r = {j: x for j, x in _as_row(r, ncols).items() if x}
+        if r:
+            scale = lcm(*[x.denominator for x in r.values()])
+            row = _primitive({j: x.numerator * (scale // x.denominator) for j, x in r.items()})
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapify(heap)
+    pivot_rows: dict[int, dict[int, int]] = {}
+    while heap:
+        col = heappop(heap)
+        rows = buckets.pop(col)
+        prow = min(rows, key=lambda r: abs(r[col]))
+        for row in rows:
+            if row is not prow and (row := _cancel(row, prow, col)):
+                lead = min(row)
+                if lead not in buckets:
+                    buckets[lead] = []
+                    heappush(heap, lead)
+                buckets[lead].append(row)
+        pivot_rows[col] = prow
+    pivots = list(pivot_rows)  # ascending: the heap pops columns in order
+    # Backward pass, last pivot first: the rows below are already reduced,
+    # so clearing a pivot column brings in no other pivot column.
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        for q in [j for j in row if j != p and j in pivot_rows]:
+            row = _cancel(row, pivot_rows[q], q)
+        pivot_rows[p] = row
     out: list[dict[int, Scalar]] = []
-    for row, col in zip(work, pivots):
-        lead = row[col]
-        nonzero = compress(range(col, ncols), row[col:])
+    for p in pivots:
+        row = pivot_rows[p]
+        lead = row[p]
         if lead == 1:
-            out.append({j: row[j] for j in nonzero})
+            out.append({j: row[j] for j in sorted(row)})
         else:
-            out.append({j: Fraction(row[j], lead) for j in nonzero})
+            out.append({j: Fraction(row[j], lead) for j in sorted(row)})
     return out, pivots
 
 
@@ -131,10 +131,6 @@ class Subspace(Record):
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, Matrix.zero(0, ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -25,6 +25,41 @@ DJ_MATRIX = Matrix(
     ]
 )
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def jimbo_matrix(n, q):
+    """Jimbo's Hecke operator Ř_q on kⁿ⊗kⁿ, basis order (i, j) -> i·n + j.
+
+    Ř_q is q on e_i⊗e_i; for i < j it sends e_i⊗e_j to
+    (q − q⁻¹)e_i⊗e_j + e_j⊗e_i and e_j⊗e_i to e_i⊗e_j.  At n = q = 2 it
+    is DJ_MATRIX; the FRT algebra of (kⁿ, Ř_q) is GL_q(n)'s.
+    """
+    q = Fraction(q)
+    cells = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        cells[i * n + i][i * n + i] = q
+        for j in range(i + 1, n):
+            cells[i * n + j][i * n + j] = q - 1 / q
+            cells[j * n + i][i * n + j] = 1
+            cells[i * n + j][j * n + i] = 1
+    return Matrix(cells)
+
+
+def qcomm_space(qs, n):
+    """kⁿ whose structure has column (i, j), i < j, equal to e_ij − q e_ji.
+
+    The q's are taken in the order (0, 1), (0, 2), ..., (n − 2, n − 1);
+    U of the space is the polynomial algebra with x_i x_j = q x_j x_i.
+    """
+    qs = iter(qs)
+    cells = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cells[i * n + j][i * n + j] = 1
+            cells[j * n + i][i * n + j] = -next(qs)
+    return EquippedSpace(n, {2: Matrix(cells)})
+
 
 def random_quadratic(rng, dim):
     """Seeded random space of dimension dim with a degree-2 structure only."""

@@ -19,8 +19,8 @@ These groups are former library code kept as references:
   k^(d^n) from its public normal forms, and TensorSum tests membership in
   X⊗k^b + k^a⊗Y block by block; they are the spans that the normal-form
   test algebras._first_outside_tensor replaced.  tensor_sum_comult_check,
-  tensor_sum_corep_check, tensor_sum_U_epi and span_algebra_morphism are
-  the checks as they ran on those spans, with dense images;
+  tensor_sum_corep_check and tensor_sum_U_epi are the checks as they ran
+  on those spans, with dense images;
 - permutation_matrix and the matrices phi_iso, flip and tau23 materialize
   the index tables the package works with (encode_digits spells word
   codes, push_row and pull_row apply a table and its inverse to a
@@ -49,7 +49,9 @@ These groups are former library code kept as references:
 - dense_add, dense_sub, dense_neg, dense_mul, dense_apply,
   dense_transpose, dense_kronecker and dense_is_zero are the operations
   of the dense Matrix that sparse rows replaced, on tuples of dense rows
-  (``Matrix.cells``).
+  (``Matrix.cells``);
+- full_space and complement_words were public library names that only
+  tests called.
 """
 
 import json
@@ -61,10 +63,20 @@ from eqspace.algebras import FreeElement, apply_U
 from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
 from eqspace.linalg import Subspace, column_space
-from eqspace.matrix import Matrix, _tensor_power, kronecker
+from eqspace.matrix import Matrix, kronecker
 from eqspace.report import VerificationReport
 from eqspace.spaces import EquippedSpace
 from eqspace.tensors import decode_index, phi_table, tau23_table
+
+
+def full_space(n):
+    """The whole of k^n as a Subspace."""
+    return Subspace(n, Matrix.identity(n))
+
+
+def complement_words(A, n):
+    """Word indices spanning the canonical complement of A's ideal (B_n)."""
+    return list(A._degree(n).words)
 
 
 def naive_rref(rows, ncols):
@@ -510,7 +522,7 @@ def dense_counit_law(dV, dW):
 def ideal_component(A, n):
     """Degree-n ideal of a PresentedAlgebra: the rows e_w - NF(w), w not normal."""
     size = A.gen_dim**n
-    words = A.complement_words(n)
+    words = complement_words(A, n)
     normal = set(words)
     rows = []
     for w in range(size):
@@ -617,21 +629,6 @@ def tensor_sum_U_epi(V, W, N):
                 dimensions=dims,
             )
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
-
-
-def span_algebra_morphism(l, A, B):
-    """algebras.check_algebra_morphism on B's assembled ideal components."""
-    for m, rel in sorted(A.relations.items()):
-        lm = _tensor_power(l, m)
-        bad = ideal_component(B, m).first_outside(lm.apply(row) for row in rel.basis.cells)
-        if bad is not None:
-            row = rel.basis.cells[bad]
-            return VerificationReport(
-                "algebra-morphism-preserves-relations",
-                False,
-                witness={"degree": m, "relation": list(row), "image": list(lm.apply(row))},
-            )
-    return VerificationReport("algebra-morphism-preserves-relations", True)
 
 
 def dense_add(a, b):

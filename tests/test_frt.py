@@ -39,6 +39,7 @@ from oracles import (
     dense_counit_law,
     dense_on_vector,
     dense_on_word,
+    full_space,
     oracle_rank,
     phi_iso,
     tensor_sum_comult_check,
@@ -300,7 +301,7 @@ class TestManin:
     def test_full_source_relations_annihilate(self, qp):
         # Full relation space has zero annihilator: the hom algebra is free.
         A = apply_U(qp)
-        full = PresentedAlgebra(2, {2: Subspace.full(4)})
+        full = PresentedAlgebra(2, {2: full_space(4)})
         assert manin_hom_relations(A, full).dim == 0
 
     def test_zero_target_relations(self, qp):

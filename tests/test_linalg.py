@@ -21,6 +21,7 @@ from oracles import (
     dense_reduce_vector,
     dense_sub,
     dense_transpose,
+    full_space,
     naive_rref,
     oracle_contains,
 )
@@ -118,7 +119,7 @@ class TestKernel:
         assert kernel(Matrix.identity(3)).dim == 0
 
     def test_zero_matrix_has_full_kernel(self):
-        assert kernel(Matrix.zero(2, 3)) == Subspace.full(3)
+        assert kernel(Matrix.zero(2, 3)) == full_space(3)
 
     def test_single_relation(self):
         got = kernel(Matrix([[1, 2]]))
@@ -140,7 +141,7 @@ class TestKernel:
 
 class TestColumnSpace:
     def test_identity_full(self):
-        assert column_space(Matrix.identity(3)) == Subspace.full(3)
+        assert column_space(Matrix.identity(3)) == full_space(3)
 
     def test_zero_matrix(self):
         assert column_space(Matrix.zero(3, 2)) == Subspace.zero(3)
@@ -161,12 +162,12 @@ class TestSubspaces:
 
     def test_full_contains_anything(self):
         s = Subspace.from_rows(3, [[1, 5, Fraction(1, 2)]])
-        assert Subspace.full(3).first_outside(s.basis.cells) is None
+        assert full_space(3).first_outside(s.basis.cells) is None
 
     def test_unit_spans_sum_to_full_plane(self):
         a = Subspace.from_rows(2, [[1, 0]])
         b = Subspace.from_rows(2, [[0, 1]])
-        assert sum_of(a, b) == Subspace.full(2)
+        assert sum_of(a, b) == full_space(2)
 
     def test_equality_is_canonical(self):
         a = Subspace.from_rows(3, [[2, 4, 0], [1, 2, 1]])
@@ -176,7 +177,7 @@ class TestSubspaces:
 
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError):
-            Subspace.full(2).first_outside([(1, 0), (1, 0, 0)])
+            full_space(2).first_outside([(1, 0), (1, 0, 0)])
         with pytest.raises(ValueError):
             Subspace.zero(3).first_outside([(1, 0)])
         assert Subspace.zero(2) != Subspace.zero(3)
@@ -194,7 +195,7 @@ class TestSubspaces:
             with pytest.raises(ValueError):
                 Subspace.from_rows(2, [row])
             with pytest.raises(ValueError):
-                Subspace.full(2).first_outside([row])
+                full_space(2).first_outside([row])
 
     def test_containment_by_reduction(self):
         big = Subspace.from_rows(3, [[1, 0, 1], [0, 1, 1]])
@@ -227,8 +228,8 @@ class TestFirstOutside:
         vectors = [(0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 3)]
         assert Subspace.zero(3).first_outside(vectors) == 1
         assert Subspace.zero(3).first_outside([(0, 0, 0)]) is None
-        assert Subspace.full(3).first_outside(vectors) is None
-        assert Subspace.full(3).first_outside([]) is None
+        assert full_space(3).first_outside(vectors) is None
+        assert full_space(3).first_outside([]) is None
 
     def test_generator_is_consumed_lazily(self):
         span = Subspace.from_rows(2, [[1, 1]])
@@ -286,11 +287,11 @@ class TestReduceVectorAgainstDenseLoop:
     def test_zero_and_full_spans(self):
         rng = random.Random(43)
         for n in (1, 3, 6):
-            for span in (Subspace.zero(n), Subspace.full(n)):
+            for span in (Subspace.zero(n), full_space(n)):
                 for vec in self.vectors(rng, span, n):
                     got = densify(span.reduce_vector(vec), n)
                     assert got == dense_reduce_vector(span, vec)
-            assert Subspace.full(n).reduce_vector([Fraction(5, 2)] * n) == {}
+            assert full_space(n).reduce_vector([Fraction(5, 2)] * n) == {}
 
 
 def dense_tensor_sum(left, right):
@@ -339,9 +340,9 @@ class TestTensorSum:
         assert nothing.first_outside(vectors) == 1
         assert nothing.first_outside(vectors[:1]) is None
         for target in (
-            TensorSum(Subspace.full(2), Subspace.zero(3)),
-            TensorSum(Subspace.zero(2), Subspace.full(3)),
-            TensorSum(Subspace.full(2), Subspace.full(3)),
+            TensorSum(full_space(2), Subspace.zero(3)),
+            TensorSum(Subspace.zero(2), full_space(3)),
+            TensorSum(full_space(2), full_space(3)),
         ):
             assert target.dim == 6
             assert target.first_outside(vectors) is None
@@ -370,7 +371,7 @@ class TestTensorSum:
         assert seen == [(2, 2), (1, 0)]
 
     def test_wrong_length_raises(self):
-        target = TensorSum(Subspace.full(2), Subspace.zero(2))
+        target = TensorSum(full_space(2), Subspace.zero(2))
         with pytest.raises(ValueError):
             target.first_outside([(1, 0, 0, 0), (1, 0, 0)])
 
@@ -509,7 +510,7 @@ def _line():
 
 # Per class: two equal values built apart, a different value, and the fields.
 RECORDS = {
-    "Subspace": (_line, lambda: Subspace.full(2), ("ambient_dim", "basis")),
+    "Subspace": (_line, lambda: full_space(2), ("ambient_dim", "basis")),
     "FreeElement": (
         lambda: FreeElement(2, (1, 0, 0, Fraction(1, 2))),
         lambda: FreeElement(1, (1, 0)),
@@ -663,16 +664,41 @@ class TestRrefRows:
             if rows and trial % 4 == 0:
                 rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
             expected = naive_rref(rows, ncols) if rows else []
-            for given in (rows, [sparse_row(r) for r in rows]):
+            # Sparse rows may carry explicit zeros, and a dict may hold only zeros.
+            with_zeros = [dict(enumerate(r)) for r in rows] + [{rng.randrange(ncols): 0}]
+            for given in (rows, [sparse_row(r) for r in rows], with_zeros):
                 basis, pivots = _rref_rows(given, ncols)
                 assert [densify(r, ncols) for r in basis] == [tuple(r) for r in expected]
                 assert pivots == [min(r) for r in basis]
                 assert all(x != 0 for r in basis for x in r.values())
+                assert all(list(r) == sorted(r) for r in basis)
+            # The same rows with column j at j·2^36: no step may visit every column.
+            wide = 2**36
+            basis, pivots = _rref_rows(
+                [{j * wide: x for j, x in sparse_row(r).items()} for r in rows], ncols * wide
+            )
+            assert all(j % wide == 0 for r in basis for j in r)
+            narrow = [{j // wide: x for j, x in r.items()} for r in basis]
+            assert [densify(r, ncols) for r in narrow] == [tuple(r) for r in expected]
+            assert pivots == [min(r) * wide for r in narrow]
+
+    def test_ties_and_negative_leads_in_one_column(self):
+        rows = [[-2, 1, 0, 3], [2, 0, 1, -1], [-2, 3, 5, 0], [4, -1, 0, 0], [-1, 0, 0, 2]]
+        for given in (rows, [sparse_row(r) for r in rows]):
+            basis, pivots = _rref_rows(given, 4)
+            assert [densify(r, 4) for r in basis] == [tuple(r) for r in naive_rref(rows, 4)]
+            assert pivots == [0, 1, 2, 3]
 
     def test_forward_pass_stops_when_every_row_is_a_pivot(self):
         # Without the stop this walks 2^40 columns.
         assert Subspace.from_rows(2**40, []) == Subspace.zero(2**40)
         assert Subspace.from_rows(2**40, []).dim == 0
+
+    def test_wide_sparse_row_is_never_widened(self):
+        # A dense working copy of this row would hold 2^40 entries.
+        span = Subspace.from_rows(2**40, [{0: 2, 5: 1}])
+        assert span.basis.nonzeros == ({0: 1, 5: Fraction(1, 2)},)
+        assert span.pivot_columns() == [0]
 
     def test_subspace_takes_the_pivots_of_the_elimination(self):
         rng = random.Random(41)

@@ -15,6 +15,7 @@ from oracles import (
     embed_at,
     encode_digits,
     flip,
+    full_space,
     permutation_matrix,
     phi_iso,
     phi_table_reference,
@@ -141,9 +142,9 @@ class TestRowPermutationFastPath:
 
 class TestEmbedAt:
     def test_full_relation_gives_full_space(self):
-        full = Subspace.full(4)
+        full = full_space(4)
         for pos in (0, 1):
-            assert embed_at(full, 3, pos, 2) == Subspace.full(8)
+            assert embed_at(full, 3, pos, 2) == full_space(8)
 
     def test_zero_relation_gives_zero(self):
         assert embed_at(Subspace.zero(4), 3, 1, 2) == Subspace.zero(8)
