@@ -20,6 +20,11 @@ forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
 I_n is never assembled: containment in it, or (in frt) in a tensor sum of
 two such ideals, is a test that the normal form vanishes.
 
+A word's rule is the integer pair (m, nf), m·w = sum of nf[t]·t over
+normal words t with m > 0 least: the elimination's canonical integer rows
+as they stand, or ``_combine``'s sums over the lcm of their m.  Only
+``normal_form`` makes fractions, for the coordinates it returns.
+
 Degrees and word normal forms are memoized per instance; instances are
 intended to be confined to one thread (the caches are not locked).
 """
@@ -27,11 +32,16 @@ intended to be confined to one thread (the caches are not locked).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from fractions import Fraction
+from math import gcd
 
-from .linalg import Subspace, column_space
+from . import linalg
+from .linalg import Subspace, _scaled, column_space
 from .matrix import Matrix, Scalar, _as_row
 from .report import Record
 from .spaces import EquippedSpace
+
+Rule = tuple[int, dict[int, int]]
 
 
 class FreeElement(Record):
@@ -43,38 +53,45 @@ class FreeElement(Record):
         self._set(degree, coords)
 
 
-class _Degree:
-    """Normal words of one degree and the rewrite rules of the other words.
+def _combine(terms: Iterable[tuple[int, Rule, int, int]]) -> Rule:
+    """c·nf/m summed over terms (c, (m, nf), a, b), each word t of nf put at a·t + b.
 
-    Built from an echelon basis whose column c stands for the word
-    codes[c]: words are the codes of the non-pivot columns, ascending, and
-    rewrites maps each pivot word to its normal form, a dict from normal
-    words to nonzero coefficients.  Rewrites of further words are added as
-    they are met.
+    Returns (M, M·sum), M the lcm of the m, rescaling the sum so far when
+    an m does not divide it; zeros are kept and no gcd is taken.
+    """
+    scale = 1
+    acc: dict[int, int] = {}
+    for c, (m, nf), a, b in terms:
+        if scale % m:
+            f = m // gcd(scale, m)
+            scale *= f
+            acc = {k: v * f for k, v in acc.items()}
+        c *= scale // m
+        for t, e in nf.items():
+            k = a * t + b
+            acc[k] = acc.get(k, 0) + c * e
+    return scale, acc
+
+
+class _Degree:
+    """Normal words of one degree and the integer rules of the words met.
+
+    Built from the canonical integer rows of an elimination whose column c
+    stands for the word codes[c]: words are the codes of the non-pivot
+    columns, ascending, and the row a·e_p + sum of x·e_c gives the rule
+    (a, {codes[c]: -x}) of the word codes[p].
     """
 
-    __slots__ = ("words", "index", "rewrites")
+    __slots__ = ("words", "normal", "rules")
 
-    def __init__(self, span: Subspace, codes: Sequence[int]):
-        pivots = span.pivot_columns()
-        pivot_set = set(pivots)
-        self.words = [codes[c] for c in range(len(codes)) if c not in pivot_set]
-        self.index = {w: i for i, w in enumerate(self.words)}
-        self.rewrites: dict[int, dict[int, Scalar]] = {
-            codes[p]: {codes[c]: -x for c, x in row.items() if c != p}
-            for p, row in zip(pivots, span.basis.nonzeros)
+    def __init__(self, rows: list[dict[int, int]], codes: Sequence[int]):
+        pivots = {next(iter(row)): row for row in rows}
+        self.words = [codes[c] for c in range(len(codes)) if c not in pivots]
+        self.normal = set(self.words)
+        self.rules: dict[int, Rule] = {
+            codes[p]: (row[p], {codes[c]: -x for c, x in row.items() if c != p})
+            for p, row in pivots.items()
         }
-
-    def reduce(self, terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
-        """Normal form of a combination of words that are normal or rewritten."""
-        acc: dict[int, Scalar] = {}
-        for w, c in terms:
-            if w in self.index:
-                acc[w] = acc.get(w, 0) + c
-            else:
-                for t, e in self.rewrites[w].items():
-                    acc[t] = acc.get(t, 0) + c * e
-        return {w: c for w, c in acc.items() if c != 0}
 
 
 class PresentedAlgebra:
@@ -99,68 +116,70 @@ class PresentedAlgebra:
         self._degrees: dict[int, _Degree] = {}
 
     def _degree(self, n: int) -> _Degree:
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
         deg = self._degrees.get(n)
         if deg is not None:
             return deg
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
         # Degrees are built in order, so the cache holds 0..k and each step
         # finds every lower degree it needs.
         for k in range(len(self._degrees), n + 1):
-            self._degrees[k] = (
-                _Degree(Subspace.zero(1), (0,)) if k == 0 else self._next_degree(k)
-            )
+            self._degrees[k] = _Degree([], (0,)) if k == 0 else self._next_degree(k)
         return self._degrees[n]
 
     def _next_degree(self, n: int) -> _Degree:
-        """B_n and the rewrite rules of degree n from those of lower degrees."""
+        """B_n and the rules of degree n from those of lower degrees."""
         d = self.gen_dim
         live = sorted(m for m, rel in self.relations.items() if m <= n and rel.dim)
         if live == [n]:
             # n is the least relation degree: every word of degree n - 1 is
             # normal, and the rows below would be the canonical rows of R_n.
-            return _Degree(self.relations[n], range(d**n))
+            return _Degree([_scaled(r)[1] for r in self.relations[n].basis.nonzeros], range(d**n))
         prev = self._degree(n - 1)
         codes = [b * d + x for b in prev.words for x in range(d)]
-        rows: list[dict[int, Scalar]] = []
+        column = {code: c for c, code in enumerate(codes)}
+        rows: list[dict[int, int]] = []
         for m in live:
-            shift = d**m
+            # Each relation word s splits into its prefix s // d and last letter s % d.
+            rel_rows = [
+                [(c, *divmod(s, d)) for s, c in _scaled(r)[1].items()]
+                for r in self.relations[m].basis.nonzeros
+            ]
+            prefixes = {u for r in rel_rows for _, u, _ in r}
             for b in self._degree(n - m).words:
-                for r in self.relations[m].basis.nonzeros:
-                    row: dict[int, Scalar] = {}
-                    for s, c in r.items():
-                        u, x = divmod(b * shift + s, d)
-                        for t, e in self._word_nf(n - 1, u).items():
-                            col = prev.index[t] * d + x
-                            row[col] = row.get(col, 0) + c * e
-                    rows.append(row)
-        return _Degree(Subspace.from_rows(len(codes), rows), codes)
+                b *= d ** (m - 1)
+                nfs = {u: self._word_nf(n - 1, b + u) for u in prefixes}
+                for r in rel_rows:
+                    _, row = _combine((c, nfs[u], d, x) for c, u, x in r)
+                    rows.append({column[k]: v for k, v in row.items()})
+        return _Degree(linalg._rref_rows(rows, len(codes)), codes)
 
-    def _word_nf(self, n: int, w: int) -> dict[int, Scalar]:
-        """Normal form of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x).
+    def _word_nf(self, n: int, w: int) -> Rule:
+        """Integer rule of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x).
 
-        Walks down the prefixes of w to the longest one whose normal form is
-        known (every word of degree <= 1 is normal), then rewrites back up
-        one letter at a time.
+        Walks down the prefixes of w to the longest one whose rule is known
+        (every word of degree <= 1 is normal, and a normal word's rule is
+        stored on first use), then rewrites back up one letter at a time,
+        dividing each new rule by its gcd.
         """
         d = self.gen_dim
-        pending: list[tuple[_Degree, int]] = []
-        while True:
-            deg = self._degree(n)
-            if w in deg.index:
-                nf = {w: 1}
+        pending: list[int] = []
+        while (rule := (deg := self._degree(n)).rules.get(w)) is None:
+            if w in deg.normal:
+                rule = deg.rules[w] = (1, {w: 1})
                 break
-            known = deg.rewrites.get(w)
-            if known is not None:
-                nf = known
-                break
-            pending.append((deg, w))
+            pending.append(w)
             n, w = n - 1, w // d
-        for deg, w in reversed(pending):
+        for w in reversed(pending):
+            n += 1
+            m, nf = rule
             x = w % d
-            nf = deg.reduce((b * d + x, c) for b, c in nf.items())
-            deg.rewrites[w] = nf
-        return nf
+            # Each t·x is a column of degree n, so its rule is known.
+            scale, nf = _combine((e, self._word_nf(n, t * d + x), 1, 0) for t, e in nf.items())
+            m *= scale
+            g = gcd(m, *nf.values())
+            rule = self._degrees[n].rules[w] = (m // g, {t: e // g for t, e in nf.items() if e})
+        return rule
 
     def graded_dim(self, n: int) -> int:
         return len(self._degree(n).words)
@@ -171,15 +190,15 @@ class PresentedAlgebra:
     def normal_form(self, x: FreeElement) -> tuple[Scalar, ...]:
         """Coordinates of x on the complement words, after killing the ideal.
 
-        Linear in x and vanishes exactly on the ideal component.
+        Linear in x and vanishes exactly on the ideal component; a
+        coordinate is a Fraction only where a denominator arises.
         """
         n = x.degree
-        deg = self._degree(n)
-        nf: dict[int, Scalar] = {}
-        for w, c in _as_row(x.coords, self.gen_dim**n).items():
-            for t, e in self._word_nf(n, w).items():
-                nf[t] = nf.get(t, 0) + c * e
-        return tuple(nf.get(w, 0) for w in deg.words)
+        words = self._degree(n).words
+        scale, coords = _scaled(_as_row(x.coords, self.gen_dim**n))
+        m, nf = _combine((c, self._word_nf(n, w), 1, 0) for w, c in coords.items())
+        m *= scale
+        return tuple(Fraction(e, m) if (e := nf.get(w, 0)) and m > 1 else e for w in words)
 
 
 def apply_U(V: EquippedSpace) -> PresentedAlgebra:

@@ -322,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_PARSE
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # OverflowError: a size past sys.maxsize, such as a list of 2**64 rows.
         sys.stderr.write("error: out of memory (resource cap exceeded)\n")
         return EXIT_CAP
     except ValueError as exc:

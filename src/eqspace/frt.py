@@ -10,9 +10,9 @@ over all (i, j, n, m).  The module builds that span directly, checks it
 against the column space of the dagger/boxtimes pipeline, and verifies
 the comultiplication, counit and corepresentation maps at the level of
 relation vectors, plus the containment of Manin-style hom relations and
-of the product-space ideal in the circle ideal.  Those images are sparse,
-and they are tested by normal forms in the tensor product of two quotient
-algebras.
+of the product-space ideal in the circle ideal.  Those images are sparse;
+``_first_outside_tensor`` tests them in the tensor product of two quotient
+algebras, in integers, by the algebras' integer normal-form rules.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
-from .algebras import PresentedAlgebra, apply_U
-from .linalg import Subspace, column_space, kernel
+from .algebras import PresentedAlgebra, _combine, apply_U
+from .linalg import Subspace, _scaled, column_space, kernel
 from .matrix import Matrix, Scalar
 from .report import Record, VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger, hom_space
@@ -233,18 +232,6 @@ def counit_law_check(dV: int, dW: int) -> VerificationReport:
     return VerificationReport("counit-law", True)
 
 
-def _int_rule(
-    alg: PresentedAlgebra, n: int, w: int, cache: dict[int, tuple[int, dict[int, int]]]
-) -> tuple[int, dict[int, int]]:
-    """(m, m·NF(w)) for the degree-n word w, m the lcm of NF(w)'s denominators."""
-    rule = cache.get(w)
-    if rule is None:
-        nf = alg._word_nf(n, w)
-        m = lcm(*(e.denominator for e in nf.values()))
-        rule = cache[w] = (m, {t: e.numerator * (m // e.denominator) for t, e in nf.items()})
-    return rule
-
-
 def _first_outside_tensor(
     A: PresentedAlgebra, B: PresentedAlgebra, n: int, vectors: Iterable[Mapping[int, Scalar]]
 ) -> int | None:
@@ -256,35 +243,23 @@ def _first_outside_tensor(
     when NF_A⊗NF_B kills it; NF_B is applied to the right leg, then NF_A to
     the left.  The vectors are consumed lazily, as by Subspace.first_outside.
 
-    The arithmetic is in integers.  A vector is scaled by the lcm of its
-    denominators and each word normal form by the lcm of its own (cached
-    per call); each leg rescales the normal forms it uses to the lcm of
-    their scales.  Whether the image is zero does not depend on the scale.
+    The arithmetic is in integers: the vector's denominators are cleared,
+    and each leg combines the memoized integer rules of its words over
+    their lcm.  Whether the image is zero does not depend on the scale.
     """
     size = B.gen_dim**n
-    rules_a: dict[int, tuple[int, dict[int, int]]] = {}
-    rules_b: dict[int, tuple[int, dict[int, int]]] = {}
     for i, vec in enumerate(vectors):
-        scale = lcm(*(c.denominator for c in vec.values()))
-        terms = [
-            (divmod(code, size), c.numerator * (scale // c.denominator))
-            for code, c in vec.items()
-        ]
-        rules = [_int_rule(B, n, v, rules_b) for (_, v), _ in terms]
-        m = lcm(*(r for r, _ in rules))
-        right: dict[tuple[int, int], int] = {}
-        for ((u, _), c), (r, nf) in zip(terms, rules):
-            c *= m // r
-            for t, e in nf.items():
-                right[u, t] = right.get((u, t), 0) + c * e
-        terms = [(key, c) for key, c in right.items() if c]
-        rules = [_int_rule(A, n, u, rules_a) for (u, _), _ in terms]
-        m = lcm(*(r for r, _ in rules))
-        both: dict[tuple[int, int], int] = {}
-        for ((_, t), c), (r, nf) in zip(terms, rules):
-            c *= m // r
-            for s, e in nf.items():
-                both[s, t] = both.get((s, t), 0) + c * e
+        _, right = _combine(
+            (c, B._word_nf(n, v), 1, u * size)
+            for code, c in _scaled(vec)[1].items()
+            for u, v in [divmod(code, size)]
+        )
+        _, both = _combine(
+            (c, A._word_nf(n, u), size, t)
+            for code, c in right.items()
+            if c
+            for u, t in [divmod(code, size)]
+        )
         if any(both.values()):
             return i
     return None

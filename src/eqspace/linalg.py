@@ -4,13 +4,14 @@ Subspaces are stored as reduced row-echelon bases, which makes the RREF
 the unique canonical form for subspace equality; images are column
 spaces.  A row keeps one form from input to canonical basis, a sparse
 dict from column to nonzero entry: elimination works on sparse primitive
-integer rows, each row operation divided by the gcd of its entries, and
-makes fractions only in the final normalization, so its cost follows the
-nonzeros and never the ambient dimension.  Every row taken is checked by
-``matrix._as_row``, so only ints and Fractions enter.  Containment in a span is
-``Subspace.first_outside``; containment in a tensor sum X⊗k^b + k^a⊗Y of
-relation ideals is tested on the quotient side, by normal forms in the
-frt module.
+integer rows, each row operation divided by the gcd of its entries, so its
+cost follows the nonzeros and never the ambient dimension.  Only
+``Subspace`` divides the canonical integer rows by their leads; the
+quotient algebras keep them as integer rewrite rules.  Every row taken is
+checked by ``matrix._as_row``, so only ints and Fractions enter.
+Containment in a span is ``Subspace.first_outside``; containment in a
+tensor sum X⊗k^b + k^a⊗Y of relation ideals is tested on the quotient
+side, by normal forms in the frt module.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from math import gcd, lcm
 
 from .matrix import Matrix, Scalar, Vector, _as_row
 from .report import Record
+
+
+def _scaled(row: dict[int, Scalar]) -> tuple[int, dict[int, int]]:
+    """(m, nonzeros of m·row) for the least m > 0 that makes m·row integral."""
+    m = lcm(*[x.denominator for x in row.values()])
+    return m, {j: x.numerator * (m // x.denominator) for j, x in row.items() if x}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -44,8 +51,8 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return _primitive(out)
 
 
-def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
-    """Canonical reduced row echelon form as sparse rows, and its pivot columns.
+def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> list[dict[int, int]]:
+    """Canonical reduced row echelon form as sparse primitive integer rows.
 
     A row is a sequence of ncols entries or a dict from column to entry;
     every entry given is type-checked, and zero entries and zero rows are
@@ -57,16 +64,14 @@ def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> tuple[list[dict[int, S
     pivot, to limit growth; it clears the column from the bucket's other
     rows, which move to the buckets of their new leading columns.  The
     backward pass clears, in each pivot row, only the other pivot columns
-    it holds.  Only the final normalization makes fractions.  The pivot
-    strategy never affects the result, which is the unique RREF of the row
-    space, and no step visits a column that no row holds.
+    it holds.  Each returned row has its columns in ascending order and a
+    positive lead, so dividing it by its lead gives the unique RREF row;
+    the pivot strategy never affects the result, and no step visits a
+    column that no row holds.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for r in raw_rows:
-        r = {j: x for j, x in _as_row(r, ncols).items() if x}
-        if r:
-            scale = lcm(*[x.denominator for x in r.values()])
-            row = _primitive({j: x.numerator * (scale // x.denominator) for j, x in r.items()})
+        if row := _primitive(_scaled(_as_row(r, ncols))[1]):
             buckets.setdefault(min(row), []).append(row)
     heap = list(buckets)
     heapify(heap)
@@ -91,15 +96,11 @@ def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> tuple[list[dict[int, S
         for q in [j for j in row if j != p and j in pivot_rows]:
             row = _cancel(row, pivot_rows[q], q)
         pivot_rows[p] = row
-    out: list[dict[int, Scalar]] = []
-    for p in pivots:
-        row = pivot_rows[p]
-        lead = row[p]
-        if lead == 1:
-            out.append({j: row[j] for j in sorted(row)})
-        else:
-            out.append({j: Fraction(row[j], lead) for j in sorted(row)})
-    return out, pivots
+    out = []
+    for p, row in pivot_rows.items():
+        sign = 1 if row[p] > 0 else -1
+        out.append({j: sign * row[j] for j in sorted(row)})
+    return out
 
 
 class Subspace(Record):
@@ -115,17 +116,20 @@ class Subspace(Record):
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        rows, pivots = _rref_rows(basis.nonzeros, ambient_dim)
-        if rows != list(basis.nonzeros):
+        span = Subspace.from_rows(ambient_dim, basis.nonzeros)
+        if span.basis != basis:
             raise ValueError("basis is not in reduced row-echelon form")
-        self._set(ambient_dim, basis, dict(zip(pivots, basis.nonzeros)))
+        self._set(ambient_dim, span.basis, span._pivots)
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Vector]) -> "Subspace":
         """Span of rows, each a sequence of ambient_dim entries or a dict as in Matrix.nonzeros."""
-        basis, pivots = _rref_rows(rows, ambient_dim)
+        basis: list[dict[int, Scalar]] = []
+        for row in _rref_rows(rows, ambient_dim):
+            lead = next(iter(row.values()))
+            basis.append(row if lead == 1 else {j: Fraction(x, lead) for j, x in row.items()})
         span = object.__new__(cls)
-        span._set(ambient_dim, Matrix._trusted(basis, ambient_dim), dict(zip(pivots, basis)))
+        span._set(ambient_dim, Matrix._trusted(basis, ambient_dim), {min(r): r for r in basis})
         return span
 
     @classmethod

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -133,6 +133,30 @@ class TestNormalForm:
         assert A.normal_form(FreeElement(2, (0, 0, 1, 0))) == (0, 1, 0)
         assert A.normal_form(FreeElement(2, (0, 1, 0, 0))) == (0, 2, 0)
 
+    def test_integer_coordinates_stay_ints(self):
+        A = qp_algebra()
+        for w in range(4):
+            nf = A.normal_form(FreeElement(2, tuple(int(i == w) for i in range(4))))
+            assert all(type(x) is int for x in nf)
+        half = A.normal_form(FreeElement(2, (0, Fraction(1, 2), 0, 0)))
+        assert half == (0, 1, 0) and type(half[1]) is Fraction
+
+    def test_relation_rows_with_unsorted_keys(self):
+        # Matrix sums keep the key order of their operands, so the second
+        # row is {3: 3, 1: 1}: its lead is not its first key.
+        M = Matrix([[1, 0, 0, 2], [0, 0, 0, 3]]) + Matrix([[0, 0, 0, 0], [0, 1, 0, 0]])
+        assert list(M.nonzeros[1]) == [3, 1]
+        A = PresentedAlgebra(2, {2: Subspace(4, M)})
+        rows_by_degree = {2: M.cells}
+        assert A.hilbert(3) == oracle_graded_dims(2, rows_by_degree, 3)
+        assert A.normal_form(FreeElement(2, (1, 0, 0, 0))) == (0, -2)
+        for n in range(4):
+            units = [tuple(int(i == w) for i in range(2**n)) for w in range(2**n)]
+            words, residues = oracle_normal_forms(rows_by_degree, 2, n, units)
+            assert complement_words(A, n) == words
+            for vec, expected in zip(units, residues):
+                assert A.normal_form(FreeElement(n, vec)) == expected
+
     def test_kernel_dimension_matches_ideal(self):
         rng = random.Random(29)
         A = apply_U(random_quadratic(rng, 2))
@@ -242,9 +266,9 @@ class TestLeastRelationDegree:
             assert calls == ([] if rel.dim else [d * d])
             monkeypatch.undo()
             # The recursion eliminates rel's rows again in the coordinates B_1×V.
-            recursion = _Degree(Subspace.from_rows(d * d, rel.basis.nonzeros), range(d * d))
+            recursion = _Degree(linalg._rref_rows(rel.basis.nonzeros, d * d), range(d * d))
             assert A._degree(2).words == recursion.words
-            assert A._degree(2).rewrites == recursion.rewrites
+            assert A._degree(2).rules == recursion.rules
             words, _ = oracle_normal_forms({2: rel.basis.cells}, d, 2, [])
             assert complement_words(A, 2) == words
 
@@ -379,6 +403,43 @@ def basis_changed(relation, g):
     return Subspace.from_rows(g.rows**2, [kronecker(g, g).apply(relation)])
 
 
+def basis_changed_pair():
+    """q-commutation relations moved by dense, non-integral changes of
+    basis, so the word normal forms are dense with fractional
+    coefficients, as in the basis-changed benchmark inputs."""
+    f = Fraction
+    A = PresentedAlgebra(2, {2: basis_changed([0, 1, -2, 0], [[1, f(1, 2)], [f(-1, 3), 1]])})
+    B = PresentedAlgebra(2, {2: basis_changed([0, 1, f(1, 3), 0], [[2, f(1, 3)], [f(3, 4), 1]])})
+    return A, B
+
+
+class TestIntegerRules:
+    """Each word's rule (m, nf) is the canonical integer form of its normal
+    form: m·w = sum of nf[t]·t with m >= 1 least."""
+
+    def test_rules_are_canonical_and_match_oracle(self):
+        rng = random.Random(103)
+        algebras = list(basis_changed_pair())
+        for support in ((2,), (3,), (2, 3)):
+            for d in (2, 2, 3):
+                algebras.append(small_ideal_algebra(rng, d, support))
+        fractional = 0
+        for alg in algebras:
+            d = alg.gen_dim
+            relations = {m: rel.basis.cells for m, rel in alg.relations.items()}
+            for n in range(4):
+                units = [[int(i == w) for i in range(d**n)] for w in range(d**n)]
+                normal, residues = oracle_normal_forms(relations, d, n, units)
+                for w, residue in enumerate(residues):
+                    m, nf = alg._word_nf(n, w)
+                    assert m >= 1 and gcd(m, *nf.values()) == 1
+                    assert set(nf) <= set(normal)
+                    expected = {t: x for t, x in zip(normal, residue) if x}
+                    assert {t: Fraction(e, m) for t, e in nf.items()} == expected
+                    fractional += m > 1
+        assert fractional >= 20
+
+
 def sparse(vec):
     return {k: c for k, c in enumerate(vec) if c != 0}
 
@@ -404,16 +465,11 @@ class TestFirstOutsideTensor:
         assert outside >= 3
 
     def test_basis_changed_pair_matches_tensor_sum_oracle(self):
-        # q-commutation relations moved by dense, non-integral changes of
-        # basis, so the word normal forms are dense with fractional
-        # coefficients, as in the basis-changed benchmark inputs.
-        f = Fraction
-        A = PresentedAlgebra(2, {2: basis_changed([0, 1, -2, 0], [[1, f(1, 2)], [f(-1, 3), 1]])})
-        B = PresentedAlgebra(2, {2: basis_changed([0, 1, f(1, 3), 0], [[2, f(1, 3)], [f(3, 4), 1]])})
+        A, B = basis_changed_pair()
         for alg in (A, B):
-            rules = [nf for w in range(8) for nf in [alg._word_nf(3, w)] if nf != {w: 1}]
-            assert max(map(len, rules)) >= 3
-            assert any(type(e) is Fraction for nf in rules for e in nf.values())
+            rules = [rule for w in range(8) for rule in [alg._word_nf(3, w)] if rule != (1, {w: 1})]
+            assert max(len(nf) for _, nf in rules) >= 3
+            assert any(m > 1 for m, _ in rules)
         rng = random.Random(97)
         outside = sum(self.compare_with_oracle(rng, A, B, n) for n in (2, 3, 3))
         assert outside >= 3

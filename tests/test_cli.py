@@ -482,6 +482,17 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
 
+    def test_index_overflow_exits_four(self, tmp_path, capsys):
+        # 2**64 rows do not fit an index-sized integer: the projector's row
+        # list raises OverflowError before anything is allocated.
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps({"dim": 2, "degree": 64, "basis": []}))
+        out = tmp_path / "out.json"
+        assert main(["project", str(path), "--out", str(out)]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

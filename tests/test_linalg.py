@@ -3,6 +3,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -174,6 +175,14 @@ class TestSubspaces:
         b = Subspace.from_rows(3, [[1, 2, 0], [3, 6, 7]])
         assert a == b
         assert a.basis.cells == b.basis.cells
+
+    def test_constructor_stores_rows_with_columns_ascending(self):
+        # The sum's second row is {3: 3, 1: 1}; the stored basis row is not.
+        M = Matrix([[1, 0, 0, 2], [0, 0, 0, 3]]) + Matrix([[0, 0, 0, 0], [0, 1, 0, 0]])
+        s = Subspace(4, M)
+        assert s == Subspace.from_rows(4, M.nonzeros)
+        assert [list(row) for row in s.basis.nonzeros] == [[0, 3], [1, 3]]
+        assert s.pivot_columns() == [0, 1]
 
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -652,8 +661,21 @@ class TestSparseMatrixAgainstDenseOracles:
         assert Matrix.zero(0, 3) != Matrix.zero(0, 2)
 
 
+def assert_canonical_integer_rows(rows, expected, ncols):
+    """rows are primitive integer rows, positive lead first, columns
+    ascending, that divided by their leads are the rows of expected."""
+    for row in rows:
+        assert row and all(type(x) is int and x != 0 for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert list(row) == sorted(row)
+        assert row[min(row)] > 0
+    divided = [{j: Fraction(x, row[min(row)]) for j, x in row.items()} for row in rows]
+    assert [densify(r, ncols) for r in divided] == [tuple(r) for r in expected]
+
+
 class TestRrefRows:
-    """_rref_rows takes dense and sparse rows and gives the naive oracle's basis."""
+    """_rref_rows takes dense and sparse rows and gives canonical integer
+    rows whose division by their leads is the naive oracle's basis."""
 
     def test_sparse_and_dense_rows_match_oracle(self):
         rng = random.Random(37)
@@ -667,27 +689,22 @@ class TestRrefRows:
             # Sparse rows may carry explicit zeros, and a dict may hold only zeros.
             with_zeros = [dict(enumerate(r)) for r in rows] + [{rng.randrange(ncols): 0}]
             for given in (rows, [sparse_row(r) for r in rows], with_zeros):
-                basis, pivots = _rref_rows(given, ncols)
-                assert [densify(r, ncols) for r in basis] == [tuple(r) for r in expected]
-                assert pivots == [min(r) for r in basis]
-                assert all(x != 0 for r in basis for x in r.values())
-                assert all(list(r) == sorted(r) for r in basis)
+                assert_canonical_integer_rows(_rref_rows(given, ncols), expected, ncols)
             # The same rows with column j at j·2^36: no step may visit every column.
             wide = 2**36
-            basis, pivots = _rref_rows(
+            basis = _rref_rows(
                 [{j * wide: x for j, x in sparse_row(r).items()} for r in rows], ncols * wide
             )
             assert all(j % wide == 0 for r in basis for j in r)
             narrow = [{j // wide: x for j, x in r.items()} for r in basis]
-            assert [densify(r, ncols) for r in narrow] == [tuple(r) for r in expected]
-            assert pivots == [min(r) * wide for r in narrow]
+            assert_canonical_integer_rows(narrow, expected, ncols)
 
     def test_ties_and_negative_leads_in_one_column(self):
         rows = [[-2, 1, 0, 3], [2, 0, 1, -1], [-2, 3, 5, 0], [4, -1, 0, 0], [-1, 0, 0, 2]]
         for given in (rows, [sparse_row(r) for r in rows]):
-            basis, pivots = _rref_rows(given, 4)
-            assert [densify(r, 4) for r in basis] == [tuple(r) for r in naive_rref(rows, 4)]
-            assert pivots == [0, 1, 2, 3]
+            basis = _rref_rows(given, 4)
+            assert_canonical_integer_rows(basis, naive_rref(rows, 4), 4)
+            assert [min(r) for r in basis] == [0, 1, 2, 3]
 
     def test_forward_pass_stops_when_every_row_is_a_pivot(self):
         # Without the stop this walks 2^40 columns.
