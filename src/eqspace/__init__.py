@@ -12,15 +12,15 @@ module that the caller does not use.
 from importlib import import_module
 
 _EXPORTS = {
-    "algebras": "FreeElement PresentedAlgebra apply_U structure_projector",
+    "algebras": "PresentedAlgebra apply_U structure_projector",
     "frt": "check_U_epi check_comult_well_defined check_manin_epi coassociativity_check"
     " corep_delta_check counit_check counit_law_check frt_relations frt_relations_conic"
     " manin_hom_relations verify_hom_equals_frt",
     "linalg": "Subspace column_space",
     "matrix": "Matrix",
     "report": "VerificationReport",
-    "spaces": "EquippedSpace boxtimes dagger hom_space unit_K",
-    "suites": "check_morphism coev_map ev_map",
+    "spaces": "EquippedSpace boxtimes dagger hom_space",
+    "suites": "coev_map ev_map",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

@@ -22,8 +22,8 @@ two such ideals, is a test that the normal form vanishes.
 
 A word's rule is the integer pair (m, nf), m·w = sum of nf[t]·t over
 normal words t with m > 0 least: the elimination's canonical integer rows
-as they stand, or ``_combine``'s sums over the lcm of their m.  Only
-``normal_form`` makes fractions, for the coordinates it returns.
+as they stand, or ``_combine``'s sums over the lcm of their m, so the
+quotient side makes no Fraction.
 
 Degrees and word normal forms are memoized per instance; instances are
 intended to be confined to one thread (the caches are not locked).
@@ -32,25 +32,14 @@ intended to be confined to one thread (the caches are not locked).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
 from .linalg import Subspace, _scaled, column_space
-from .matrix import Matrix, Scalar, _as_row
-from .report import Record
+from .matrix import Matrix, Scalar
 from .spaces import EquippedSpace
 
 Rule = tuple[int, dict[int, int]]
-
-
-class FreeElement(Record):
-    """Degree-n element of the free tensor algebra in word coordinates."""
-
-    __slots__ = ("degree", "coords")
-
-    def __init__(self, degree: int, coords: tuple[Scalar, ...]):
-        self._set(degree, coords)
 
 
 def _combine(terms: Iterable[tuple[int, Rule, int, int]]) -> Rule:
@@ -186,19 +175,6 @@ class PresentedAlgebra:
 
     def hilbert(self, max_degree: int) -> list[int]:
         return [self.graded_dim(n) for n in range(max_degree + 1)]
-
-    def normal_form(self, x: FreeElement) -> tuple[Scalar, ...]:
-        """Coordinates of x on the complement words, after killing the ideal.
-
-        Linear in x and vanishes exactly on the ideal component; a
-        coordinate is a Fraction only where a denominator arises.
-        """
-        n = x.degree
-        words = self._degree(n).words
-        scale, coords = _scaled(_as_row(x.coords, self.gen_dim**n))
-        m, nf = _combine((c, self._word_nf(n, w), 1, 0) for w, c in coords.items())
-        m *= scale
-        return tuple(Fraction(e, m) if (e := nf.get(w, 0)) and m > 1 else e for w in words)
 
 
 def apply_U(V: EquippedSpace) -> PresentedAlgebra:

@@ -3,10 +3,10 @@
 Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
-invariant violation, 4 resource cap exceeded (running out of memory
-included).  Start-up loads only the modules that product, dual and hom
-run; the algebra, report and suite modules are imported by the handlers
-that run them.
+invariant violation, 4 resource cap exceeded (running out of memory and
+a size too large to index included).  Start-up loads only the modules
+that product, dual and hom run; the algebra, report and suite modules
+are imported by the handlers that run them.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
 options; parse_args reads argv and writes the -h text from it.  It
@@ -322,9 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_PARSE
-    except (MemoryError, OverflowError):
-        # OverflowError: a size past sys.maxsize, such as a list of 2**64 rows.
+    except MemoryError:
         sys.stderr.write("error: out of memory (resource cap exceeded)\n")
+        return EXIT_CAP
+    except OverflowError:
+        # A size past sys.maxsize, such as a list of 2**64 rows: nothing was allocated.
+        sys.stderr.write("error: size cannot be indexed (resource cap exceeded)\n")
         return EXIT_CAP
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

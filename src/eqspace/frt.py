@@ -89,6 +89,20 @@ def _frt_span(dV: int, R: Matrix, dW: int, S: Matrix) -> Subspace:
     return Subspace.from_rows((dW * dV) ** 2, [vec for _, vec in gens])
 
 
+def _containment_report(
+    name: str, bad: int | None, basis: Matrix, dims: dict[str, int], key: str, **witness: int
+) -> VerificationReport:
+    """Passed when bad is None, else failed with row bad of basis under key.
+
+    Only that row is made dense, with its zeros, as the report spells it.
+    """
+    if bad is None:
+        return VerificationReport(name, True, dimensions=dims)
+    row = basis.nonzeros[bad]
+    witness[key] = [row.get(j, 0) for j in range(basis.cols)]
+    return VerificationReport(name, False, witness=witness, dimensions=dims)
+
+
 def verify_hom_equals_frt(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     """Compare the dagger/boxtimes image with the explicit relation span.
 
@@ -102,14 +116,10 @@ def verify_hom_equals_frt(V: EquippedSpace, W: EquippedSpace) -> VerificationRep
     dims = {"pipeline": pipeline.dim, "explicit": explicit.dim}
     if pipeline == explicit:
         return VerificationReport("hom-equals-frt", True, dimensions=dims)
-    bad = explicit.first_outside(pipeline.basis.nonzeros)
+    outside, bad = pipeline, explicit.first_outside(pipeline.basis.nonzeros)
     if bad is None:
-        mismatch = explicit.basis.cells[pipeline.first_outside(explicit.basis.nonzeros)]
-    else:
-        mismatch = pipeline.basis.cells[bad]
-    return VerificationReport(
-        "hom-equals-frt", False, witness={"vector": list(mismatch)}, dimensions=dims
-    )
+        outside, bad = explicit, pipeline.first_outside(explicit.basis.nonzeros)
+    return _containment_report("hom-equals-frt", bad, outside.basis, dims, "vector")
 
 
 class Comultiplication(Record):
@@ -281,14 +291,7 @@ def check_comult_well_defined(
     dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right)}
     images = (delta.on_vector(row, 2) for row in source.basis.nonzeros)
     bad = _first_outside_tensor(left, right, 2, images)
-    if bad is not None:
-        return VerificationReport(
-            "comultiplication-well-defined",
-            False,
-            witness={"relation": list(source.basis.cells[bad])},
-            dimensions=dims,
-        )
-    return VerificationReport("comultiplication-well-defined", True, dimensions=dims)
+    return _containment_report("comultiplication-well-defined", bad, source.basis, dims, "relation")
 
 
 def _tensor_ideal_dim(A: PresentedAlgebra, B: PresentedAlgebra) -> int:
@@ -342,14 +345,7 @@ def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
         return out
 
     bad = _first_outside_tensor(quantum, target, 2, map(image, im_r.basis.nonzeros))
-    if bad is not None:
-        return VerificationReport(
-            "corepresentation-well-defined",
-            False,
-            witness={"relation": list(im_r.basis.cells[bad])},
-            dimensions=dims,
-        )
-    return VerificationReport("corepresentation-well-defined", True, dimensions=dims)
+    return _containment_report("corepresentation-well-defined", bad, im_r.basis, dims, "relation")
 
 
 def manin_hom_relations(A: PresentedAlgebra, B: PresentedAlgebra) -> Subspace:
@@ -385,14 +381,7 @@ def check_manin_epi(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     frt = frt_relations(V, W)
     dims = {"manin": manin.dim, "frt": frt.dim}
     bad = frt.first_outside(manin.basis.nonzeros)
-    if bad is not None:
-        return VerificationReport(
-            "manin-relations-in-frt",
-            False,
-            witness={"vector": list(manin.basis.cells[bad])},
-            dimensions=dims,
-        )
-    return VerificationReport("manin-relations-in-frt", True, dimensions=dims)
+    return _containment_report("manin-relations-in-frt", bad, manin.basis, dims, "vector")
 
 
 def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationReport:
@@ -422,11 +411,8 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
         pushed = ({table[i]: x for i, x in row.items()} for row in rel.basis.nonzeros)
         bad = _first_outside_tensor(A, B, n, pushed)
         if bad is not None:
-            return VerificationReport(
-                "product-ideal-in-circle-ideal",
-                False,
-                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
-                dimensions=dims,
+            return _containment_report(
+                "product-ideal-in-circle-ideal", bad, rel.basis, dims, "vector", degree=n
             )
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
 

@@ -4,8 +4,9 @@ Scalars are exactly ``int`` and ``fractions.Fraction``.  Every vector or
 row the package takes is checked by ``_as_row``, which raises TypeError on
 any other entry type (bool, float, str, Decimal, zeros included) and on a
 sparse row's column that is not exactly int, so equality tests carry zero
-tolerance.  A ``Matrix`` keeps only its nonzeros, row by row, and acts on
-column vectors.  Elimination is in linalg, which constructions never load.
+tolerance.  A ``Matrix`` keeps only its nonzeros, row by row, and has the
+operations that the commands run: product, negation, transpose and
+``kronecker``.  Elimination is in linalg, which constructions never load.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def _require_exact(entries: Iterable[object]) -> None:
 def _as_row(vec: Vector, ncols: int) -> dict[int, Scalar]:
     """A sparse row as it is, or the nonzeros of a sequence of exactly ncols entries.
 
-    Matrix, Matrix.apply, the Subspace methods and normal forms take their
-    vectors through here: each entry given, zeros included, must be exactly
-    int or Fraction, and each column of a sparse row exactly int.
+    Matrix and the Subspace methods take their vectors through here: each
+    entry given, zeros included, must be exactly int or Fraction, and each
+    column of a sparse row exactly int.
     """
     if isinstance(vec, dict):
         if not _INT.issuperset(map(type, vec)):
@@ -46,15 +47,6 @@ def _as_row(vec: Vector, ncols: int) -> dict[int, Scalar]:
         raise ValueError(f"row of length {len(vec)} in ambient dimension {ncols}")
     _require_exact(vec)
     return dict(zip(compress(range(ncols), vec), compress(vec, vec)))
-
-
-def _plus(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    out = dict(a)
-    for j, y in b.items():
-        v = out.pop(j, 0) + y
-        if v:
-            out[j] = v
-    return out
 
 
 class Matrix:
@@ -123,14 +115,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self._cols})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self._cols != other._cols:
-            raise ValueError("shape mismatch")
-        return Matrix._trusted(map(_plus, self._data, other._data), self._cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
-
     def __neg__(self) -> "Matrix":
         return Matrix._trusted(({j: -x for j, x in r.items()} for r in self._data), self._cols)
 
@@ -147,11 +131,6 @@ class Matrix:
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: x for j, x in acc.items() if x})
         return Matrix._trusted(out, other._cols)
-
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Matrix times column coordinate vector, whose entries are checked as rows are."""
-        v = _as_row(vec, self._cols)
-        return tuple(sum([x * v[j] for j, x in r.items() if j in v]) for r in self._data)
 
     def transpose(self) -> "Matrix":
         out: list[dict[int, Scalar]] = [{} for _ in range(self._cols)]
@@ -181,10 +160,3 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
         for brow in b.nonzeros
     )
     return Matrix._trusted(rows, a.cols * q)
-
-
-def _tensor_power(m: Matrix, n: int) -> Matrix:
-    out = Matrix.identity(1)
-    for _ in range(n):
-        out = kronecker(out, m)
-    return out

@@ -78,11 +78,6 @@ class EquippedSpace:
         return f"EquippedSpace(dim={self._dim}, support={list(self.support)})"
 
 
-def unit_K() -> EquippedSpace:
-    """The unit object: the scalar line with zero structure."""
-    return EquippedSpace(1, {})
-
-
 def _boxtimes_row(
     rrow: dict[int, Scalar], srow: dict[int, Scalar], i: int, k: int, inv: Sequence[int], wn: int
 ) -> tuple[int, dict[int, Scalar]]:

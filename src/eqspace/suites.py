@@ -1,35 +1,19 @@
 """Named check suites shared by the command line and the test harness.
 
-The rigidity arrows live beside the suite that runs them: the check that a
-map intertwines two structures, and ev and coev with that check applied,
-each a sum of pairing rows of a product structure.  The other suites
+The rigidity arrows live beside the suite that runs them: ev and coev,
+each checked as a sum of pairing rows of a product structure, with the
+witness that the intertwining check l^{⊗n}·R_n = S_n·l^{⊗n} gives on the
+built product (tests keep that check as the reference).  The other suites
 import their modules when they run, so the rigidity suite loads no
 elimination, algebra or FRT module, and only random trials the sampler.
 """
 
 from __future__ import annotations
 
-from .matrix import Matrix, Scalar, _tensor_power, kronecker
+from .matrix import Matrix, Scalar, kronecker
 from .report import VerificationReport
 from .spaces import EquippedSpace, _boxtimes_row, _dual
 from .tensors import phi_inverse
-
-
-def check_morphism(l: Matrix, V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
-    """Check l^{⊗n}·R_n = S_n·l^{⊗n} for every supported degree n."""
-    if l.rows != W.dim or l.cols != V.dim:
-        raise ValueError(f"map must be {W.dim}x{V.dim}, got {l.rows}x{l.cols}")
-    for n in sorted(set(V.support) | set(W.support)):
-        ln = _tensor_power(l, n)
-        lhs = ln * V.structure_at(n)
-        rhs = W.structure_at(n) * ln
-        if lhs != rhs:
-            diff = lhs - rhs
-            col = min(c for row in diff.nonzeros for c in row)
-            difference = [diff[r, col] for r in range(diff.rows)]
-            witness = {"degree": n, "column": col, "difference": difference}
-            return VerificationReport("morphism-intertwines", False, witness=witness)
-    return VerificationReport("morphism-intertwines", True)
 
 
 def ev_row(d: int) -> Matrix:
@@ -60,10 +44,11 @@ def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scala
 def ev_map(V: EquippedSpace) -> VerificationReport:
     """Check that evaluation dagger(V) ⊠ V -> unit is a morphism.
 
-    Reports what check_morphism gives on the built product: the row
-    ev^{⊗n}·(R†⊠R)_n is the sum of the pairing rows of (R†⊠R)_n, with
-    R†_n = -R_nᵀ.  A failure is a bug, never bad input: the pairing
-    intertwines any structure with zero.
+    Reports what the intertwining check of ev gives on the built product:
+    the row ev^{⊗n}·(R†⊠R)_n is the sum of the pairing rows of (R†⊠R)_n,
+    with R†_n = -R_nᵀ, and its first nonzero column is the witness.  A
+    failure is a bug, never bad input: the pairing intertwines any
+    structure with zero.
     """
     for n, Rn in V.structure_items():
         row = _pairing_rows_sum(_dual(Rn), Rn, V.dim, n)

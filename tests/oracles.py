@@ -16,11 +16,11 @@ These groups are former library code kept as references:
   tensor-sum containment test and the Hilbert-series dimensions of
   check_U_epi replaced;
 - ideal_component assembles the degree-n ideal of a presented algebra in
-  k^(d^n) from its public normal forms, and TensorSum tests membership in
-  X⊗k^b + k^a⊗Y block by block; they are the spans that the normal-form
-  test algebras._first_outside_tensor replaced.  tensor_sum_comult_check,
-  tensor_sum_corep_check and tensor_sum_U_epi are the checks as they ran
-  on those spans, with dense images;
+  k^(d^n) from the normal forms of its words, and TensorSum tests
+  membership in X⊗k^b + k^a⊗Y block by block; they are the spans that the
+  normal-form test frt._first_outside_tensor replaced.
+  tensor_sum_comult_check, tensor_sum_corep_check and tensor_sum_U_epi are
+  the checks as they ran on those spans, with dense images;
 - permutation_matrix and the matrices phi_iso, flip and tau23 materialize
   the index tables the package works with (encode_digits spells word
   codes, push_row and pull_row apply a table and its inverse to a
@@ -51,7 +51,16 @@ These groups are former library code kept as references:
   of the dense Matrix that sparse rows replaced, on tuples of dense rows
   (``Matrix.cells``);
 - full_space and complement_words were public library names that only
-  tests called.
+  tests called;
+- check_morphism, normal_form and unit_K were public library names that
+  only tests called too.  check_morphism checks l^{⊗n}·R_n = S_n·l^{⊗n}
+  on dense cells with dense_kronecker, dense_mul and dense_sub, so it is
+  independent of the sparse Matrix arithmetic that it used before.
+  normal_form reads the coordinates of an element on the normal words
+  through the library's integer word rules (PresentedAlgebra._word_nf and
+  algebras._combine), so the tests of the normal-word recursion still run
+  the library's code.  unit_K() was the unit object, which the tests
+  now write as EquippedSpace(1, {}).
 """
 
 import json
@@ -59,11 +68,11 @@ from fractions import Fraction
 from itertools import product
 
 from eqspace import frt, spaces, suites
-from eqspace.algebras import FreeElement, apply_U
+from eqspace.algebras import _combine, apply_U
 from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
-from eqspace.linalg import Subspace, column_space
-from eqspace.matrix import Matrix, kronecker
+from eqspace.linalg import Subspace, _scaled, column_space
+from eqspace.matrix import Matrix, _as_row, kronecker
 from eqspace.report import VerificationReport
 from eqspace.spaces import EquippedSpace
 from eqspace.tensors import decode_index, phi_table, tau23_table
@@ -77,6 +86,44 @@ def full_space(n):
 def complement_words(A, n):
     """Word indices spanning the canonical complement of A's ideal (B_n)."""
     return list(A._degree(n).words)
+
+
+def normal_form(A, n, coords):
+    """Coordinates of the degree-n element coords on A's normal words.
+
+    coords is a sequence of d^n coordinates or a dict of nonzeros, checked
+    by the library's scalar boundary.  Linear in coords and zero exactly on
+    the ideal component; a coordinate is a Fraction only where a
+    denominator arises.
+    """
+    scale, row = _scaled(_as_row(coords, A.gen_dim**n))
+    m, nf = _combine((c, A._word_nf(n, w), 1, 0) for w, c in row.items())
+    m *= scale
+    return tuple(
+        Fraction(e, m) if (e := nf.get(w, 0)) and m > 1 else e for w in A._degree(n).words
+    )
+
+
+def check_morphism(l, V, W):
+    """Check l^{⊗n}·R_n = S_n·l^{⊗n} for every supported degree n, on dense cells.
+
+    The witness is the first column of the difference with a nonzero entry.
+    """
+    if l.rows != W.dim or l.cols != V.dim:
+        raise ValueError(f"map must be {W.dim}x{V.dim}, got {l.rows}x{l.cols}")
+    for n in sorted(set(V.support) | set(W.support)):
+        ln = [[1]]
+        for k in range(n):
+            ln = dense_kronecker(ln, l.cells, V.dim**k, V.dim)
+        size_v, size_w = V.dim**n, W.dim**n
+        lhs = dense_mul(ln, V.structure_at(n).cells, size_v, size_v)
+        rhs = dense_mul(W.structure_at(n).cells, ln, size_w, size_v)
+        diff = dense_sub(lhs, rhs)
+        col = next((c for c in range(size_v) if any(r[c] != 0 for r in diff)), None)
+        if col is not None:
+            witness = {"degree": n, "column": col, "difference": [r[col] for r in diff]}
+            return VerificationReport("morphism-intertwines", False, witness=witness)
+    return VerificationReport("morphism-intertwines", True)
 
 
 def naive_rref(rows, ncols):
@@ -391,22 +438,22 @@ def phi_table_reference(dV, dW, n):
 
 def ev_reference(V):
     D = spaces.dagger(V)
-    rep = suites.check_morphism(suites.ev_row(V.dim), spaces.boxtimes(D, V), spaces.unit_K())
+    rep = check_morphism(suites.ev_row(V.dim), spaces.boxtimes(D, V), EquippedSpace(1, {}))
     return VerificationReport("ev-morphism", rep.passed, rep.witness, rep.dimensions)
 
 
 def coev_reference(V):
     D = spaces.dagger(V)
-    rep = suites.check_morphism(
-        suites.coev_column(V.dim), spaces.unit_K(), spaces.boxtimes(V, D)
-    )
+    rep = check_morphism(suites.coev_column(V.dim), EquippedSpace(1, {}), spaces.boxtimes(V, D))
     return VerificationReport("coev-morphism", rep.passed, rep.witness, rep.dimensions)
 
 
 def boxtimes_conjugation(R, S, dV, dW, n):
     """φ⁻¹(R⊗I + I⊗S)φ by Kronecker products and the permutation matrix of φ."""
     phi = phi_iso(dV, dW, n)
-    total = kronecker(R, Matrix.identity(dW**n)) + kronecker(Matrix.identity(dV**n), S)
+    left = kronecker(R, Matrix.identity(dW**n)).cells
+    right = kronecker(Matrix.identity(dV**n), S).cells
+    total = Matrix(dense_add(left, right), cols=phi.cols)
     return phi.transpose() * total * phi
 
 
@@ -528,7 +575,7 @@ def ideal_component(A, n):
     for w in range(size):
         if w in normal:
             continue
-        nf = A.normal_form(FreeElement(n, tuple(int(i == w) for i in range(size))))
+        nf = normal_form(A, n, {w: 1})
         row = [int(i == w) for i in range(size)]
         for t, c in zip(words, nf):
             row[t] -= c
@@ -567,10 +614,12 @@ class TensorSum:
         return None
 
 
-def _containment_report(name, bad, rows, dims, key="relation"):
+def _containment_report(name, bad, rows, dims, key="relation", **witness):
+    """Passed when bad is None, else failed with the dense row rows[bad] under key."""
     if bad is None:
         return VerificationReport(name, True, dimensions=dims)
-    return VerificationReport(name, False, witness={key: list(rows[bad])}, dimensions=dims)
+    witness[key] = list(rows[bad])
+    return VerificationReport(name, False, witness=witness, dimensions=dims)
 
 
 def tensor_sum_comult_check(V, W, U):
@@ -620,14 +669,11 @@ def tensor_sum_U_epi(V, W, N):
             continue
         target = TensorSum(ideal_component(A, n), ideal_component(B, n))
         table = phi_table(A.gen_dim, B.gen_dim, n)
-        bad = target.first_outside(push_row(row, table) for row in rel.basis.cells)
+        rows = rel.basis.cells
+        bad = target.first_outside(push_row(row, table) for row in rows)
         if bad is not None:
-            return VerificationReport(
-                "product-ideal-in-circle-ideal",
-                False,
-                witness={"degree": n, "vector": list(rel.basis.cells[bad])},
-                dimensions=dims,
-            )
+            name = "product-ideal-in-circle-ideal"
+            return _containment_report(name, bad, rows, dims, "vector", degree=n)
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)
 
 
@@ -644,8 +690,9 @@ def dense_neg(a):
 
 
 def dense_mul(a, b, inner, cols):
-    """a (rows x inner) times b (inner x cols), every cell summed."""
-    return [[sum((r[k] * b[k][j] for k in range(inner)), 0) for j in range(cols)] for r in a]
+    """a (rows x inner) times b (inner x cols), every cell visited; zero terms add nothing."""
+    columns = [[b[k][j] for k in range(inner)] for j in range(cols)]
+    return [[sum([x * y for x, y in zip(r, c) if x and y], 0) for c in columns] for r in a]
 
 
 def dense_apply(a, vec):

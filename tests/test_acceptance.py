@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 from eqspace import (
     EquippedSpace,
-    Matrix,
     apply_U,
     check_U_epi,
     check_comult_well_defined,
@@ -32,12 +31,11 @@ from eqspace import (
 from eqspace.cli import main
 from eqspace.fileio import read_space, write_space
 from eqspace.frt import frt_relation_generators
-from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped
 from eqspace.suites import coev_kron_identity
 
 from conftest import QP_MATRIX, cubic_matrix, random_quadratic
-from oracles import oracle_graded_dims, oracle_rank, phi_iso
+from oracles import boxtimes_conjugation, oracle_graded_dims, oracle_rank
 
 
 @contextmanager
@@ -126,11 +124,7 @@ def test_criterion_6_conic_generalization(cubic):
     with criterion("6 conic case: cubic relation span and degree-3 rigidity"):
         conic = frt_relations_conic(cubic, cubic, 3)
         R3 = cubic_matrix()
-        phi = phi_iso(2, 2, 3)
-        direct = phi.transpose() * (
-            kronecker(-R3.transpose(), Matrix.identity(8))
-            + kronecker(Matrix.identity(8), R3)
-        ) * phi
+        direct = boxtimes_conjugation(-R3.transpose(), R3, 2, 2, 3)
         assert conic == column_space(direct)
 
         rng = random.Random(20240806)

@@ -10,6 +10,7 @@ from eqspace import (
     PresentedAlgebra,
     Subspace,
     apply_U,
+    check_U_epi,
     check_comult_well_defined,
     check_manin_epi,
     coassociativity_check,
@@ -23,7 +24,7 @@ from eqspace import (
     manin_hom_relations,
     verify_hom_equals_frt,
 )
-from eqspace import frt
+from eqspace import frt, spaces
 from eqspace.frt import (
     Comultiplication,
     counit_on_word,
@@ -31,17 +32,19 @@ from eqspace.frt import (
     gen_flat,
     gen_split,
 )
-from eqspace.matrix import kronecker
 from eqspace.suites import suite_checks
-from conftest import cubic_matrix, random_quadratic
+from conftest import PRIMES, cubic_matrix, qcomm_space, random_quadratic
 from oracles import (
+    _containment_report,
+    boxtimes_conjugation,
     dense_coassociativity,
     dense_counit_law,
     dense_on_vector,
     dense_on_word,
     full_space,
+    oracle_contains,
     oracle_rank,
-    phi_iso,
+    tensor_sum_U_epi,
     tensor_sum_comult_check,
     tensor_sum_corep_check,
 )
@@ -239,6 +242,11 @@ class TestCorepDelta:
             assert corep_delta_check(V, W).passed
 
 
+def halved(span):
+    """The span of every other basis row of span."""
+    return Subspace.from_rows(span.ambient_dim, span.basis.cells[::2])
+
+
 def halved_spans(monkeypatch, keep):
     """Patch frt_relations so every pair but keep gets every other basis row.
 
@@ -249,9 +257,7 @@ def halved_spans(monkeypatch, keep):
 
     def patched(X, Y):
         span = real(X, Y)
-        if (X, Y) == keep:
-            return span
-        return Subspace.from_rows(span.ambient_dim, span.basis.cells[::2])
+        return span if (X, Y) == keep else halved(span)
 
     monkeypatch.setattr(frt, "frt_relations", patched)
 
@@ -294,6 +300,89 @@ class TestReportsAgainstTensorSum:
             assert rep == tensor_sum_corep_check(V, W)
             failing += not rep.passed
             monkeypatch.undo()
+        assert failing >= 3
+
+
+class TestContainmentWitnesses:
+    """A failing containment check reports the first basis row outside the
+    target: the report that _containment_report builds over basis.cells,
+    with that row found by the rank oracle."""
+
+    @staticmethod
+    def pairs(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield [random_quadratic(rng, rng.randint(1, 3)) for _ in range(2)]
+
+    @staticmethod
+    def first_outside(inner, outer):
+        """Index of the first basis row of inner outside outer, or None."""
+        rows = enumerate(inner.basis.cells)
+        return next((i for i, row in rows if not oracle_contains(outer.basis.cells, row)), None)
+
+    def hom_equals_frt_witness(self, V, W):
+        """Assert the report of verify_hom_equals_frt, and name the span whose
+        row is the witness: "pipeline", "explicit", or None on a pass."""
+        pipeline = frt.column_space(hom_space(W, V).structure_at(2))
+        explicit = frt.frt_relations(V, W)
+        dims = {"pipeline": pipeline.dim, "explicit": explicit.dim}
+        spans = {"pipeline": pipeline, "explicit": explicit}
+        name, bad = "pipeline", self.first_outside(pipeline, explicit)
+        if bad is None:
+            name, bad = "explicit", self.first_outside(explicit, pipeline)
+        rows = spans[name].basis.cells
+        assert verify_hom_equals_frt(V, W) == _containment_report(
+            "hom-equals-frt", bad, rows, dims, "vector"
+        )
+        return None if bad is None else name
+
+    def test_hom_equals_frt_pipeline_row_outside(self, monkeypatch):
+        # The explicit span is halved, so a row of the pipeline's falls outside it.
+        halved_spans(monkeypatch, None)
+        witnesses = [self.hom_equals_frt_witness(V, W) for V, W in self.pairs(137, 10)]
+        assert witnesses.count("pipeline") >= 6
+        assert "explicit" not in witnesses
+
+    def test_hom_equals_frt_explicit_row_outside(self, monkeypatch):
+        # The pipeline's span is halved, so it lies in the explicit span and
+        # a row of the explicit span is the witness.
+        real = frt.column_space
+        monkeypatch.setattr(frt, "column_space", lambda m: halved(real(m)))
+        witnesses = [self.hom_equals_frt_witness(V, W) for V, W in self.pairs(139, 10)]
+        assert witnesses.count("explicit") >= 6
+        assert "pipeline" not in witnesses
+
+    def test_manin_epi_witness(self, monkeypatch):
+        halved_spans(monkeypatch, None)
+        failing = 0
+        for V, W in self.pairs(149, 12):
+            manin = manin_hom_relations(apply_U(V), apply_U(W))
+            span = frt.frt_relations(V, W)
+            dims = {"manin": manin.dim, "frt": span.dim}
+            bad = self.first_outside(manin, span)
+            name = "manin-relations-in-frt"
+            want = _containment_report(name, bad, manin.basis.cells, dims, "vector")
+            assert check_manin_epi(V, W) == want
+            failing += bad is not None
+        assert failing >= 5
+
+    def test_U_epi_witness(self, monkeypatch):
+        # With the factors of the product swapped, generators of the product
+        # ideal of W⊠V fall outside the circle ideal of U(V)∘U(W).  The
+        # reference builds its failing report with _containment_report over
+        # the dense basis of the degree's relations.
+        real = spaces.boxtimes
+        for module in (frt, spaces):
+            monkeypatch.setattr(module, "boxtimes", lambda V, W: real(W, V))
+        rng = random.Random(151)
+        failing = 0
+        for _ in range(8):
+            dV, dW = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+            V = qcomm_space(rng.sample(PRIMES, 3), dV)
+            W = qcomm_space([-q for q in rng.sample(PRIMES, 3)], dW)
+            rep = check_U_epi(V, W, 3)
+            assert rep == tensor_sum_U_epi(V, W, 3)
+            failing += not rep.passed
         assert failing >= 3
 
 
@@ -348,12 +437,8 @@ class TestConic:
         assert rel.dim == 14
 
     def test_cubic_matches_pipeline_conjugation(self, cubic):
-        phi = phi_iso(2, 2, 3)
         R3 = cubic_matrix()
-        direct = phi.transpose() * (
-            kronecker(-R3.transpose(), Matrix.identity(8))
-            + kronecker(Matrix.identity(8), R3)
-        ) * phi
+        direct = boxtimes_conjugation(-R3.transpose(), R3, 2, 2, 3)
         assert frt_relations_conic(cubic, cubic, 3) == column_space(direct)
         raw = [list(r) for r in direct.transpose().cells]
         assert oracle_rank(raw) == 14

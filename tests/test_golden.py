@@ -27,7 +27,8 @@ import pytest
 
 import eqspace.cli as cli
 import eqspace.suites as suites
-from eqspace import Matrix, check_morphism
+from eqspace import Matrix
+from oracles import check_morphism
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"

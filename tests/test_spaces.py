@@ -9,13 +9,11 @@ from eqspace import (
     Matrix,
     VerificationReport,
     boxtimes,
-    check_morphism,
     coev_map,
     column_space,
     dagger,
     ev_map,
     hom_space,
-    unit_K,
 )
 from eqspace import spaces, suites
 from eqspace.matrix import kronecker
@@ -24,6 +22,7 @@ from eqspace.spaces import boxtimes_degree
 from eqspace.suites import _pairing_rows_sum, coev_column, ev_row
 from oracles import (
     boxtimes_conjugation,
+    check_morphism,
     coev_reference,
     encode_digits,
     ev_reference,
@@ -50,14 +49,14 @@ class TestConstruction:
 
 class TestUnit:
     def test_unit_dimension(self):
-        assert unit_K().dim == 1
+        assert EquippedSpace(1, {}).dim == 1
 
     def test_dagger_of_unit(self):
-        assert dagger(unit_K()) == unit_K()
+        assert dagger(EquippedSpace(1, {})) == EquippedSpace(1, {})
 
     def test_left_and_right_unit_laws(self, qp):
-        left = boxtimes(unit_K(), qp)
-        right = boxtimes(qp, unit_K())
+        left = boxtimes(EquippedSpace(1, {}), qp)
+        right = boxtimes(qp, EquippedSpace(1, {}))
         assert left.structure_at(2) == qp.structure_at(2)
         assert right.structure_at(2) == qp.structure_at(2)
 
@@ -227,8 +226,8 @@ class TestEvCoev:
     def test_dimension_one(self):
         assert ev_row(1) == Matrix([[1]])
         assert coev_column(1) == Matrix([[1]])
-        assert ev_map(unit_K()) == VerificationReport("ev-morphism", True)
-        assert coev_map(unit_K()) == VerificationReport("coev-morphism", True)
+        assert ev_map(EquippedSpace(1, {})) == VerificationReport("ev-morphism", True)
+        assert coev_map(EquippedSpace(1, {})) == VerificationReport("coev-morphism", True)
 
     def test_pairing_positions(self):
         assert ev_row(2).cells == ((1, 0, 0, 1),)
@@ -283,7 +282,7 @@ class TestEvCoev:
 
 class TestHomSpace:
     def test_hom_from_unit_is_the_space(self, qp):
-        got = hom_space(unit_K(), qp)
+        got = hom_space(EquippedSpace(1, {}), qp)
         assert got.dim == 2
         assert got.structure_at(2) == qp.structure_at(2)
 
