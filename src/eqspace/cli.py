@@ -6,7 +6,9 @@ codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
 invariant violation, 4 resource cap exceeded (running out of memory and
 a size too large to index included).  Start-up loads only the modules
 that product, dual and hom run; the algebra, report and suite modules
-are imported by the handlers that run them.
+are imported by the handlers that run them.  dual hands the reader
+spaces._dual as the builder of each structure matrix, so it builds -Rᵀ
+from the rows of R as they are read and never holds R.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
 options; parse_args reads argv and writes the -h text from it.  It
@@ -22,6 +24,7 @@ from types import SimpleNamespace
 
 from .fileio import (
     SpaceFormatError,
+    _read_space,
     dumps_canonical,
     read_relations,
     read_space,
@@ -29,7 +32,7 @@ from .fileio import (
     report_to_dict,
     write_space,
 )
-from .spaces import EquippedSpace, boxtimes, dagger, hom_space
+from .spaces import EquippedSpace, _dual, boxtimes, hom_space
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -60,7 +63,8 @@ def _cmd_product(args: SimpleNamespace) -> int:
 
 
 def _cmd_dual(args: SimpleNamespace) -> int:
-    write_space(args.out, dagger(read_space(args.a)))
+    # dagger(read_space(a)), with no R held.
+    write_space(args.out, _read_space(args.a, _dual))
     return EXIT_PASS
 
 

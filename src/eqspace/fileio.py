@@ -16,13 +16,17 @@ time and walks the top-level object and its structure, matrix and basis
 lists itself; json's C scanner decodes every other value whole, each row
 among them, and each row becomes its nonzeros at once.  So reading holds
 one row and the nonzeros, not the text and every row as strings, about
-twice the file.  A file is accepted or rejected as decoding it whole with
-json.loads and then checking it would be, duplicate keys included: the
-last one wins, so a problem met in a streamed value is raised only after
-the whole file has been read.  A rejection still exits 2.  Only the
-problem named may differ when a file has several, as the checks run in
-another order: a bad row is found while reading, before the shape of its
-matrix is checked.
+twice the file.  Each row goes on, as it is decoded, to the builder of its
+matrix: read_space and read_relations keep the rows as they are, and the
+dual command's builder, spaces._dual, scatters each row into -Rᵀ, so that
+command never holds R.
+
+A file is accepted or rejected as decoding it whole with json.loads and
+then checking it would be, duplicate keys included: the last one wins, so
+a problem met in a streamed value is raised only after the whole file has
+been read.  A rejection still exits 2.  Only the problem named may differ
+when a file has several, as the checks run in another order: a bad row is
+found while reading, before the shape of its matrix is checked.
 
 Report serialization is canonical: checks sorted by name, keys sorted,
 fixed indentation; identical inputs give identical bytes.  A report spells
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 from os import PathLike
@@ -95,11 +99,13 @@ class _Reader:
     structure entries in it, itself; json's C scanner decodes every other
     value whole, each row among them.  Only the unread text is kept.
     Rows become sparse rows as they are read, through one parse memo for
-    the whole file.
+    the whole file, and go at once to build(rows, width), which makes the
+    matrix of a list of rows.
     """
 
-    def __init__(self, f):
+    def __init__(self, f, build: Callable):
         self.f, self.text, self.pos, self.done, self.eof = f, "", 0, 0, False
+        self.build = build
         self.memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
         self.nonzero: dict[str, bool] = {}  # a bool's truth test, unlike a Fraction's, runs in C
 
@@ -178,24 +184,35 @@ class _Reader:
         return self._rows() if c == "[" and spec == _ROWS else self._value()
 
     def _rows(self) -> Matrix | SpaceFormatError:
-        """The list of rows of rational strings that comes next, as a Matrix.
+        """The list of rows of rational strings that comes next, as self.build makes it.
 
-        Every row must have the width of the first, which is the Matrix's
-        column count.  The first error met comes back in place of the
-        Matrix, and the rest of the list is still read.
+        Every row must have the width of the first, which build is given.
+        The first error met comes back in place of the Matrix; no row after
+        it goes to build, and the rest of the list is still read.
         """
-        rows: list | SpaceFormatError = []
+        problems: list[SpaceFormatError] = []
+        rows = self._nonzeros(problems)
+        mat = self.build(rows, next(rows, 0))
+        return problems[0] if problems else mat
+
+    def _nonzeros(self, problems: list[SpaceFormatError]) -> Iterator:
+        """Yield the width of the list of rows that comes next, then each row's nonzeros.
+
+        The first bad row goes into problems and ends what is yielded.
+        """
         width = None
         for _ in self._walk("]"):
             row = self._value()
             if width is None:
                 width = len(row) if isinstance(row, list) else 0
-            if isinstance(rows, list):
+                yield width
+            if not problems:
                 try:
-                    rows.append(self._row(row, width))
+                    row = self._row(row, width)
                 except SpaceFormatError as exc:
-                    rows = exc
-        return Matrix._trusted(rows, width or 0) if isinstance(rows, list) else rows
+                    problems.append(exc)
+                    continue
+                yield row
 
     def _row(self, row: object, width: int) -> dict[int, Scalar]:
         """row, a list of width rational strings, as its nonzeros {column: value}."""
@@ -213,11 +230,11 @@ class _Reader:
         return {j: memo[row[j]] for j in cols}
 
 
-def _load(path: str | PathLike, spec: dict) -> dict:
+def _load(path: str | PathLike, spec: dict, build: Callable) -> dict:
     """The object a JSON file holds, streamed as spec says (see _Reader._read)."""
     try:
         with open(path, encoding="utf-8") as f:
-            reader = _Reader(f)
+            reader = _Reader(f, build)
             data = reader._read(spec)
             if reader._peek():
                 reader._fail("extra data")
@@ -236,7 +253,19 @@ def _streamed(value: object, message: str) -> Matrix:
 
 
 def read_space(path: str | PathLike) -> EquippedSpace:
-    data = _load(path, {"structure": [{"matrix": _ROWS}]})
+    return _read_space(path, Matrix._trusted)
+
+
+def _read_space(
+    path: str | PathLike, build: Callable[[Iterator[dict[int, Scalar]], int], Matrix]
+) -> EquippedSpace:
+    """The space a file holds, with build(rows, width) making each structure matrix.
+
+    The checks read only the shape and zeros of what build makes, which
+    -Rᵀ shares with R, so spaces._dual gives the dual of the file's space
+    and rejects what read_space rejects.
+    """
+    data = _load(path, {"structure": [{"matrix": _ROWS}]}, build)
     dim = _int_field(data, "dim", 1)
     entries = data.get("structure", [])
     if not isinstance(entries, list):
@@ -279,7 +308,7 @@ def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None)
 def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
     from .linalg import Subspace
-    data = _load(path, {"basis": _ROWS})
+    data = _load(path, {"basis": _ROWS}, Matrix._trusted)
     dim = _int_field(data, "dim", 1)
     degree = _int_field(data, "degree", 2, default=2)
     basis = _streamed(data.get("basis"), "'basis' must be a list of vectors")

@@ -6,8 +6,10 @@ of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ((V*, -Rᵀ)) and internal hom spaces.  Every row of R⊠S comes from one
 rule on the index table of φ, ``_boxtimes_row``: products and homs build
 all rows, and the ev/coev checks in suites sum only the pairing rows
-(J,J).  The module loads the matrix module, and the tensor index tables
-only to build a product.
+(J,J).  Every -Rᵀ comes from ``_dual``, which takes sparse rows one at a
+time: dagger passes a matrix's rows, the ev/coev checks theirs, and the
+``dual`` command the rows of a file as they are read.  The module loads
+the matrix module, and the tensor index tables only to build a product.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -17,7 +19,7 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .matrix import Matrix, Scalar
 
@@ -129,18 +131,30 @@ def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
     return EquippedSpace(V.dim * W.dim, structure)
 
 
-def _dual(mat: Matrix) -> Matrix:
-    """-matᵀ, the dual's structure at one degree, written in one pass over the nonzeros."""
-    cols: list[dict[int, Scalar]] = [{} for _ in range(mat.cols)]
-    for i, row in enumerate(mat.nonzeros):
+def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
+    """-Rᵀ, the dual's structure at one degree, for R of these sparse rows and width.
+
+    One pass reads each row once, as it comes, so the file reader can pass
+    rows as it decodes them and never hold R.  Each distinct entry, by
+    value and type, is negated once and the negation shared.
+    """
+    cols: list[dict[int, Scalar]] = [{} for _ in range(width)]
+    negated: dict[tuple[Scalar, type], Scalar] = {}
+    i = -1
+    for i, row in enumerate(rows):
         for j, x in row.items():
-            cols[j][i] = -x
-    return Matrix._trusted(cols, mat.rows)
+            key = (x, type(x))  # 2 == Fraction(2) and they hash alike; each keeps its type
+            y = negated.get(key)
+            if y is None:
+                y = negated[key] = -x
+            cols[j][i] = y
+    return Matrix._trusted(cols, i + 1)
 
 
 def dagger(V: EquippedSpace) -> EquippedSpace:
-    """Dual space with structure -Rᵀ per degree."""
-    return EquippedSpace(V.dim, {n: _dual(mat) for n, mat in V.structure_items()})
+    """Dual space with structure -Rᵀ per degree, each built by _dual."""
+    structure = {n: _dual(mat.nonzeros, mat.cols) for n, mat in V.structure_items()}
+    return EquippedSpace(V.dim, structure)
 
 
 def hom_space(W: EquippedSpace, V: EquippedSpace) -> EquippedSpace:

@@ -51,7 +51,7 @@ def ev_map(V: EquippedSpace) -> VerificationReport:
     structure with zero.
     """
     for n, Rn in V.structure_items():
-        row = _pairing_rows_sum(_dual(Rn), Rn, V.dim, n)
+        row = _pairing_rows_sum(_dual(Rn.nonzeros, Rn.cols), Rn, V.dim, n)
         if row:
             col = min(row)
             witness = {"degree": n, "column": col, "difference": [row[col]]}
@@ -68,7 +68,7 @@ def coev_map(V: EquippedSpace) -> VerificationReport:
     d = V.dim
     for n, Rn in V.structure_items():
         Rt = Rn.transpose()
-        image = _pairing_rows_sum(Rt, _dual(Rt), d, n)
+        image = _pairing_rows_sum(Rt, _dual(Rt.nonzeros, Rt.cols), d, n)
         if image:
             difference = [-image.get(c, 0) for c in range(d ** (2 * n))]
             witness = {"degree": n, "column": 0, "difference": difference}

@@ -4,21 +4,29 @@ read_space and read_relations walk a file _CHUNK characters at a time;
 read_space_reference and read_relations_reference in oracles.py decode it
 whole with json.loads and validate the decoded object.  On every input here
 the two must accept the same files and build the same values, with the same
-entry types; they may word a rejection differently.
+entry types; they may word a rejection differently.  The dual command,
+which builds -Rᵀ from the rows of R as they are read, must write the bytes
+of dagger(read_space(path)) and reject what read_space rejects, with the
+same exit code and error line.
 """
 
+import io
 import json
 import random
+import tempfile
 import tracemalloc
+from contextlib import nullcontext, redirect_stderr
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from eqspace import EquippedSpace, Matrix, fileio
+from eqspace import EquippedSpace, Matrix, cli, fileio
 from eqspace.cli import main
 from eqspace.fileio import SpaceFormatError, read_relations, read_space, write_space
 from eqspace.sampling import random_equipped
-from eqspace.spaces import boxtimes
+from eqspace.spaces import boxtimes, dagger
 from oracles import read_relations_reference, read_space_reference
 from test_golden import EXPECTED, INPUTS
 
@@ -45,11 +53,30 @@ def outcome(reader, path):
     return dim, degree, rel.ambient_dim, _typed(rel.basis)
 
 
+def dual_outcome(path, whole):
+    """Exit code, stderr and the bytes written of the dual command on path.
+
+    whole runs the command as write_space(out, dagger(read_space(path))),
+    which holds R and then -Rᵀ; otherwise it runs as it is.
+    """
+    read_whole = mock.patch.object(cli, "_read_space", lambda p, _: dagger(read_space(p)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        err = io.StringIO()
+        with redirect_stderr(err), read_whole if whole else nullcontext():
+            code = main(["dual", str(path), "--out", str(out)])
+        return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
 def assert_agree(path):
-    """Both readers agree on path as a space file and as a relation file; the space outcome."""
+    """Both readers agree on path as a space file and as a relation file; the space outcome.
+
+    The dual command agrees with dagger(read_space(path)) on path too.
+    """
     space = outcome(read_space, path)
     assert space == outcome(read_space_reference, path)
     assert outcome(read_relations, path) == outcome(read_relations_reference, path)
+    assert dual_outcome(path, whole=False) == dual_outcome(path, whole=True)
     return space
 
 
@@ -145,6 +172,7 @@ def test_unknown_keys_and_odd_values(tmp_path):
         '{"dim": 2, "structure": [{"degree": 2, "matrix": "no"}]}',
         '{"dim": 2, "structure": [{"degree": 2, "matrix": []}]}',
         '{"dim": 2, "structure": [{"degree": 2, "matrix": [[], [], [], []]}]}',
+        '{"dim": 2, "structure": [{"degree": 2, "matrix": [["0","1","0","0"],["0","0","0","0"]]}]}',
         '{"dim": 2, "structure": [{"degree": 2, "matrix": [7, ["0"], ["0"], ["0"]]}]}',
         '{"dim": 2, "structure": [{"degree": 2}]}',
         '{"dim": 2, "basis": []}',
@@ -253,9 +281,20 @@ def test_rejections_exit_two(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_reading_holds_rows_not_the_file(tmp_path):
+def test_dual_in_place(tmp_path):
+    # The file is read whole before it is written.
+    for src in sorted(INPUTS.glob("*.json")):
+        path = tmp_path / src.name
+        path.write_bytes(src.read_bytes())
+        write_space(tmp_path / "want.json", dagger(read_space(src)))
+        assert main(["dual", str(path), "--out", str(path)]) == 0
+        assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def product_file(tmp_path_factory):
     # The dim-9 product of two dense dim-3 spaces, as construct-rigidity
-    # builds it: about 7.8 MB.  Decoding the whole file held about twice that.
+    # builds it: about 7.8 MB.
     rng = random.Random(1)
 
     def entry():
@@ -265,10 +304,16 @@ def test_reading_holds_rows_not_the_file(tmp_path):
         return Matrix([[entry() for _ in range(size)] for _ in range(size)])
 
     a, b = (EquippedSpace(3, {2: dense(9), 3: dense(27)}) for _ in range(2))
-    path = tmp_path / "prod.json"
+    path = tmp_path_factory.mktemp("product") / "prod.json"
     write_space(path, boxtimes(a, b))
+    assert path.stat().st_size > 7_000_000
+    return path
+
+
+def test_reading_holds_rows_not_the_file(product_file):
+    # Decoding the whole file held about twice its size.
+    path = product_file
     size = path.stat().st_size
-    assert size > 7_000_000
     tracemalloc.start()
     try:
         got = read_space(path)
@@ -277,3 +322,19 @@ def test_reading_holds_rows_not_the_file(tmp_path):
         tracemalloc.stop()
     assert got.dim == 9 and got.support == (2, 3)
     assert peak < size / 2, (peak, size)
+
+
+def test_dual_holds_the_dual_not_the_structure(product_file, tmp_path):
+    # dual builds -Rᵀ from the rows of R as they are read, and negates each
+    # distinct entry once: about 0.26 of the file at its peak, writing
+    # included.  Reading R whole and then building -Rᵀ held about 0.60.
+    size = product_file.stat().st_size
+    out = tmp_path / "dual.json"
+    tracemalloc.start()
+    try:
+        code = main(["dual", str(product_file), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.exists()
+    assert peak < size / 3, (peak, size)

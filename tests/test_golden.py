@@ -96,9 +96,9 @@ def _identity_is_not_a_morphism(suite, V, W, U=None, epi_degree=3):
     return [check_morphism(Matrix.identity(V.dim), V, W)]
 
 
-def _unsigned_dual(mat):
+def _unsigned_dual(rows, width):
     # Rᵀ in place of -Rᵀ, the dual's structure: ev and coev are then not morphisms.
-    return mat.transpose()
+    return Matrix._trusted(rows, width).transpose()
 
 
 def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:

@@ -16,6 +16,7 @@ from eqspace import (
     hom_space,
 )
 from eqspace import spaces, suites
+from eqspace.fileio import write_space
 from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped, random_matrix, random_rational
 from eqspace.spaces import boxtimes_degree
@@ -30,6 +31,7 @@ from oracles import (
     oracle_rank,
     permutation_matrix,
 )
+from test_golden import _unsigned_dual
 
 
 class TestConstruction:
@@ -164,6 +166,36 @@ class TestDagger:
         V = EquippedSpace(2, {2: Matrix.zero(4, 4)})
         assert dagger(V).structure_at(2).is_zero()
 
+    def test_each_distinct_entry_negated_once(self, tmp_path):
+        # 2 and Fraction(2, 1) are equal and hash alike, and each keeps its
+        # type; equal entries of one type come out as one object, though
+        # they go in as distinct ones.
+        half, two = Fraction(1, 2), Fraction(2, 1)
+        cells = [
+            [2, Fraction(2, 1), Fraction(1, 2), 0],
+            [half, 2, 0, two],
+            [0, 0, 0, 0],
+            [2, Fraction(1, 2), Fraction(2, 1), half],
+        ]
+        V = EquippedSpace(2, {2: Matrix(cells)})
+        R, D = V.structure_at(2), dagger(V).structure_at(2)
+        shared = {}
+        for i, row in enumerate(R.nonzeros):
+            for j, x in row.items():
+                y = D.nonzeros[j][i]
+                assert y == -x and type(y) is type(x)
+                assert shared.setdefault((y, type(y)), y) is y
+        assert len(shared) == 3 and sum(map(len, D.nonzeros)) == sum(map(len, R.nonzeros))
+        again = dagger(dagger(V))
+        assert again == V
+        def typed(mat):
+            return [sorted((j, type(x).__name__) for j, x in row.items()) for row in mat.nonzeros]
+
+        assert typed(again.structure_at(2)) == typed(R)
+        write_space(tmp_path / "v.json", V)
+        write_space(tmp_path / "again.json", again)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "v.json").read_bytes()
+
     def test_quantum_plane_row(self, qp):
         got = dagger(qp).structure_at(2)
         assert got.cells[1] == (0, -1, 2, 0)
@@ -260,7 +292,7 @@ class TestEvCoev:
         # one-vector checks must report the materialized path's witness.
         # dagger looks the dual's structure up in spaces, the checks in suites.
         for module in (spaces, suites):
-            monkeypatch.setattr(module, "_dual", Matrix.transpose)
+            monkeypatch.setattr(module, "_dual", _unsigned_dual)
         rng = random.Random(41)
         failures = 0
         for d in (1, 2, 3):
