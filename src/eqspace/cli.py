@@ -22,16 +22,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .fileio import (
-    SpaceFormatError,
-    _read_space,
-    dumps_canonical,
-    read_relations,
-    read_space,
-    render_report_text,
-    report_to_dict,
-    write_space,
-)
+from .fileio import SpaceFormatError, _read_space, read_relations, read_space, write_space
 from .spaces import EquippedSpace, _dual, boxtimes, hom_space
 
 EXIT_PASS = 0
@@ -51,6 +42,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_report(report: dict, out: str | None, pretty: bool) -> None:
+    from .report import dumps_canonical, render_report_text
     text = dumps_canonical(report)
     if out:
         _write_text(out, text)
@@ -77,7 +69,7 @@ def _cmd_hom(args: SimpleNamespace) -> int:
 
 def _cmd_hilbert(args: SimpleNamespace) -> int:
     from .algebras import apply_U
-    from .report import VerificationReport
+    from .report import VerificationReport, dumps_canonical, report_to_dict
     if args.max_degree < 0:
         raise SpaceFormatError("--max-degree must be nonnegative")
     if args.max_degree > HILBERT_CAP and not args.cap_override:
@@ -97,6 +89,7 @@ def _cmd_hilbert(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
+    from .report import report_to_dict
     from .suites import randomized_checks, suite_checks
     if args.epi_degree < 2:
         raise SpaceFormatError("--epi-degree must be at least 2")

@@ -1,4 +1,4 @@
-"""File formats: space files, relation-basis files and check reports.
+"""File formats: space files and relation-basis files.
 
 All files are JSON and human-diffable.  Space and relation files write
 every rational as the string "p/q" (or "p" when the denominator is one) so
@@ -6,20 +6,27 @@ no float ever enters the pipeline.  A rational string is a full match of
 ``[+-]?[0-9]+(/[1-9][0-9]*)?``: ASCII digits only, no surrounding
 whitespace.  ``parse_rational`` yields only ints and Fractions, and
 ``matrix.Matrix`` admits no other entry type, so the writer spells an entry
-as ``str(x)`` without checking it again, joining the bytes dumps_canonical
-would give without the JSON encoder.  Every zero spells "0", so the writer
-converts only the nonzero entries; the reader parses each distinct string
-once per file and keeps only the nonzeros.
+as ``str(x)`` without checking it again, joining the bytes
+``report.dumps_canonical`` would give without the JSON encoder.  Every
+zero spells "0", so the writer converts only the nonzero entries, and
+each distinct entry object once per file: a structure of many nonzeros
+has few entry objects.  The reader parses each distinct string once per
+file and keeps only the nonzeros.
 
 Reading streams a file row by row.  _Reader reads _CHUNK characters at a
 time and walks the top-level object and its structure, matrix and basis
 lists itself; json's C scanner decodes every other value whole, each row
-among them, and each row becomes its nonzeros at once.  So reading holds
-one row and the nonzeros, not the text and every row as strings, about
-twice the file.  Each row goes on, as it is decoded, to the builder of its
-matrix: read_space and read_relations keep the rows as they are, and the
-dual command's builder, spaces._dual, scatters each row into -Rᵀ, so that
-command never holds R.
+among them, and each row becomes its nonzeros at once.  Before it decodes
+a row the reader reads on to the row's "]", so no row is cut short at the
+end of a chunk and decoded twice.  json's scanner gives every plain "0"
+cell as one str object (CPython shares one-character strings), so a row's
+zeros are found by identity and only its other cells are looked up or
+parsed; what is accepted does not depend on that sharing.  So reading
+holds one row and the nonzeros, not the text and every row as strings,
+about twice the file.  Each row goes on, as it is decoded, to the builder
+of its matrix: read_space and read_relations keep the rows as they are,
+and the dual command's builder, spaces._dual, scatters each row into
+-Rᵀ, so that command never holds R.
 
 A file is accepted or rejected as decoding it whole with json.loads and
 then checking it would be, duplicate keys included: the last one wins, so
@@ -28,20 +35,18 @@ been read.  A rejection still exits 2.  Only the problem named may differ
 when a file has several, as the checks run in another order: a bad row is
 found while reading, before the shape of its matrix is checked.
 
-Report serialization is canonical: checks sorted by name, keys sorted,
-fixed indentation; identical inputs give identical bytes.  A report spells
-a value by what it is, not by its Python type: an integer (int or
-integral Fraction) is a JSON number and any other rational the string
-"p/q".
+Check reports are serialized in ``report``, which the constructions never
+load.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import is_not
 from os import PathLike
 
 from .matrix import Matrix, Scalar
@@ -106,8 +111,8 @@ class _Reader:
     def __init__(self, f, build: Callable):
         self.f, self.text, self.pos, self.done, self.eof = f, "", 0, 0, False
         self.build = build
-        self.memo: dict[str, Scalar] = {}  # only strings parse_rational accepted
-        self.nonzero: dict[str, bool] = {}  # a bool's truth test, unlike a Fraction's, runs in C
+        self.memo: dict[str, Scalar] = {}  # nonzeros, of strings parse_rational accepted
+        self.zeros: set[str] = set()  # the other strings it accepted
 
     def _fail(self, msg: object) -> None:
         at = self.done + self.pos
@@ -125,6 +130,18 @@ class _Reader:
             chunk = self.f.read(_CHUNK)
             self.done += self.pos
             self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
+
+    def _read_past(self, char: str) -> None:
+        """Read on, a chunk at a time, until char and a character after it are unread.
+
+        Then a row that char closes is decoded once, not cut short at the end
+        of a chunk and decoded again.
+        """
+        at = self.text.find(char, self.pos)
+        while (at < 0 or at + 1 == len(self.text)) and not self.eof:
+            searched = self.done + (len(self.text) if at < 0 else at)
+            self._peek(len(self.text) - self.pos + 1)
+            at = self.text.find(char, searched - self.done)
 
     def _take(self, chars: str) -> str:
         """Step over the next character, which must be one of chars."""
@@ -202,6 +219,7 @@ class _Reader:
         """
         width = None
         for _ in self._walk("]"):
+            self._read_past("]")
             row = self._value()
             if width is None:
                 width = len(row) if isinstance(row, list) else 0
@@ -215,19 +233,28 @@ class _Reader:
                 yield row
 
     def _row(self, row: object, width: int) -> dict[int, Scalar]:
-        """row, a list of width rational strings, as its nonzeros {column: value}."""
+        """row, a list of width rational strings, as its nonzeros {column: value}.
+
+        A cell that is the "0" object json's scanner makes of every plain
+        "0" is a zero; only the other cells are looked up or parsed, and
+        those that parse to zero, as "-0" or "0/3" do, are dropped.
+        """
         if not isinstance(row, list) or len(row) != width:
             raise SpaceFormatError(f"rows must be lists of {width} entries, as long as the first")
-        memo, nonzero = self.memo, self.nonzero
+        memo, zeros = self.memo, self.zeros
+        cols = list(compress(range(width), map(is_not, row, repeat("0"))))
         try:
-            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
+            return dict(zip(cols, map(memo.__getitem__, map(row.__getitem__, cols))))
         except (KeyError, TypeError):
-            for text in row:
-                if not isinstance(text, str) or text not in memo:
-                    memo[text] = parse_rational(text)
-                    nonzero[text] = memo[text] != 0
-            cols = list(compress(range(width), map(nonzero.__getitem__, row)))
-        return {j: memo[row[j]] for j in cols}
+            for j in cols:
+                text = row[j]
+                if not isinstance(text, str) or (text not in memo and text not in zeros):
+                    value = parse_rational(text)
+                    if value:
+                        memo[text] = value
+                    else:
+                        zeros.add(text)
+        return {j: memo[row[j]] for j in cols if row[j] not in zeros}
 
 
 def _load(path: str | PathLike, spec: dict, build: Callable) -> dict:
@@ -287,9 +314,15 @@ def _read_space(
 
 
 def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None) -> None:
-    """Write V as the bytes dumps_canonical gives, streamed without the JSON encoder."""
+    """Write V as the bytes report.dumps_canonical gives, streamed without the JSON encoder.
+
+    Each distinct entry object is spelled once.  The call holds each object
+    it keys by id, so no id is reused while it runs.
+    """
     note_line = "" if note is None else f'  "generators": {json.dumps(note)},\n'
     items = V.structure_items()
+    spelled: dict[int, str] = {}
+    held: list[Scalar] = []  # every x keyed in spelled
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{\n  "dim": {V.dim},\n{note_line}  "structure": [')
         for k, (n, mat) in enumerate(items):
@@ -298,7 +331,11 @@ def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None)
             for i, row in enumerate(mat.nonzeros):
                 cells = zeros.copy()
                 for j, x in row.items():
-                    cells[j] = str(x)
+                    text = spelled.get(id(x))
+                    if text is None:
+                        text = spelled[id(x)] = str(x)
+                        held.append(x)
+                    cells[j] = text
                 entries = '",\n          "'.join(cells)
                 f.write(f'{"," if i else ""}\n        [\n          "{entries}"\n        ]')
             f.write("\n      ]\n    }")
@@ -315,48 +352,3 @@ def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     if basis.rows and not _is_power(basis.cols, dim, degree):
         raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
     return dim, degree, Subspace.from_rows(dim**degree, basis.nonzeros)
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def report_to_dict(command: Sequence[str], checks: Iterable[VerificationReport]) -> dict:
-    records = []
-    for rep in sorted(checks, key=lambda r: r.name):
-        record: dict[str, object] = {"name": rep.name, "pass": rep.passed}
-        if rep.witness is not None:
-            record["witness"] = _jsonable(rep.witness)
-        if rep.dimensions is not None:
-            record["dimensions"] = _jsonable(rep.dimensions)
-        records.append(record)
-    return {
-        "command": list(command),
-        "checks": records,
-        "pass": all(r["pass"] for r in records),
-    }
-
-
-def dumps_canonical(data: object) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def render_report_text(report: dict) -> str:
-    lines = []
-    for record in report["checks"]:
-        status = "PASS" if record["pass"] else "FAIL"
-        line = f"{status}  {record['name']}"
-        if record.get("dimensions"):
-            dims = ", ".join(f"{k}={v}" for k, v in sorted(record["dimensions"].items()))
-            line += f"  [{dims}]"
-        lines.append(line)
-        if not record["pass"] and record.get("witness"):
-            lines.append(f"      witness: {json.dumps(record['witness'], sort_keys=True)}")
-    lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
-    return "\n".join(lines) + "\n"

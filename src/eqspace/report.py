@@ -1,8 +1,18 @@
-"""Value records and the outcome types shared by all check operations."""
+"""Value records, the check outcome type and the canonical report format.
+
+Report serialization is canonical: checks sorted by name, keys sorted,
+fixed indentation; identical inputs give identical bytes.  A report spells
+a value by what it is, not by its Python type: an integer (int or
+integral Fraction) is a JSON number and any other rational the string
+"p/q".  The command line imports this module only in the handlers that
+report, so product, dual and hom never compile it.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import json
+from collections.abc import Iterable, Mapping, Sequence
+from fractions import Fraction
 
 
 class Record:
@@ -61,3 +71,48 @@ class VerificationReport(Record):
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _jsonable(value: object) -> object:
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
+
+
+def report_to_dict(command: Sequence[str], checks: Iterable[VerificationReport]) -> dict:
+    records = []
+    for rep in sorted(checks, key=lambda r: r.name):
+        record: dict[str, object] = {"name": rep.name, "pass": rep.passed}
+        if rep.witness is not None:
+            record["witness"] = _jsonable(rep.witness)
+        if rep.dimensions is not None:
+            record["dimensions"] = _jsonable(rep.dimensions)
+        records.append(record)
+    return {
+        "command": list(command),
+        "checks": records,
+        "pass": all(r["pass"] for r in records),
+    }
+
+
+def dumps_canonical(data: object) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def render_report_text(report: dict) -> str:
+    lines = []
+    for record in report["checks"]:
+        status = "PASS" if record["pass"] else "FAIL"
+        line = f"{status}  {record['name']}"
+        if record.get("dimensions"):
+            dims = ", ".join(f"{k}={v}" for k, v in sorted(record["dimensions"].items()))
+            line += f"  [{dims}]"
+        lines.append(line)
+        if not record["pass"] and record.get("witness"):
+            lines.append(f"      witness: {json.dumps(record['witness'], sort_keys=True)}")
+    lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
+    return "\n".join(lines) + "\n"

@@ -136,17 +136,28 @@ def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
 
     One pass reads each row once, as it comes, so the file reader can pass
     rows as it decodes them and never hold R.  Each distinct entry, by
-    value and type, is negated once and the negation shared.
+    value and type, is negated once and the negation shared.  An entry
+    object is looked up by its id first, which hashes no Fraction: the
+    reader and boxtimes share one object per distinct value, so a structure
+    of many nonzeros has few entry objects.  The call holds each object it
+    keys by id, so no id is reused while it runs, even for rows made and
+    dropped one at a time.
     """
     cols: list[dict[int, Scalar]] = [{} for _ in range(width)]
-    negated: dict[tuple[Scalar, type], Scalar] = {}
+    by_id: dict[int, Scalar] = {}
+    held: list[Scalar] = []  # every x keyed in by_id
+    by_value: dict[tuple[Scalar, type], Scalar] = {}
     i = -1
     for i, row in enumerate(rows):
         for j, x in row.items():
-            key = (x, type(x))  # 2 == Fraction(2) and they hash alike; each keeps its type
-            y = negated.get(key)
+            y = by_id.get(id(x))
             if y is None:
-                y = negated[key] = -x
+                key = (x, type(x))  # 2 == Fraction(2) and they hash alike; each keeps its type
+                y = by_value.get(key)
+                if y is None:
+                    y = by_value[key] = -x
+                by_id[id(x)] = y
+                held.append(x)
             cols[j][i] = y
     return Matrix._trusted(cols, i + 1)
 

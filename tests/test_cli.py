@@ -10,14 +10,8 @@ import eqspace
 from eqspace import EquippedSpace, Matrix, VerificationReport
 from eqspace import cli
 from eqspace.cli import main
-from eqspace.fileio import (
-    SpaceFormatError,
-    dumps_canonical,
-    parse_rational,
-    read_space,
-    report_to_dict,
-    write_space,
-)
+from eqspace.fileio import SpaceFormatError, parse_rational, read_space, write_space
+from eqspace.report import dumps_canonical, report_to_dict
 from eqspace.sampling import random_equipped
 from conftest import DJ_MATRIX, QP_MATRIX
 from oracles import dumps_reference, space_to_dict

@@ -324,6 +324,26 @@ def test_reading_holds_rows_not_the_file(product_file):
     assert peak < size / 2, (peak, size)
 
 
+def test_rows_decoded_once(product_file, monkeypatch):
+    # The reader reads on to a row's "]" before it decodes the row, so no
+    # row is cut short at the end of a chunk and decoded again.
+    real_scan, scans, failed = fileio._scan, [], []
+
+    def scan(text, pos):
+        try:
+            value, end = real_scan(text, pos)
+        except ValueError:
+            failed.append(text[pos : pos + 1])
+            raise
+        scans.append(isinstance(value, list))
+        return value, end
+
+    monkeypatch.setattr(fileio, "_scan", scan)
+    got = read_space(product_file)
+    assert "[" not in failed
+    assert sum(scans) == sum(mat.rows for _, mat in got.structure_items()) == 81 + 729
+
+
 def test_dual_holds_the_dual_not_the_structure(product_file, tmp_path):
     # dual builds -Rᵀ from the rows of R as they are read, and negates each
     # distinct entry once: about 0.26 of the file at its peak, writing

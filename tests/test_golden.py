@@ -49,6 +49,10 @@ CASES = {
     "dual-graded": (["dual", "graded.json", "--out", OUT], 0),
     # The dual of the product case's file, copied in as product.json.
     "dual-product": (["dual", "product.json", "--out", OUT], 0),
+    # zeros.json spells zero as "-0", "+0", "00", "0/3" and an escaped "0",
+    # and one half as "1/2" and "2/4".
+    "dual-zeros": (["dual", "zeros.json", "--out", OUT], 0),
+    "product-zeros": (["product", "zeros.json", "a.json", "--out", OUT], 0),
     "project": (["project", "rel.json", "--out", OUT], 0),
     "hilbert": (["hilbert", "a.json", "--max-degree", "4", "--out", OUT], 0),
     "verify-all": (

@@ -25,11 +25,13 @@ from oracles import (
     boxtimes_conjugation,
     check_morphism,
     coev_reference,
+    dumps_reference,
     encode_digits,
     ev_reference,
     flip_table,
     oracle_rank,
     permutation_matrix,
+    space_to_dict,
 )
 from test_golden import _unsigned_dual
 
@@ -195,6 +197,35 @@ class TestDagger:
         write_space(tmp_path / "v.json", V)
         write_space(tmp_path / "again.json", again)
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "v.json").read_bytes()
+
+    def test_entries_made_and_dropped_row_by_row(self, tmp_path):
+        # Each row is made of fresh Fractions, equal within a row and new in
+        # value from row to row, and dropped once the next row is made, so
+        # a later row's entries may sit at the addresses of an earlier
+        # row's.  A memo keyed by id must hold what it keys.
+        size = 16
+        cells = [[Fraction(i + 1, 3) if (i + j) % 3 else 0 for j in range(size)] for i in range(size)]
+
+        def fresh_rows():
+            for row in cells:
+                yield {j: Fraction(x.numerator, x.denominator) for j, x in enumerate(row) if x}
+
+        want = [[-cells[j][i] for j in range(size)] for i in range(size)]
+        assert spaces._dual(fresh_rows(), size).cells == Matrix(want).cells
+
+        class Streamed:  # a structure matrix whose rows are made as they are read
+            cols = size
+            nonzeros = property(lambda self: fresh_rows())
+
+        class StreamedSpace:
+            dim = 4
+
+            def structure_items(self):
+                return [(2, Streamed())]
+
+        write_space(tmp_path / "v.json", StreamedSpace())
+        V = EquippedSpace(4, {2: Matrix(cells)})
+        assert (tmp_path / "v.json").read_text() == dumps_reference(space_to_dict(V))
 
     def test_quantum_plane_row(self, qp):
         got = dagger(qp).structure_at(2)
