@@ -6,9 +6,13 @@ codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
 invariant violation, 4 resource cap exceeded (running out of memory and
 a size too large to index included).  Start-up loads only the modules
 that product, dual and hom run; the algebra, report and suite modules
-are imported by the handlers that run them.  dual hands the reader
-spaces._dual as the builder of each structure matrix, so it builds -Rᵀ
-from the rows of R as they are read and never holds R.
+are imported by the handlers that run them.  No construction holds its
+output: product and hom read their inputs whole and then hand each row
+of R⊠S to the writer as spaces._boxtimes_structure makes it, and dual
+hands the reader spaces._dual_columns to build each structure matrix,
+so it builds the lists of -Rᵀ from the rows of R as they are read,
+never holds R, and writes the lists.  Each reads its inputs
+before it opens --out, so --out may name an input.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
 options; parse_args reads argv and writes the -h text from it.  It
@@ -22,8 +26,9 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .fileio import SpaceFormatError, _read_space, read_relations, read_space, write_space
-from .spaces import EquippedSpace, _dual, boxtimes, hom_space
+from .fileio import SpaceFormatError, _read_space, _write_space, read_relations, read_space
+from .fileio import write_space
+from .spaces import EquippedSpace, _boxtimes_structure, _dual_columns, _pairs, dagger
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -50,20 +55,23 @@ def _emit_report(report: dict, out: str | None, pretty: bool) -> None:
 
 
 def _cmd_product(args: SimpleNamespace) -> int:
-    write_space(args.out, boxtimes(read_space(args.a), read_space(args.b)))
+    # boxtimes(V, W), with no row of R⊠S held after it is written.
+    _write_space(args.out, *_boxtimes_structure(read_space(args.a), read_space(args.b)))
     return EXIT_PASS
 
 
 def _cmd_dual(args: SimpleNamespace) -> int:
     # dagger(read_space(a)), with no R held.
-    write_space(args.out, _read_space(args.a, _dual))
+    dim, structure = _read_space(args.a, _dual_columns)
+    _write_space(args.out, dim, {n: (map(_pairs, cols), h) for n, (cols, h) in structure.items()})
     return EXIT_PASS
 
 
 def _cmd_hom(args: SimpleNamespace) -> int:
+    # hom_space(W, V) = dagger(W) ⊠ V, written as product writes.
     W = read_space(args.w)
     V = read_space(args.v)
-    write_space(args.out, hom_space(W, V), note=GENERATOR_NOTE)
+    _write_space(args.out, *_boxtimes_structure(dagger(W), V), note=GENERATOR_NOTE)
     return EXIT_PASS
 
 

@@ -5,28 +5,22 @@ every rational as the string "p/q" (or "p" when the denominator is one) so
 no float ever enters the pipeline.  A rational string is a full match of
 ``[+-]?[0-9]+(/[1-9][0-9]*)?``: ASCII digits only, no surrounding
 whitespace.  ``parse_rational`` yields only ints and Fractions, and
-``matrix.Matrix`` admits no other entry type, so the writer spells an entry
-as ``str(x)`` without checking it again, joining the bytes
-``report.dumps_canonical`` would give without the JSON encoder.  Every
-zero spells "0", so the writer converts only the nonzero entries, and
-each distinct entry object once per file: a structure of many nonzeros
-has few entry objects.  The reader parses each distinct string once per
-file and keeps only the nonzeros.
+``matrix.Matrix`` admits no other entry type, so the one writer,
+_write_space, spells an entry as ``str(x)`` without checking it again,
+joining the bytes ``report.dumps_canonical`` would give without the JSON
+encoder.  Every zero spells "0", so it converts only the nonzero entries,
+and each distinct entry object once per file: a structure of many
+nonzeros has few entry objects.  It takes each row when it writes it, so
+the construct commands make rows one at a time and never hold their
+output.
 
-Reading streams a file row by row.  _Reader reads _CHUNK characters at a
-time and walks the top-level object and its structure, matrix and basis
-lists itself; json's C scanner decodes every other value whole, each row
-among them, and each row becomes its nonzeros at once.  Before it decodes
-a row the reader reads on to the row's "]", so no row is cut short at the
-end of a chunk and decoded twice.  json's scanner gives every plain "0"
-cell as one str object (CPython shares one-character strings), so a row's
-zeros are found by identity and only its other cells are looked up or
-parsed; what is accepted does not depend on that sharing.  So reading
+Reading streams a file row by row (_Reader), and each row becomes its
+nonzeros at once, each distinct string parsed once per file.  So reading
 holds one row and the nonzeros, not the text and every row as strings,
-about twice the file.  Each row goes on, as it is decoded, to the builder
-of its matrix: read_space and read_relations keep the rows as they are,
-and the dual command's builder, spaces._dual, scatters each row into
--Rᵀ, so that command never holds R.
+about twice the file.  Each row goes on, as it is decoded, to the
+function that builds its matrix: read_space and read_relations keep the
+rows as they are, and the dual command's, spaces._dual_columns, scatters
+each row into the lists of -Rᵀ, so that command never holds R.
 
 A file is accepted or rejected as decoding it whole with json.loads and
 then checking it would be, duplicate keys included: the last one wins, so
@@ -34,18 +28,15 @@ a problem met in a streamed value is raised only after the whole file has
 been read.  A rejection still exits 2.  Only the problem named may differ
 when a file has several, as the checks run in another order: a bad row is
 found while reading, before the shape of its matrix is checked.
-
-Check reports are serialized in ``report``, which the constructions never
-load.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
 from operator import is_not
 from os import PathLike
 
@@ -56,7 +47,6 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 _CHUNK = 1 << 16  # characters read from a file at a time
 _scan = json.JSONDecoder().raw_decode
 _blank = json.decoder.WHITESPACE.match
-_ROWS = "rows"  # the spec of a streamed list of rows (see _Reader._read)
 
 
 class SpaceFormatError(Exception):
@@ -104,13 +94,11 @@ class _Reader:
     structure entries in it, itself; json's C scanner decodes every other
     value whole, each row among them.  Only the unread text is kept.
     Rows become sparse rows as they are read, through one parse memo for
-    the whole file, and go at once to build(rows, width), which makes the
-    matrix of a list of rows.
+    the whole file, and go at once to the function that builds their list.
     """
 
-    def __init__(self, f, build: Callable):
+    def __init__(self, f):
         self.f, self.text, self.pos, self.done, self.eof = f, "", 0, 0, False
-        self.build = build
         self.memo: dict[str, Scalar] = {}  # nonzeros, of strings parse_rational accepted
         self.zeros: set[str] = set()  # the other strings it accepted
 
@@ -132,16 +120,14 @@ class _Reader:
             self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
 
     def _read_past(self, char: str) -> None:
-        """Read on, a chunk at a time, until char and a character after it are unread.
+        """Read on until char and a character after it are unread.
 
         Then a row that char closes is decoded once, not cut short at the end
-        of a chunk and decoded again.
+        of a chunk and decoded again.  Each read at least doubles the unread
+        text, so a long row is searched a few times, not once per chunk.
         """
-        at = self.text.find(char, self.pos)
-        while (at < 0 or at + 1 == len(self.text)) and not self.eof:
-            searched = self.done + (len(self.text) if at < 0 else at)
-            self._peek(len(self.text) - self.pos + 1)
-            at = self.text.find(char, searched - self.done)
+        while not self.eof and not 0 <= self.text.find(char, self.pos) < len(self.text) - 1:
+            self._peek(2 * (len(self.text) - self.pos) + 1)
 
     def _take(self, chars: str) -> str:
         """Step over the next character, which must be one of chars."""
@@ -172,7 +158,7 @@ class _Reader:
 
         The caller reads each value; the walk reads the keys and punctuation.
         """
-        self._take("{[")
+        self.pos += 1  # past the bracket _read saw
         if self._peek() == close:
             self.pos += 1
             return
@@ -189,33 +175,27 @@ class _Reader:
         """The next value, streamed as spec says and otherwise decoded whole.
 
         A dict spec streams an object and gives the spec of the value at each
-        key; a list spec streams a list and gives the spec of its elements;
-        _ROWS streams a list of rows.  A value of another shape than its spec
-        asks for is decoded whole, for the caller to reject.
+        key; a list spec streams a list and gives the spec of its elements; a
+        callable spec is given a list of rows.  A value of another shape than
+        its spec asks for is decoded whole, for the caller to reject.
         """
         c = self._peek()
         if c == "{" and isinstance(spec, dict):
             return {k: self._read(spec.get(k)) for k in self._walk("}")}
         if c == "[" and isinstance(spec, list):
             return [self._read(spec[0]) for _ in self._walk("]")]
-        return self._rows() if c == "[" and spec == _ROWS else self._value()
-
-    def _rows(self) -> Matrix | SpaceFormatError:
-        """The list of rows of rational strings that comes next, as self.build makes it.
-
-        Every row must have the width of the first, which build is given.
-        The first error met comes back in place of the Matrix; no row after
-        it goes to build, and the rest of the list is still read.
-        """
-        problems: list[SpaceFormatError] = []
-        rows = self._nonzeros(problems)
-        mat = self.build(rows, next(rows, 0))
-        return problems[0] if problems else mat
+        if c == "[" and callable(spec):
+            problems = []
+            rows = self._nonzeros(problems)
+            built = spec(rows, next(rows, 0))
+            return problems[0] if problems else built
+        return self._value()
 
     def _nonzeros(self, problems: list[SpaceFormatError]) -> Iterator:
         """Yield the width of the list of rows that comes next, then each row's nonzeros.
 
-        The first bad row goes into problems and ends what is yielded.
+        The first bad row goes into problems and ends what is yielded; the
+        rest of the list is still read.
         """
         width = None
         for _ in self._walk("]"):
@@ -226,18 +206,17 @@ class _Reader:
                 yield width
             if not problems:
                 try:
-                    row = self._row(row, width)
+                    yield self._row(row, width)
                 except SpaceFormatError as exc:
                     problems.append(exc)
-                    continue
-                yield row
 
     def _row(self, row: object, width: int) -> dict[int, Scalar]:
         """row, a list of width rational strings, as its nonzeros {column: value}.
 
         A cell that is the "0" object json's scanner makes of every plain
-        "0" is a zero; only the other cells are looked up or parsed, and
-        those that parse to zero, as "-0" or "0/3" do, are dropped.
+        "0" (CPython shares one-character strings) is a zero; only the other
+        cells are looked up or parsed, and those that parse to zero, as "-0"
+        or "0/3" do, are dropped.
         """
         if not isinstance(row, list) or len(row) != width:
             raise SpaceFormatError(f"rows must be lists of {width} entries, as long as the first")
@@ -257,11 +236,11 @@ class _Reader:
         return {j: memo[row[j]] for j in cols if row[j] not in zeros}
 
 
-def _load(path: str | PathLike, spec: dict, build: Callable) -> dict:
+def _load(path: str | PathLike, spec: dict) -> dict:
     """The object a JSON file holds, streamed as spec says (see _Reader._read)."""
     try:
         with open(path, encoding="utf-8") as f:
-            reader = _Reader(f, build)
+            reader = _Reader(f)
             data = reader._read(spec)
             if reader._peek():
                 reader._fail("extra data")
@@ -272,32 +251,35 @@ def _load(path: str | PathLike, spec: dict, build: Callable) -> dict:
     return data
 
 
-def _streamed(value: object, message: str) -> Matrix:
-    """The Matrix of a streamed list of rows; raise the error met in it, or message."""
-    if not isinstance(value, Matrix):
+def _kept(rows, width):
+    return tuple(rows), width
+
+
+def _streamed(value: object, message: str) -> tuple:
+    """What build made (a tuple: json makes none); raise the error met in it, or message."""
+    if not isinstance(value, tuple):
         raise value if isinstance(value, SpaceFormatError) else SpaceFormatError(message)
     return value
 
 
 def read_space(path: str | PathLike) -> EquippedSpace:
-    return _read_space(path, Matrix._trusted)
+    dim, structure = _read_space(path, _kept)
+    return EquippedSpace(dim, dict(zip(structure, starmap(Matrix._trusted, structure.values()))))
 
 
-def _read_space(
-    path: str | PathLike, build: Callable[[Iterator[dict[int, Scalar]], int], Matrix]
-) -> EquippedSpace:
-    """The space a file holds, with build(rows, width) making each structure matrix.
+def _read_space(path, build):
+    """The dimension of the space a file holds, and per degree what build makes of its matrix.
 
-    The checks read only the shape and zeros of what build makes, which
-    -Rᵀ shares with R, so spaces._dual gives the dual of the file's space
-    and rejects what read_space rejects.
+    The checks read the number, width and zeros of the rows build keeps,
+    which -Rᵀ shares with R, so with spaces._dual_columns it rejects what
+    read_space rejects.
     """
-    data = _load(path, {"structure": [{"matrix": _ROWS}]}, build)
+    data = _load(path, {"structure": [{"matrix": build}]})
     dim = _int_field(data, "dim", 1)
     entries = data.get("structure", [])
     if not isinstance(entries, list):
         raise SpaceFormatError("'structure' must be a list")
-    structure: dict[int, Matrix] = {}
+    structure = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise SpaceFormatError("structure entries must be objects")
@@ -305,32 +287,38 @@ def _read_space(
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
         message = f"matrix must be a list of {dim}^{degree} rows"
-        mat = structure[degree] = _streamed(entry.get("matrix"), message)
-        if mat.rows != mat.cols or not _is_power(mat.rows, dim, degree):
+        rows, width = structure[degree] = _streamed(entry.get("matrix"), message)
+        if len(rows) != width or not _is_power(width, dim, degree):
             raise SpaceFormatError(message)
-        if degree == 1 and not mat.is_zero():
+        if degree == 1 and any(rows):
             raise SpaceFormatError("degree-1 structure must be the zero matrix")
-    return EquippedSpace(dim, structure)
+    return dim, structure
 
 
 def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None) -> None:
-    """Write V as the bytes report.dumps_canonical gives, streamed without the JSON encoder.
+    """Write V as the bytes report.dumps_canonical gives, without the JSON encoder."""
+    structure = {n: (map(dict.items, m.nonzeros), m.cols) for n, m in V.structure_items()}
+    _write_space(path, V.dim, structure, note)
 
-    Each distinct entry object is spelled once.  The call holds each object
-    it keys by id, so no id is reused while it runs.
+
+def _write_space(path, dim, structure, note=None):
+    """Write the space of dimension dim whose degree-n matrix has structure[n]'s rows and width.
+
+    A row is its (column, nonzero) pairs, taken when it is written.  Each
+    entry object is spelled once; the call holds each, so no id is reused.
     """
     note_line = "" if note is None else f'  "generators": {json.dumps(note)},\n'
-    items = V.structure_items()
     spelled: dict[int, str] = {}
     held: list[Scalar] = []  # every x keyed in spelled
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f'{{\n  "dim": {V.dim},\n{note_line}  "structure": [')
-        for k, (n, mat) in enumerate(items):
+        f.write(f'{{\n  "dim": {dim},\n{note_line}  "structure": [')
+        for k, n in enumerate(sorted(structure)):
+            rows, width = structure[n]
             f.write(f'{"," if k else ""}\n    {{\n      "degree": {n},\n      "matrix": [')
-            zeros = ["0"] * mat.cols
-            for i, row in enumerate(mat.nonzeros):
+            zeros = ["0"] * width
+            for i, row in enumerate(rows):
                 cells = zeros.copy()
-                for j, x in row.items():
+                for j, x in row:
                     text = spelled.get(id(x))
                     if text is None:
                         text = spelled[id(x)] = str(x)
@@ -339,16 +327,16 @@ def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None)
                 entries = '",\n          "'.join(cells)
                 f.write(f'{"," if i else ""}\n        [\n          "{entries}"\n        ]')
             f.write("\n      ]\n    }")
-        f.write("\n  ]\n}\n" if items else "]\n}\n")
+        f.write("\n  ]\n}\n" if structure else "]\n}\n")
 
 
 def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     """Read a relation-basis file: dim, degree and the spanned subspace."""
     from .linalg import Subspace
-    data = _load(path, {"basis": _ROWS}, Matrix._trusted)
+    data = _load(path, {"basis": _kept})
     dim = _int_field(data, "dim", 1)
     degree = _int_field(data, "degree", 2, default=2)
-    basis = _streamed(data.get("basis"), "'basis' must be a list of vectors")
-    if basis.rows and not _is_power(basis.cols, dim, degree):
+    rows, width = _streamed(data.get("basis"), "'basis' must be a list of vectors")
+    if rows and not _is_power(width, dim, degree):
         raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
-    return dim, degree, Subspace.from_rows(dim**degree, basis.nonzeros)
+    return dim, degree, Subspace.from_rows(dim**degree, rows)

@@ -4,12 +4,13 @@ An equipped space is a pair (V, R) where R is a finitely supported family
 of endomorphisms R_n of V^{⊗n}.  The module provides the monoidal product
 ``boxtimes`` (R⊠S = φ⁻¹(R⊗I + I⊗S)φ per degree), the duality ``dagger``
 ((V*, -Rᵀ)) and internal hom spaces.  Every row of R⊠S comes from one
-rule on the index table of φ, ``_boxtimes_row``: products and homs build
-all rows, and the ev/coev checks in suites sum only the pairing rows
-(J,J).  Every -Rᵀ comes from ``_dual``, which takes sparse rows one at a
-time: dagger passes a matrix's rows, the ev/coev checks theirs, and the
-``dual`` command the rows of a file as they are read.  The module loads
-the matrix module, and the tensor index tables only to build a product.
+rule on the index table of φ, ``_boxtimes_row``: the product and hom
+commands write them as they are made, and the ev/coev checks in suites
+sum only the pairing rows (J,J).  Every -Rᵀ comes from ``_dual_columns``,
+which takes sparse rows one at a time: dagger passes a matrix's rows, the
+ev/coev checks theirs, and the ``dual`` command the rows of a file as
+they are read.  The module loads the matrix module, and the tensor index
+tables only to build a product.
 
 Generator convention for hom spaces, fixed once for the whole package:
 the generator t_i^j = w^j ⊗ v_i of hom(W, V) sits at flat index
@@ -19,7 +20,8 @@ flattening of W*⊗V.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
 
 from .matrix import Matrix, Scalar
 
@@ -82,8 +84,8 @@ class EquippedSpace:
 
 def _boxtimes_row(
     rrow: dict[int, Scalar], srow: dict[int, Scalar], i: int, k: int, inv: Sequence[int], wn: int
-) -> tuple[int, dict[int, Scalar]]:
-    """Index s and nonzeros of row s = φ⁻¹(i,k) of φ⁻¹(Rn⊗I + I⊗Sn)φ.
+) -> dict[int, Scalar]:
+    """Nonzeros of row s = φ⁻¹(i,k) of φ⁻¹(Rn⊗I + I⊗Sn)φ.
 
     Entry ((i,k),(j,l)) of Rn⊗I + I⊗Sn is Rn[i,j]·δ_kl + δ_ij·Sn[k,l], and
     conjugating by the permutation φ relabels both indices through inv, the
@@ -100,7 +102,23 @@ def _boxtimes_row(
         row[s] = diagonal
     else:
         row.pop(s, None)
-    return s, row
+    return row
+
+
+def _boxtimes_rows(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Iterator:
+    """The rows of φ⁻¹(Rn⊗I + I⊗Sn)φ in order, each made when it is asked for.
+
+    Row s is row (i,k) = divmod(φ[s], dW^n) of Rn⊗I + I⊗Sn, relabelled.
+    The index tables are built at once.
+    """
+    from .tensors import phi_inverse, phi_table
+    inv = phi_inverse(dV, dW, n)
+    wn = dW**n
+    rrows, srows = Rn.nonzeros, Sn.nonzeros
+    return (
+        _boxtimes_row(rrows[i], srows[k], i, k, inv, wn)
+        for i, k in map(divmod, phi_table(dV, dW, n), repeat(wn))
+    )
 
 
 def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
@@ -109,16 +127,7 @@ def boxtimes_degree(Rn: Matrix, Sn: Matrix, dV: int, dW: int, n: int) -> Matrix:
     Conjugating by the permutation matrix of φ gives the same matrix; tests
     assert the agreement.
     """
-    from .tensors import phi_inverse
-    size = (dV * dW) ** n
-    inv = phi_inverse(dV, dW, n)
-    wn = dW**n
-    out: list = [None] * size
-    for i, rrow in enumerate(Rn.nonzeros):
-        for k, srow in enumerate(Sn.nonzeros):
-            s, row = _boxtimes_row(rrow, srow, i, k, inv, wn)
-            out[s] = row
-    return Matrix._trusted(out, size)
+    return Matrix._trusted(_boxtimes_rows(Rn, Sn, dV, dW, n), (dV * dW) ** n)
 
 
 def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
@@ -131,19 +140,34 @@ def boxtimes(V: EquippedSpace, W: EquippedSpace) -> EquippedSpace:
     return EquippedSpace(V.dim * W.dim, structure)
 
 
-def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
+def _boxtimes_structure(V: EquippedSpace, W: EquippedSpace) -> tuple[int, dict]:
+    """The dimension of boxtimes(V, W) and per degree its rows, made when asked for, and width.
+
+    A row is its (column, entry) pairs.
+    """
+    dV, dW = V.dim, W.dim
+    return dV * dW, {
+        n: (
+            map(dict.items, _boxtimes_rows(V.structure_at(n), W.structure_at(n), dV, dW, n)),
+            (dV * dW) ** n,
+        )
+        for n in sorted(set(V.support) | set(W.support))
+    }
+
+
+def _dual_columns(rows: Iterable[dict[int, Scalar]], width: int) -> tuple[list, int]:
     """-Rᵀ, the dual's structure at one degree, for R of these sparse rows and width.
 
-    One pass reads each row once, as it comes, so the file reader can pass
-    rows as it decodes them and never hold R.  Each distinct entry, by
-    value and type, is negated once and the negation shared.  An entry
-    object is looked up by its id first, which hashes no Fraction: the
-    reader and boxtimes share one object per distinct value, so a structure
-    of many nonzeros has few entry objects.  The call holds each object it
-    keys by id, so no id is reused while it runs, even for rows made and
-    dropped one at a time.
+    Row j of -Rᵀ is a list of its nonzeros laid flat, i, -R[i,j], ..., in
+    ascending i (see _pairs), with their width, the number of rows of R.
+    One pass reads each row once, as it comes, so the file reader never
+    holds R.  Each distinct entry, by value and type, is negated once and
+    the negation shared.  An entry object is looked up by its id first,
+    which hashes no Fraction: the reader and boxtimes share one object per
+    distinct value.  The call holds each object it keys by id, so no id is
+    reused while it runs, even for rows made and dropped one at a time.
     """
-    cols: list[dict[int, Scalar]] = [{} for _ in range(width)]
+    cols: list[list] = [[] for _ in range(width)]
     by_id: dict[int, Scalar] = {}
     held: list[Scalar] = []  # every x keyed in by_id
     by_value: dict[tuple[Scalar, type], Scalar] = {}
@@ -158,8 +182,26 @@ def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
                     y = by_value[key] = -x
                 by_id[id(x)] = y
                 held.append(x)
-            cols[j][i] = y
-    return Matrix._trusted(cols, i + 1)
+            col = cols[j]
+            col.append(i)
+            col.append(y)
+    return cols, i + 1
+
+
+def _pairs(flat: list) -> Iterator:
+    """The (column, entry) pairs of a row that _dual_columns lays flat.
+
+    Two list slots a nonzero take a third to a quarter of what a dict or a
+    list of pairs takes.
+    """
+    it = iter(flat)
+    return zip(it, it)
+
+
+def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
+    """-Rᵀ as a Matrix, for R of these sparse rows and width, from _dual_columns's lists."""
+    cols, height = _dual_columns(rows, width)
+    return Matrix._trusted(map(dict, map(_pairs, cols)), height)
 
 
 def dagger(V: EquippedSpace) -> EquippedSpace:

@@ -36,7 +36,7 @@ def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scala
     wn = d**n
     acc: dict[int, Scalar] = {}
     for J, (rrow, srow) in enumerate(zip(Rn.nonzeros, Sn.nonzeros)):
-        for c, x in _boxtimes_row(rrow, srow, J, J, inv, wn)[1].items():
+        for c, x in _boxtimes_row(rrow, srow, J, J, inv, wn).items():
             acc[c] = acc[c] + x if c in acc else x
     return {c: x for c, x in acc.items() if x}
 
@@ -152,7 +152,7 @@ def bialgebra_suite(
 def epi_suite(
     V: EquippedSpace, W: EquippedSpace, max_degree: int = 3
 ) -> list[VerificationReport]:
-    from .frt import check_U_epi, check_manin_epi, corep_delta_check
+    from .epi import check_U_epi, check_manin_epi, corep_delta_check
 
     return [
         check_manin_epi(V, W),

@@ -634,7 +634,7 @@ def tensor_sum_comult_check(V, W, U):
 
 
 def tensor_sum_corep_check(V, W):
-    """frt.corep_delta_check on TensorSum and dense images."""
+    """epi.corep_delta_check on TensorSum and dense images."""
     dV, dW = V.dim, W.dim
     g_count, w_total = dW * dV, dW * dW
     target = TensorSum(frt.frt_relations(V, W), column_space(W.structure_at(2)))
@@ -656,7 +656,7 @@ def tensor_sum_corep_check(V, W):
 
 
 def tensor_sum_U_epi(V, W, N):
-    """algebras.check_U_epi on TensorSum of the assembled ideal components."""
+    """epi.check_U_epi on TensorSum of the assembled ideal components."""
     left = apply_U(spaces.boxtimes(V, W))
     A, B = apply_U(V), apply_U(W)
     dims = {}

@@ -603,7 +603,7 @@ class TestImportBudget:
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
         "sys.exit(code)\n"
     )
-    HEAVY = {"eqspace.algebras", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
+    HEAVY = {"eqspace.algebras", "eqspace.epi", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
     FORBIDDEN = {"argparse", "gettext", "locale", "typing", "pathlib", "dataclasses"}
     # The eqspace.* modules each subcommand loads, and no others.
     DUAL = {"eqspace.cli", "eqspace.fileio", "eqspace.matrix", "eqspace.spaces"}
@@ -654,6 +654,13 @@ class TestImportBudget:
         assert "eqspace.suites" in loaded
         assert not loaded & (self.HEAVY - {"eqspace.suites"})
         assert "eqspace.linalg" not in loaded
+
+    def test_only_the_epi_suite_loads_epi(self, tmp_path):
+        # The bialgebra suite runs frt and not the epimorphism checks.
+        loaded = self.loaded_by("verify-bialgebra", tmp_path)
+        assert self.HEAVY - {"eqspace.epi", "eqspace.sampling"} <= loaded
+        assert "eqspace.epi" not in loaded
+        assert "eqspace.epi" in self.loaded_by("verify-epi", tmp_path)
 
     def test_verify_without_trials_loads_no_sampling(self, tmp_path):
         argv = ["verify", "a.json", "b.json", "u.json", "--suite", "all", "--trials", "0"]

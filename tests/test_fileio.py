@@ -7,7 +7,9 @@ the two must accept the same files and build the same values, with the same
 entry types; they may word a rejection differently.  The dual command,
 which builds -Rᵀ from the rows of R as they are read, must write the bytes
 of dagger(read_space(path)) and reject what read_space rejects, with the
-same exit code and error line.
+same exit code and error line.  The product and hom commands, which write
+each row of R⊠S as it is made, must write the bytes of
+write_space(boxtimes(...)) and write_space(hom_space(...)).
 """
 
 import io
@@ -26,11 +28,12 @@ from eqspace import EquippedSpace, Matrix, cli, fileio
 from eqspace.cli import main
 from eqspace.fileio import SpaceFormatError, read_relations, read_space, write_space
 from eqspace.sampling import random_equipped
-from eqspace.spaces import boxtimes, dagger
+from eqspace.spaces import boxtimes, dagger, hom_space
 from oracles import read_relations_reference, read_space_reference
 from test_golden import EXPECTED, INPUTS
 
 GOLDEN_FILES = sorted(INPUTS.glob("*.json")) + sorted(EXPECTED.glob("*.json"))
+SPACE_INPUTS = [path for path in sorted(INPUTS.glob("*.json")) if path.name != "rel.json"]
 
 
 def _typed(mat):
@@ -59,7 +62,11 @@ def dual_outcome(path, whole):
     whole runs the command as write_space(out, dagger(read_space(path))),
     which holds R and then -Rᵀ; otherwise it runs as it is.
     """
-    read_whole = mock.patch.object(cli, "_read_space", lambda p, _: dagger(read_space(p)))
+    def whole_dual(args):
+        write_space(args.out, dagger(read_space(args.a)))
+        return 0
+
+    read_whole = mock.patch.dict(cli.COMMANDS, dual=(whole_dual, *cli.COMMANDS["dual"][1:]))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"
         err = io.StringIO()
@@ -291,10 +298,38 @@ def test_dual_in_place(tmp_path):
         assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["product", "hom"])
+@pytest.mark.parametrize("out", ["a.json", "b.json"])
+def test_product_and_hom_in_place(tmp_path, command, out):
+    # Both inputs are read whole before --out is opened.
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_bytes((INPUTS / name).read_bytes())
+    a, b, path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / out
+    assert main([command, str(a), str(b), "--out", str(path)]) == 0
+    assert path.read_bytes() == (EXPECTED / f"{command}.out.json").read_bytes()
+
+
+def assert_streamed_as_built(a, b, tmp_path):
+    """product a b and hom a b write the bytes of the built product and hom space."""
+    V, W = read_space(a), read_space(b)
+    built = {"product": (boxtimes(V, W), None), "hom": (hom_space(V, W), cli.GENERATOR_NOTE)}
+    for command, (space, note) in built.items():
+        want, got = tmp_path / f"{command}.want.json", tmp_path / f"{command}.json"
+        write_space(want, space, note)
+        assert main([command, str(a), str(b), "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes(), (command, a.name, b.name)
+
+
+@pytest.mark.parametrize("b", SPACE_INPUTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("a", SPACE_INPUTS, ids=lambda p: p.name)
+def test_product_and_hom_write_the_built_bytes(a, b, tmp_path):
+    assert_streamed_as_built(a, b, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def product_file(tmp_path_factory):
     # The dim-9 product of two dense dim-3 spaces, as construct-rigidity
-    # builds it: about 7.8 MB.
+    # builds it: about 7.8 MB.  The two spaces are a.json and b.json beside it.
     rng = random.Random(1)
 
     def entry():
@@ -305,9 +340,16 @@ def product_file(tmp_path_factory):
 
     a, b = (EquippedSpace(3, {2: dense(9), 3: dense(27)}) for _ in range(2))
     path = tmp_path_factory.mktemp("product") / "prod.json"
+    write_space(path.with_name("a.json"), a)
+    write_space(path.with_name("b.json"), b)
     write_space(path, boxtimes(a, b))
     assert path.stat().st_size > 7_000_000
     return path
+
+
+def test_dense_product_and_hom_write_the_built_bytes(product_file, tmp_path):
+    a, b = product_file.with_name("a.json"), product_file.with_name("b.json")
+    assert_streamed_as_built(a, b, tmp_path)
 
 
 def test_reading_holds_rows_not_the_file(product_file):
@@ -344,17 +386,37 @@ def test_rows_decoded_once(product_file, monkeypatch):
     assert sum(scans) == sum(mat.rows for _, mat in got.structure_items()) == 81 + 729
 
 
-def test_dual_holds_the_dual_not_the_structure(product_file, tmp_path):
-    # dual builds -Rᵀ from the rows of R as they are read, and negates each
-    # distinct entry once: about 0.26 of the file at its peak, writing
-    # included.  Reading R whole and then building -Rᵀ held about 0.60.
-    size = product_file.stat().st_size
-    out = tmp_path / "dual.json"
+def traced_peak(argv):
+    """The exit code of main(argv) and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        code = main(["dual", str(product_file), "--out", str(out)])
+        code = main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_dual_holds_the_dual_not_the_structure(product_file, tmp_path):
+    # dual builds -Rᵀ from the rows of R as they are read, as one flat list
+    # per column, and negates each distinct entry once: about 0.13 of the
+    # file at its peak, writing included.  A dict per column held about
+    # 0.26, and reading R whole and then building -Rᵀ about 0.60.
+    size = product_file.stat().st_size
+    out = tmp_path / "dual.json"
+    code, peak = traced_peak(["dual", str(product_file), "--out", str(out)])
     assert code == 0 and out.exists()
-    assert peak < size / 3, (peak, size)
+    assert peak < size / 5, (peak, size)
+
+
+@pytest.mark.parametrize("command", ["product", "hom"])
+def test_product_and_hom_hold_a_row_not_the_product(product_file, tmp_path, command):
+    # Each row of R⊠S is written as it is made: about 0.03 of the file at
+    # the peak, reading the two inputs included.  Building every row before
+    # writing held about 0.23.
+    size = product_file.stat().st_size
+    a, b = product_file.with_name("a.json"), product_file.with_name("b.json")
+    out = tmp_path / "out.json"
+    code, peak = traced_peak([command, str(a), str(b), "--out", str(out)])
+    assert code == 0 and out.stat().st_size > 7_000_000
+    assert peak < size / 10, (peak, size)

@@ -24,7 +24,7 @@ from eqspace import (
     manin_hom_relations,
     verify_hom_equals_frt,
 )
-from eqspace import frt, spaces
+from eqspace import epi, frt, spaces
 from eqspace.frt import (
     Comultiplication,
     counit_on_word,
@@ -259,7 +259,8 @@ def halved_spans(monkeypatch, keep):
         span = real(X, Y)
         return span if (X, Y) == keep else halved(span)
 
-    monkeypatch.setattr(frt, "frt_relations", patched)
+    for module in (frt, epi):
+        monkeypatch.setattr(module, "frt_relations", patched)
 
 
 class TestReportsAgainstTensorSum:
@@ -372,7 +373,7 @@ class TestContainmentWitnesses:
         # reference builds its failing report with _containment_report over
         # the dense basis of the degree's relations.
         real = spaces.boxtimes
-        for module in (frt, spaces):
+        for module in (epi, spaces):
             monkeypatch.setattr(module, "boxtimes", lambda V, W: real(W, V))
         rng = random.Random(151)
         failing = 0
