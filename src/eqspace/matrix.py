@@ -5,8 +5,8 @@ row the package takes is checked by ``_as_row``, which raises TypeError on
 any other entry type (bool, float, str, Decimal, zeros included) and on a
 sparse row's column that is not exactly int, so equality tests carry zero
 tolerance.  A ``Matrix`` keeps only its nonzeros, row by row, and has the
-operations that the commands run: product, negation, transpose and
-``kronecker``.  Elimination is in linalg, which constructions never load.
+operations that the commands run: negation and transpose.  Elimination is
+in linalg, which constructions never load.
 """
 
 from __future__ import annotations
@@ -118,20 +118,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix._trusted(({j: -x for j, x in r.items()} for r in self._data), self._cols)
 
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self._cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self._cols} * {other.rows}x{other._cols}")
-        out = []
-        for arow in self._data:
-            acc: dict[int, Scalar] = {}
-            for k, a in arow.items():
-                for j, b in other._data[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return Matrix._trusted(out, other._cols)
-
     def transpose(self) -> "Matrix":
         out: list[dict[int, Scalar]] = [{} for _ in range(self._cols)]
         for i, r in enumerate(self._data):
@@ -150,13 +136,3 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._trusted(({},) * rows, cols)
 
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, left factor major: (a⊗b)[(i,k),(j,l)] = a[i,j]·b[k,l]."""
-    q = b.cols
-    rows = (
-        {j * q + l: x * y for j, x in arow.items() for l, y in brow.items()}
-        for arow in a.nonzeros
-        for brow in b.nonzeros
-    )
-    return Matrix._trusted(rows, a.cols * q)

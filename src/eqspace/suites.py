@@ -3,27 +3,19 @@
 The rigidity arrows live beside the suite that runs them: ev and coev,
 each checked as a sum of pairing rows of a product structure, with the
 witness that the intertwining check l^{⊗n}·R_n = S_n·l^{⊗n} gives on the
-built product (tests keep that check as the reference).  The other suites
-import their modules when they run, so the rigidity suite loads no
-elimination, algebra or FRT module, and only random trials the sampler.
+built product, and the snake identities by contracting the pairing's
+indices (tests keep that check and the Kronecker products as references).
+The other suites import their modules when they run, so the rigidity
+suite loads no elimination, algebra or FRT module, and only random trials
+the sampler.
 """
 
 from __future__ import annotations
 
-from .matrix import Matrix, Scalar, kronecker
+from .matrix import Matrix, Scalar
 from .report import VerificationReport
 from .spaces import EquippedSpace, _boxtimes_row, _dual
 from .tensors import phi_inverse
-
-
-def ev_row(d: int) -> Matrix:
-    """1×d² pairing row on V*⊗V: entry 1 at each flat index (j, j)."""
-    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1]) for g in range(d * d)]])
-
-
-def coev_column(d: int) -> Matrix:
-    """d²×1 coevaluation column on V⊗V*: entry 1 at each flat index (i, i)."""
-    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1])] for g in range(d * d)])
 
 
 def _pairing_rows_sum(Rn: Matrix, Sn: Matrix, d: int, n: int) -> dict[int, Scalar]:
@@ -93,21 +85,23 @@ def coev_kron_identity(V: EquippedSpace) -> VerificationReport:
     return VerificationReport("coev-kron-identity", True)
 
 
+def _zigzags(ev: list[int], coev: list[int], d: int) -> tuple[list[list[int]], ...]:
+    """(ev⊗I)(I⊗coev) and (I⊗ev)(coev⊗I) of flat d² pairing vectors, d rows each."""
+    ks = range(d)
+    on_dual = [[sum(ev[c * d + i] * coev[i * d + k] for i in ks) for c in ks] for k in ks]
+    on_primal = [[sum(coev[k * d + i] * ev[i * d + c] for i in ks) for c in ks] for k in ks]
+    return on_dual, on_primal
+
+
 def snake_identity(V: EquippedSpace) -> VerificationReport:
-    """Both triangle identities of the pairing, as exact matrix equalities."""
+    """Both triangle identities of the pairing δ(a, b), contracted index by index."""
     d = V.dim
-    ident, ev, coev = Matrix.identity(d), ev_row(d), coev_column(d)
-    on_dual = kronecker(ev, ident) * kronecker(ident, coev)
-    on_primal = kronecker(ident, ev) * kronecker(coev, ident)
+    pair = [int(a == b) for a in range(d) for b in range(d)]
+    on_dual, on_primal = _zigzags(pair, pair, d)
+    ident = [pair[k * d : k * d + d] for k in range(d)]
     if on_dual != ident or on_primal != ident:
-        return VerificationReport(
-            "snake-identity",
-            False,
-            witness={
-                "on_dual": [list(r) for r in on_dual.cells],
-                "on_primal": [list(r) for r in on_primal.cells],
-            },
-        )
+        witness = {"on_dual": on_dual, "on_primal": on_primal}
+        return VerificationReport("snake-identity", False, witness=witness)
     return VerificationReport("snake-identity", True)
 
 

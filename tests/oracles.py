@@ -35,9 +35,14 @@ These groups are former library code kept as references:
   that the digit recurrence of tensors.phi_table replaced;
 - ev_reference and coev_reference run check_morphism on the materialized
   products dagger(V) ⊠ V and V ⊠ dagger(V), the path the pairing-row sums
-  of the ev/coev checks replaced.  They call spaces.dagger through the
-  module, and dagger calls spaces._dual, so a test that patches _dual in
-  spaces and in suites changes both paths;
+  of the ev/coev checks replaced, with the pairing row ev_row and column
+  coev_column that were suites functions.  They call spaces.dagger through
+  the module, and dagger calls spaces._dual, so a test that patches _dual
+  in spaces and in suites changes both paths;
+- snake_composites multiplies the Kronecker products (ev⊗I)(I⊗coev) and
+  (I⊗ev)(coev⊗I), and snake_reference is the snake-identity check as it
+  ran on them, the path the index contraction of suites.snake_identity
+  replaced;
 - boxtimes_conjugation is the literal φ⁻¹(R⊗I + I⊗S)φ that the index
   bookkeeping of spaces.boxtimes_degree and of its pairing-row sum
   replaced;
@@ -49,7 +54,10 @@ These groups are former library code kept as references:
 - dense_add, dense_sub, dense_neg, dense_mul, dense_apply,
   dense_transpose, dense_kronecker and dense_is_zero are the operations
   of the dense Matrix that sparse rows replaced, on tuples of dense rows
-  (``Matrix.cells``);
+  (``Matrix.cells``).  matrix_kronecker applies dense_kronecker to Matrix
+  objects, and matrix_mul multiplies Matrix objects over their nonzeros;
+  they replace the Kronecker product and the product that the library
+  dropped when no check used them;
 - full_space and complement_words were public library names that only
   tests called;
 - check_morphism, normal_form and unit_K were public library names that
@@ -67,12 +75,12 @@ import json
 from fractions import Fraction
 from itertools import product
 
-from eqspace import frt, spaces, suites
+from eqspace import frt, spaces
 from eqspace.algebras import _combine, apply_U
 from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
 from eqspace.linalg import Subspace, _scaled, column_space
-from eqspace.matrix import Matrix, _as_row, kronecker
+from eqspace.matrix import Matrix, _as_row
 from eqspace.report import VerificationReport
 from eqspace.spaces import EquippedSpace
 from eqspace.tensors import decode_index, phi_table, tau23_table
@@ -213,7 +221,7 @@ def embed_at(rel, n, pos, d):
         raise ValueError(f"position {pos} out of range for degree {n}")
     left = Matrix.identity(d**pos)
     right = Matrix.identity(d ** (n - k - pos))
-    rows = kronecker(kronecker(left, rel.basis), right)
+    rows = matrix_kronecker(matrix_kronecker(left, rel.basis), right)
     return Subspace.from_rows(d**n, rows.cells)
 
 
@@ -270,10 +278,10 @@ def circle_ideal_component(A, B, n):
     rows = []
     comp_a = ideal_component(A, n)
     if comp_a.dim:
-        rows.extend(kronecker(comp_a.basis, Matrix.identity(dB**n)).cells)
+        rows.extend(matrix_kronecker(comp_a.basis, Matrix.identity(dB**n)).cells)
     comp_b = ideal_component(B, n)
     if comp_b.dim:
-        rows.extend(kronecker(Matrix.identity(dA**n), comp_b.basis).cells)
+        rows.extend(matrix_kronecker(Matrix.identity(dA**n), comp_b.basis).cells)
     return Subspace.from_rows((dA * dB) ** n, [pull_row(row, table) for row in rows])
 
 
@@ -436,25 +444,57 @@ def phi_table_reference(dV, dW, n):
     return table
 
 
+def ev_row(d):
+    """1×d² pairing row on V*⊗V: entry 1 at each flat index (j, j)."""
+    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1]) for g in range(d * d)]])
+
+
+def coev_column(d):
+    """d²×1 coevaluation column on V⊗V*: entry 1 at each flat index (i, i)."""
+    return Matrix([[int(divmod(g, d)[0] == divmod(g, d)[1])] for g in range(d * d)])
+
+
 def ev_reference(V):
     D = spaces.dagger(V)
-    rep = check_morphism(suites.ev_row(V.dim), spaces.boxtimes(D, V), EquippedSpace(1, {}))
+    rep = check_morphism(ev_row(V.dim), spaces.boxtimes(D, V), EquippedSpace(1, {}))
     return VerificationReport("ev-morphism", rep.passed, rep.witness, rep.dimensions)
 
 
 def coev_reference(V):
     D = spaces.dagger(V)
-    rep = check_morphism(suites.coev_column(V.dim), EquippedSpace(1, {}), spaces.boxtimes(V, D))
+    rep = check_morphism(coev_column(V.dim), EquippedSpace(1, {}), spaces.boxtimes(V, D))
     return VerificationReport("coev-morphism", rep.passed, rep.witness, rep.dimensions)
+
+
+def snake_composites(ev, coev, d):
+    """(ev⊗I)(I⊗coev) and (I⊗ev)(coev⊗I) as d dense rows each, by Kronecker products.
+
+    ev is a 1×d² Matrix and coev a d²×1 Matrix.
+    """
+    ident = Matrix.identity(d)
+    on_dual = matrix_mul(matrix_kronecker(ev, ident), matrix_kronecker(ident, coev))
+    on_primal = matrix_mul(matrix_kronecker(ident, ev), matrix_kronecker(coev, ident))
+    return [list(r) for r in on_dual.cells], [list(r) for r in on_primal.cells]
+
+
+def snake_reference(V):
+    """The snake-identity check as it ran on Kronecker products of ev_row and coev_column."""
+    d = V.dim
+    on_dual, on_primal = snake_composites(ev_row(d), coev_column(d), d)
+    ident = [list(r) for r in Matrix.identity(d).cells]
+    if on_dual != ident or on_primal != ident:
+        witness = {"on_dual": on_dual, "on_primal": on_primal}
+        return VerificationReport("snake-identity", False, witness=witness)
+    return VerificationReport("snake-identity", True)
 
 
 def boxtimes_conjugation(R, S, dV, dW, n):
     """φ⁻¹(R⊗I + I⊗S)φ by Kronecker products and the permutation matrix of φ."""
     phi = phi_iso(dV, dW, n)
-    left = kronecker(R, Matrix.identity(dW**n)).cells
-    right = kronecker(Matrix.identity(dV**n), S).cells
+    left = matrix_kronecker(R, Matrix.identity(dW**n)).cells
+    right = matrix_kronecker(Matrix.identity(dV**n), S).cells
     total = Matrix(dense_add(left, right), cols=phi.cols)
-    return phi.transpose() * total * phi
+    return matrix_mul(phi.transpose(), total, phi)
 
 
 def dense_reduce_vector(space, vec):
@@ -704,9 +744,9 @@ def dense_transpose(a, cols):
 
 
 def dense_kronecker(a, b, a_cols, b_cols):
-    """(a⊗b)[(i,k),(j,l)] = a[i][j]·b[k][l], left factor major."""
+    """(a⊗b)[(i,k),(j,l)] = a[i][j]·b[k][l], left factor major; zero factors multiply nothing."""
     return [
-        [ra[j] * rb[l] for j in range(a_cols) for l in range(b_cols)]
+        [ra[j] * rb[l] if ra[j] and rb[l] else 0 for j in range(a_cols) for l in range(b_cols)]
         for ra in a
         for rb in b
     ]
@@ -714,3 +754,30 @@ def dense_kronecker(a, b, a_cols, b_cols):
 
 def dense_is_zero(a):
     return all(x == 0 for r in a for x in r)
+
+
+def matrix_mul(*factors):
+    """Product of Matrix factors, left to right, over the nonzeros of each row.
+
+    This is the loop of the product that Matrix had.  dense_mul visits
+    every cell, which makes the 729×729 conjugations of the φ tests take
+    about a minute.
+    """
+    out = factors[0]
+    for b in factors[1:]:
+        if out.cols != b.rows:
+            raise ValueError(f"shape mismatch: {out.rows}x{out.cols} * {b.rows}x{b.cols}")
+        rows = []
+        for arow in out.nonzeros:
+            acc = {}
+            for k, x in arow.items():
+                for j, y in b.nonzeros[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            rows.append({j: x for j, x in acc.items() if x})
+        out = Matrix._trusted(rows, b.cols)
+    return out
+
+
+def matrix_kronecker(a, b):
+    """Kronecker product of two Matrix objects, left factor major, by dense_kronecker."""
+    return Matrix(dense_kronecker(a.cells, b.cells, a.cols, b.cols), cols=a.cols * b.cols)

@@ -19,7 +19,6 @@ from eqspace import (
 from eqspace import linalg
 from eqspace.algebras import _Degree
 from eqspace.frt import _first_outside_tensor
-from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped, random_matrix
 from conftest import DJ_MATRIX, PRIMES, QP_MATRIX, jimbo_matrix, qcomm_space, random_quadratic
 from oracles import (
@@ -30,6 +29,8 @@ from oracles import (
     embed_and_sum_component,
     full_space,
     ideal_component,
+    matrix_kronecker,
+    matrix_mul,
     oracle_graded_dims,
     normal_form,
     oracle_normal_forms,
@@ -398,7 +399,7 @@ def small_ideal_algebra(rng, d, support):
 def basis_changed(relation, g):
     """The span of g⊗g applied to one relation vector of degree 2."""
     g = Matrix(g)
-    return Subspace.from_rows(g.rows**2, [dense_apply(kronecker(g, g).cells, relation)])
+    return Subspace.from_rows(g.rows**2, [dense_apply(matrix_kronecker(g, g).cells, relation)])
 
 
 def basis_changed_pair():
@@ -564,7 +565,7 @@ class TestStructureProjector:
 
     def test_quantum_plane_projector(self, qp):
         P = structure_projector(QP_REL)
-        assert P * P == P
+        assert matrix_mul(P, P) == P
         assert column_space(P) == QP_REL
         rebuilt = apply_U(EquippedSpace(2, {2: P}))
         assert rebuilt.hilbert(4) == [1, 2, 3, 4, 5]
@@ -579,6 +580,6 @@ class TestStructureProjector:
             ]
             rel = Subspace.from_rows(5, rows)
             P = structure_projector(rel)
-            assert P * P == P
+            assert matrix_mul(P, P) == P
             assert column_space(P) == rel
 

@@ -17,20 +17,25 @@ from eqspace import (
 )
 from eqspace import spaces, suites
 from eqspace.fileio import write_space
-from eqspace.matrix import kronecker
 from eqspace.sampling import random_equipped, random_matrix, random_rational
 from eqspace.spaces import boxtimes_degree
-from eqspace.suites import _pairing_rows_sum, coev_column, ev_row
+from eqspace.suites import _pairing_rows_sum, _zigzags, snake_identity
 from oracles import (
     boxtimes_conjugation,
     check_morphism,
+    coev_column,
     coev_reference,
     dumps_reference,
     encode_digits,
     ev_reference,
+    ev_row,
     flip_table,
+    matrix_kronecker,
+    matrix_mul,
     oracle_rank,
     permutation_matrix,
+    snake_composites,
+    snake_reference,
     space_to_dict,
 )
 from test_golden import _unsigned_dual
@@ -130,10 +135,10 @@ class TestBoxtimes:
             ])
 
         def pairing_sum(R, S, d, n):
-            product = boxtimes_conjugation(R, S, d, d, n)
-            total = [0] * product.cols
+            cells = boxtimes_conjugation(R, S, d, d, n).cells
+            total = [0] * len(cells)
             for word in itertools.product(range(d), repeat=n):
-                row = product.cells[encode_digits([j * d + j for j in word], d * d)]
+                row = cells[encode_digits([j * d + j for j in word], d * d)]
                 total = [x + y for x, y in zip(total, row)]
             return {c: x for c, x in enumerate(total) if x != 0}
 
@@ -246,7 +251,7 @@ class TestDagger:
 def tensor_power_matrix(m: Matrix, n: int) -> Matrix:
     out = Matrix.identity(1)
     for _ in range(n):
-        out = kronecker(out, m)
+        out = matrix_kronecker(out, m)
     return out
 
 
@@ -259,7 +264,7 @@ def test_symmetry_via_flip_conjugation():
     tau = permutation_matrix(flip_table(V.dim, W.dim))
     for n in vw.support:
         tau_n = tensor_power_matrix(tau, n)
-        assert wv.structure_at(n) == tau_n * vw.structure_at(n) * tau_n.transpose()
+        assert wv.structure_at(n) == matrix_mul(tau_n, vw.structure_at(n), tau_n.transpose())
 
 
 class TestCheckMorphism:
@@ -299,7 +304,7 @@ class TestEvCoev:
     def test_quantum_plane_evaluation_identity(self, qp):
         hom = boxtimes(dagger(qp), qp)
         ev2 = tensor_power_matrix(ev_row(2), 2)
-        assert (ev2 * hom.structure_at(2)).is_zero()
+        assert matrix_mul(ev2, hom.structure_at(2)).is_zero()
 
     def test_random_structures_pass(self):
         rng = random.Random(31)
@@ -335,12 +340,32 @@ class TestEvCoev:
         assert failures >= 8
 
     def test_snake_identities(self):
+        # The contraction against the Kronecker products of the pairing.
+        for d in range(1, 7):
+            V = EquippedSpace(d, {})
+            assert snake_identity(V) == snake_reference(V) == VerificationReport(
+                "snake-identity", True
+            )
+
+    def test_contraction_equals_the_kronecker_products_of_any_pairing(self):
+        # δ is symmetric, so only pairings that are not can tell the two
+        # contracted indices apart.
+        rng = random.Random(47)
         for d in range(1, 5):
-            ident = Matrix.identity(d)
-            ev = ev_row(d)
-            coev = coev_column(d)
-            assert kronecker(ev, ident) * kronecker(ident, coev) == ident
-            assert kronecker(ident, ev) * kronecker(coev, ident) == ident
+            for _ in range(5):
+                ev = [rng.randint(-3, 3) for _ in range(d * d)]
+                coev = [rng.randint(-3, 3) for _ in range(d * d)]
+                want = snake_composites(Matrix([ev]), Matrix([[x] for x in coev]), d)
+                assert _zigzags(ev, coev, d) == want
+
+    def test_snake_failure_witness(self, monkeypatch):
+        # A pairing doubled on one side: both composites are twice the identity.
+        monkeypatch.setattr(
+            suites, "_zigzags", lambda ev, coev, d: _zigzags([2 * x for x in ev], coev, d)
+        )
+        rep = snake_identity(EquippedSpace(2, {}))
+        assert not rep.passed
+        assert rep.witness == {"on_dual": [[2, 0], [0, 2]], "on_primal": [[2, 0], [0, 2]]}
 
 
 class TestHomSpace:
