@@ -37,7 +37,7 @@ EXIT_INVARIANT = 3
 EXIT_CAP = 4
 
 HILBERT_CAP = 6
-SUITE_NAMES = ("bialgebra", "rigidity", "epi", "all")
+SUITE_NAMES = ("bialgebra", "rigidity", "epi", "all")  # suites.SUITES, kept out of start-up
 GENERATOR_NOTE = "t[i][j] = w^j (x) v_i at flat index j*dim_v + i"
 
 

@@ -114,7 +114,6 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
         pushed = ({table[i]: x for i, x in row.items()} for row in rel.basis.nonzeros)
         bad = _first_outside_tensor(A, B, n, pushed)
         if bad is not None:
-            return _containment_report(
-                "product-ideal-in-circle-ideal", bad, rel.basis, dims, "vector", degree=n
-            )
+            name = "product-ideal-in-circle-ideal"
+            return _containment_report(name, bad, rel.basis, dims, "vector", degree=n)
     return VerificationReport("product-ideal-in-circle-ideal", True, dimensions=dims)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress, repeat, starmap
@@ -76,15 +77,16 @@ def _int_field(data: dict, key: str, least: int, default: object = None) -> int:
     return value
 
 
-def _is_power(length: int, dim: int, degree: int) -> bool:
-    """Whether length == dim**degree, refusing a huge degree without the power.
+def _power(dim: int, degree: int, bound: int) -> int | None:
+    """dim**degree, or None when it exceeds bound, refusing a huge degree without the power.
 
     For dim >= 2, dim**degree >= 2**(degree * (dim.bit_length() - 1)), which
-    exceeds length once that exponent reaches length.bit_length().
+    exceeds bound once that exponent reaches bound.bit_length().
     """
-    if dim > 1 and degree * (dim.bit_length() - 1) >= length.bit_length():
-        return False
-    return dim**degree == length
+    if dim > 1 and degree * (dim.bit_length() - 1) >= bound.bit_length():
+        return None
+    power = dim**degree
+    return power if power <= bound else None
 
 
 class _Reader:
@@ -288,7 +290,7 @@ def _read_space(path, build):
             raise SpaceFormatError(f"duplicate degree {degree}")
         message = f"matrix must be a list of {dim}^{degree} rows"
         rows, width = structure[degree] = _streamed(entry.get("matrix"), message)
-        if len(rows) != width or not _is_power(width, dim, degree):
+        if len(rows) != width or _power(dim, degree, width) != width:
             raise SpaceFormatError(message)
         if degree == 1 and any(rows):
             raise SpaceFormatError("degree-1 structure must be the zero matrix")
@@ -337,6 +339,9 @@ def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
     dim = _int_field(data, "dim", 1)
     degree = _int_field(data, "degree", 2, default=2)
     rows, width = _streamed(data.get("basis"), "'basis' must be a list of vectors")
-    if rows and not _is_power(width, dim, degree):
+    ambient = _power(dim, degree, width if rows else sys.maxsize)  # no rows: the index bound
+    if rows and ambient != width:
         raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
-    return dim, degree, Subspace.from_rows(dim**degree, rows)
+    if ambient is None:
+        raise OverflowError(f"{dim}^{degree} coordinates cannot be indexed")
+    return dim, degree, Subspace.from_rows(ambient, rows)

@@ -43,34 +43,43 @@ def gen_split(g: int, dV: int) -> tuple[int, int]:
 def _require_quadratic(*spaces: EquippedSpace) -> None:
     for V in spaces:
         if not V.is_quadratic():
-            raise ValueError(
-                f"operation needs quadratic structures, got support {list(V.support)}"
-            )
+            raise ValueError(f"operation needs quadratic structures, got support {list(V.support)}")
 
 
-def frt_relation_generators(
-    V: EquippedSpace, W: EquippedSpace
-) -> list[tuple[tuple[int, int, int, int], list[Scalar]]]:
-    """Raw relation vectors labelled by (i, j, n, m), in lexicographic order."""
+LabelledRows = list[tuple[tuple[int, int, int, int], dict[int, Scalar]]]
+
+
+def frt_relation_generators(V: EquippedSpace, W: EquippedSpace) -> LabelledRows:
+    """Relation vectors labelled by (i, j, n, m), in lexicographic order.
+
+    A vector is its nonzeros {word code: coefficient}, the word t_a t_b at
+    code a·dW·dV + b.
+    """
     _require_quadratic(V, W)
-    dV, dW = V.dim, W.dim
-    R = V.structure_at(2)
-    S = W.structure_at(2)
+    return _generator_rows(V.dim, V.structure_at(2), W.dim, W.structure_at(2))
+
+
+def _generator_rows(dV: int, R: Matrix, dW: int, S: Matrix) -> LabelledRows:
+    """The rows of frt_relation_generators, from column (i, j) of R and row (n, m) of S.
+
+    Each term meets a word at most once; where the two meet they are summed,
+    and the word is dropped when they cancel.
+    """
     g_count = dW * dV
+    r_cols = R.transpose().nonzeros
     out = []
     for i, j, n, m in product(range(dV), range(dV), range(dW), range(dW)):
-        vec: list[Scalar] = [0] * (g_count * g_count)
-        col = i * dV + j
-        for k, l in product(range(dV), repeat=2):
-            c = R[k * dV + l, col]
-            if c != 0:
-                vec[gen_flat(k, n, dV) * g_count + gen_flat(l, m, dV)] += c
-        row = n * dW + m
-        for k, l in product(range(dW), repeat=2):
-            c = S[row, k * dW + l]
-            if c != 0:
-                vec[gen_flat(i, k, dV) * g_count + gen_flat(j, l, dV)] -= c
-        out.append(((i, j, n, m), vec))
+        row: dict[int, Scalar] = {}
+        for kl, c in r_cols[i * dV + j].items():
+            k, l = divmod(kl, dV)
+            row[gen_flat(k, n, dV) * g_count + gen_flat(l, m, dV)] = c
+        for kl, c in S.nonzeros[n * dW + m].items():
+            k, l = divmod(kl, dW)
+            code = gen_flat(i, k, dV) * g_count + gen_flat(j, l, dV)
+            c = row.pop(code, 0) - c
+            if c:
+                row[code] = c
+        out.append(((i, j, n, m), row))
     return out
 
 
@@ -86,8 +95,7 @@ def frt_relations(V: EquippedSpace, W: EquippedSpace) -> Subspace:
 
 @lru_cache(maxsize=4)
 def _frt_span(dV: int, R: Matrix, dW: int, S: Matrix) -> Subspace:
-    gens = frt_relation_generators(EquippedSpace(dV, {2: R}), EquippedSpace(dW, {2: S}))
-    return Subspace.from_rows((dW * dV) ** 2, [vec for _, vec in gens])
+    return Subspace.from_rows((dW * dV) ** 2, [row for _, row in _generator_rows(dV, R, dW, S)])
 
 
 def _containment_report(
@@ -206,11 +214,8 @@ def coassociativity_check(dV: int, dW: int, dX: int, dY: int) -> VerificationRep
             route2.update(lcode * s2 * s3 + idx2 for idx2 in refine_right._image([rcode]))
         if route1 != route2:
             bad = min(i for i in route1.keys() | route2.keys() if route1[i] != route2[i])
-            return VerificationReport(
-                "comultiplication-coassociative",
-                False,
-                witness={"generator": g, "index": bad},
-            )
+            witness = {"generator": g, "index": bad}
+            return VerificationReport("comultiplication-coassociative", False, witness=witness)
     return VerificationReport("comultiplication-coassociative", True)
 
 
@@ -232,11 +237,8 @@ def counit_law_check(dV: int, dW: int) -> VerificationReport:
                 right[lcode] += 1
         unit = [int(h == g) for h in range(g_count)]
         if left != unit or right != unit:
-            return VerificationReport(
-                "counit-law",
-                False,
-                witness={"generator": g, "left": left, "right": right},
-            )
+            witness = {"generator": g, "left": left, "right": right}
+            return VerificationReport("counit-law", False, witness=witness)
     return VerificationReport("counit-law", True)
 
 
@@ -302,19 +304,11 @@ def counit_check(V: EquippedSpace) -> VerificationReport:
     _require_quadratic(V)
     dV = V.dim
     g_count = dV * dV
-    for label, vec in frt_relation_generators(V, V):
-        total = 0
-        for code, c in enumerate(vec):
-            if c == 0:
-                continue
-            g1, g2 = divmod(code, g_count)
-            total += c * counit_on_word([g1, g2], dV)
+    for label, row in frt_relation_generators(V, V):
+        total = sum(c * counit_on_word(divmod(code, g_count), dV) for code, c in row.items())
         if total != 0:
-            return VerificationReport(
-                "counit-kills-relations",
-                False,
-                witness={"generator": list(label), "value": total},
-            )
+            witness = {"generator": list(label), "value": total}
+            return VerificationReport("counit-kills-relations", False, witness=witness)
     return VerificationReport("counit-kills-relations", True)
 
 

@@ -114,32 +114,22 @@ def _tagged(rep: VerificationReport, tag: str) -> VerificationReport:
 
 
 def rigidity_suite(V: EquippedSpace, tag: str) -> list[VerificationReport]:
-    return [
-        _tagged(ev_map(V), tag),
-        _tagged(coev_map(V), tag),
-        _tagged(coev_kron_identity(V), tag),
-        _tagged(snake_identity(V), tag),
-    ]
+    checks = (ev_map, coev_map, coev_kron_identity, snake_identity)
+    return [_tagged(check(V), tag) for check in checks]
 
 
 def bialgebra_suite(
     V: EquippedSpace, W: EquippedSpace, U: EquippedSpace
 ) -> list[VerificationReport]:
-    from .frt import (
-        check_comult_well_defined,
-        coassociativity_check,
-        counit_check,
-        counit_law_check,
-        verify_hom_equals_frt,
-    )
+    from . import frt
 
     return [
-        verify_hom_equals_frt(V, W),
-        check_comult_well_defined(V, W, U),
-        coassociativity_check(V.dim, W.dim, U.dim, U.dim),
-        counit_law_check(V.dim, W.dim),
-        _tagged(counit_check(V), "v"),
-        _tagged(counit_check(W), "w"),
+        frt.verify_hom_equals_frt(V, W),
+        frt.check_comult_well_defined(V, W, U),
+        frt.coassociativity_check(V.dim, W.dim, U.dim, U.dim),
+        frt.counit_law_check(V.dim, W.dim),
+        _tagged(frt.counit_check(V), "v"),
+        _tagged(frt.counit_check(W), "w"),
     ]
 
 
@@ -155,6 +145,14 @@ def epi_suite(
     ]
 
 
+SUITES = ("bialgebra", "rigidity", "epi", "all")
+
+
+def _require_suite(suite: str) -> None:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
+
+
 def suite_checks(
     suite: str,
     V: EquippedSpace,
@@ -162,6 +160,7 @@ def suite_checks(
     U: EquippedSpace | None = None,
     epi_degree: int = 3,
 ) -> list[VerificationReport]:
+    _require_suite(suite)
     checks: list[VerificationReport] = []
     if suite in ("rigidity", "all"):
         checks.extend(rigidity_suite(V, "v"))
@@ -185,6 +184,7 @@ def randomized_checks(
     epi_degree: int = 3,
 ) -> list[VerificationReport]:
     """Re-run the suite on random structures drawn at the input shapes."""
+    _require_suite(suite)
     import random
 
     from .sampling import random_equipped

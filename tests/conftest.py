@@ -46,6 +46,13 @@ def jimbo_matrix(n, q):
     return Matrix(cells)
 
 
+def shifted_jimbo_space(n, q, shift):
+    """(kⁿ, Ř_q + shift·I), Ř_q as jimbo_matrix builds it."""
+    cells = jimbo_matrix(n, q).cells
+    shifted = [[x + shift * (r == c) for c, x in enumerate(row)] for r, row in enumerate(cells)]
+    return EquippedSpace(n, {2: Matrix(shifted)})
+
+
 def qcomm_space(qs, n):
     """kⁿ whose structure has column (i, j), i < j, equal to e_ij − q e_ji.
 

@@ -51,6 +51,9 @@ These groups are former library code kept as references:
 - dense_on_word enumerates every middle-index tuple into a dense image,
   and dense_on_vector, dense_coassociativity and dense_counit_law are the
   frt loops that walked those dense images before the sparse ones;
+- dense_frt_relation_generators is the enumeration of the FRT relation
+  vectors as frt built them before its sparse rows: one dense vector of
+  (dV·dW)^2 entries per label, filled by probing every entry of R and S;
 - dense_add, dense_sub, dense_neg, dense_mul, dense_apply,
   dense_transpose, dense_kronecker and dense_is_zero are the operations
   of the dense Matrix that sparse rows replaced, on tuples of dense rows
@@ -77,7 +80,7 @@ from itertools import product
 
 from eqspace import frt, spaces
 from eqspace.algebras import _combine, apply_U
-from eqspace.fileio import SpaceFormatError, _int_field, _is_power, parse_rational
+from eqspace.fileio import SpaceFormatError, _int_field, _power, parse_rational
 from eqspace.frt import counit_on_word, gen_flat, gen_split
 from eqspace.linalg import Subspace, _scaled, column_space
 from eqspace.matrix import Matrix, _as_row
@@ -400,7 +403,7 @@ def space_from_dict(data):
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
         rows = entry.get("matrix")
-        if not isinstance(rows, list) or not _is_power(len(rows), dim, degree):
+        if not isinstance(rows, list) or _power(dim, degree, len(rows)) != len(rows):
             raise SpaceFormatError(f"matrix must be a list of {dim}^{degree} rows")
         size = len(rows)
         mat = structure[degree] = Matrix._trusted(_reference_rows(rows, size, "matrix rows"), size)
@@ -421,7 +424,9 @@ def read_relations_reference(path):
     basis = data.get("basis")
     if not isinstance(basis, list):
         raise SpaceFormatError("'basis' must be a list of vectors")
-    if basis and not (isinstance(basis[0], list) and _is_power(len(basis[0]), dim, degree)):
+    if basis and not (
+        isinstance(basis[0], list) and _power(dim, degree, len(basis[0])) == len(basis[0])
+    ):
         raise SpaceFormatError(f"basis vectors must have {dim}^{degree} entries")
     ambient = dim**degree
     rows = _reference_rows(basis, ambient, "basis vectors")
@@ -543,6 +548,30 @@ def dense_on_vector(dV, dW, dU, coords, degree):
             if x != 0:
                 acc[idx] += c * x
     return tuple(acc)
+
+
+def dense_frt_relation_generators(V, W):
+    """Dense relation vectors labelled by (i, j, n, m), in lexicographic order."""
+    frt._require_quadratic(V, W)
+    dV, dW = V.dim, W.dim
+    R = V.structure_at(2)
+    S = W.structure_at(2)
+    g_count = dW * dV
+    out = []
+    for i, j, n, m in product(range(dV), range(dV), range(dW), range(dW)):
+        vec = [0] * (g_count * g_count)
+        col = i * dV + j
+        for k, l in product(range(dV), repeat=2):
+            c = R[k * dV + l, col]
+            if c != 0:
+                vec[gen_flat(k, n, dV) * g_count + gen_flat(l, m, dV)] += c
+        row = n * dW + m
+        for k, l in product(range(dW), repeat=2):
+            c = S[row, k * dW + l]
+            if c != 0:
+                vec[gen_flat(i, k, dV) * g_count + gen_flat(j, l, dV)] -= c
+        out.append(((i, j, n, m), vec))
+    return out
 
 
 def dense_coassociativity(dV, dW, dX, dY):

@@ -488,6 +488,17 @@ class TestExitCodes:
         assert err == "error: size cannot be indexed (resource cap exceeded)\n"
         assert "out of memory" not in err
 
+    def test_huge_degree_exits_four_at_once(self, tmp_path):
+        # 3^(10^8) has about 48 million digits: the power past the largest
+        # index is refused before it is taken, so the run ends in seconds.
+        (tmp_path / "rel.json").write_text(json.dumps({"dim": 3, "degree": 10**8, "basis": []}))
+        script = "import sys\nfrom eqspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        argv = ["project", "rel.json", "--out", "out.json"]
+        proc = run_python(script, argv, tmp_path, timeout=10)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: size cannot be indexed (resource cap exceeded)\n"
+        assert not (tmp_path / "out.json").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -543,6 +554,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestSuiteNames:
+    def test_accepted_names_are_the_cli_choices(self):
+        from eqspace import suites
+
+        V = EquippedSpace(1, {2: Matrix.zero(1, 1)})
+        assert suites.SUITES == cli.SUITE_NAMES
+        for name in cli.SUITE_NAMES:
+            assert suites.suite_checks(name, V, V, V)
+            assert suites.randomized_checks(name, V, V, V, 0, 1)
+
+    def test_unknown_name_raises(self):
+        from eqspace import suites
+
+        V = EquippedSpace(1, {2: Matrix.zero(1, 1)})
+        names = "bialgebra, rigidity, epi, all"
+        with pytest.raises(ValueError, match=f"unknown suite 'rigidty' \\(choose from {names}\\)"):
+            suites.suite_checks("rigidty", V, V)
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="unknown suite 'rigidty'"):
+                suites.randomized_checks("rigidty", V, V, None, 0, trials)
+
+
 def test_report_serialization_is_canonical():
     reports = [
         VerificationReport("b-check", True, dimensions={"frt": 6}),
@@ -565,7 +598,7 @@ def test_witness_value_is_spelled_by_what_it_is():
     assert data["checks"][0]["witness"]["vector"] == [2, 2, "-3/2"]
 
 
-def run_python(script, argv=(), cwd=None, flags=(), **kwargs):
+def run_python(script, argv=(), cwd=None, flags=(), timeout=300, **kwargs):
     """script run by a fresh interpreter on this eqspace, with interpreter flags."""
     src_dir = str(Path(eqspace.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
@@ -575,7 +608,7 @@ def run_python(script, argv=(), cwd=None, flags=(), **kwargs):
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         **kwargs,
     )
 

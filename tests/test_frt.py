@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -33,12 +34,19 @@ from eqspace.frt import (
     gen_split,
 )
 from eqspace.suites import suite_checks
-from conftest import PRIMES, cubic_matrix, qcomm_space, random_quadratic
+from conftest import (
+    PRIMES,
+    cubic_matrix,
+    qcomm_space,
+    random_quadratic,
+    shifted_jimbo_space,
+)
 from oracles import (
     _containment_report,
     boxtimes_conjugation,
     dense_coassociativity,
     dense_counit_law,
+    dense_frt_relation_generators,
     dense_on_vector,
     dense_on_word,
     full_space,
@@ -62,7 +70,7 @@ class TestFrtRelations:
         # Frozen from the independent rank oracle.
         rel = frt_relations(qp, qp)
         assert rel.dim == 6
-        raw = [vec for _, vec in frt_relation_generators(qp, qp)]
+        raw = [vec for _, vec in dense_frt_relation_generators(qp, qp)]
         assert oracle_rank(raw) == 6
 
     def test_braided_span_dimension_and_quotient(self, dj):
@@ -93,17 +101,76 @@ class TestFrtRelations:
         rng = random.Random(2024)
         V, W, U = (random_quadratic(rng, 2) for _ in range(3))
         built = []
+        real = frt._generator_rows
 
-        def counting(X, Y):
-            built.append((X.structure_at(2), Y.structure_at(2)))
-            return frt_relation_generators(X, Y)
+        def counting(dX, R, dY, S):
+            built.append((R, S))
+            return real(dX, R, dY, S)
 
         frt._frt_span.cache_clear()
-        monkeypatch.setattr(frt, "frt_relation_generators", counting)
+        monkeypatch.setattr(frt, "_generator_rows", counting)
         suite_checks("all", V, W, U)
         R, S, T = (X.structure_at(2) for X in (V, W, U))
         assert sorted(map(built.count, built)) == [1] * 5
         assert set(built) == {(R, S), (R, T), (T, S), (R, R), (S, S)}
+
+
+def shifted_jimbo_pairs():
+    """(kⁿ, Ř_2 + ½·I) and (kⁿ, Ř_2 − 2·I) at n = 2..4, each paired with itself."""
+    for n in (2, 3, 4):
+        for V in (shifted_jimbo_space(n, 2, Fraction(1, 2)), shifted_jimbo_space(n, 2, -2)):
+            yield V, V
+
+
+class TestGeneratorsAgainstDenseReference:
+    """frt_relation_generators gives the labels of the dense enumeration, in
+    its order, and each row holds exactly that vector's nonzeros."""
+
+    @staticmethod
+    def assert_matches(V, W):
+        got = frt_relation_generators(V, W)
+        want = dense_frt_relation_generators(V, W)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, row), (_, vec) in zip(got, want):
+            assert row == {code: c for code, c in enumerate(vec) if c != 0}
+
+    @pytest.mark.parametrize("dims", list(product((1, 2, 3), repeat=2)))
+    def test_random_pairs(self, dims):
+        rng = random.Random(dims[0] * 10 + dims[1])
+        for _ in range(3):
+            self.assert_matches(*(random_quadratic(rng, d) for d in dims))
+
+    def test_q_commuting_pairs(self):
+        rng = random.Random(157)
+        for dV, dW in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)]:
+            V = qcomm_space(rng.sample(PRIMES, comb(dV, 2)), dV)
+            W = qcomm_space([-q for q in rng.sample(PRIMES, comb(dW, 2))], dW)
+            self.assert_matches(V, W)
+            self.assert_matches(V, V)
+
+    def test_shifted_jimbo_spaces(self):
+        for V, W in shifted_jimbo_pairs():
+            self.assert_matches(V, W)
+
+    def test_zero_structures(self):
+        self.assert_matches(zero_space(2), zero_space(3))
+
+
+class TestShiftedJimboClosedForms:
+    """The shifted Hecke operators of Jimbo's Ř_q at q = 2: Ř_q + q⁻¹·I has
+    the q-symmetric image, so U is the quantum exterior algebra, and
+    Ř_q − q·I the q-antisymmetric one, so U is quantum affine space."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_forms(self, n):
+        exterior = shifted_jimbo_space(n, 2, Fraction(1, 2))
+        affine = shifted_jimbo_space(n, 2, -2)
+        assert apply_U(exterior).hilbert(5) == [comb(n, k) for k in range(6)]
+        assert apply_U(affine).hilbert(5) == [comb(n + k - 1, k) for k in range(6)]
+        for V in (exterior, affine):
+            assert frt_relations(V, V).dim == n * n * (n * n - 1) // 2
+            A = apply_U(V)
+            assert manin_hom_relations(A, A).dim == comb(n + 1, 2) * comb(n, 2)
 
 
 class TestHomEqualsFrt:
@@ -156,6 +223,70 @@ class TestComultiplication:
         for dv, dw in [(1, 1), (2, 2), (2, 3), (3, 2)]:
             assert counit_law_check(dv, dw).passed
 
+
+def break_image_call(monkeypatch, call, keep):
+    """Patch Comultiplication._image so that its call-th call keeps only keep(image)."""
+    real = Comultiplication._image
+    calls = []
+
+    def patched(self, word):
+        calls.append(word)
+        image = real(self, word)
+        return keep(image) if len(calls) == call + 1 else image
+
+    monkeypatch.setattr(Comultiplication, "_image", patched)
+
+
+class TestCoalgebraWitnesses:
+    """A broken route or leg of Δ fails the check with the exact witness."""
+
+    def test_coassociativity_route_one(self, monkeypatch):
+        # dims (1, 1, 1, 2): route one reaches {0, 3} through Δ(t) = t'_0 ⊗ t''_0
+        # + t'_1 ⊗ t''_1; without its second term index 3 is missing.
+        break_image_call(monkeypatch, 0, lambda image: image[:1])
+        rep = coassociativity_check(1, 1, 1, 2)
+        assert not rep.passed
+        assert rep.witness == {"generator": 0, "index": 3}
+
+    def test_coassociativity_route_two(self, monkeypatch):
+        # Route one makes three calls for t; the fourth is route two's first.
+        break_image_call(monkeypatch, 3, lambda image: [])
+        rep = coassociativity_check(1, 1, 1, 2)
+        assert not rep.passed
+        assert rep.witness == {"generator": 0, "index": 0}
+
+    def test_counit_law_left_leg(self, monkeypatch):
+        # dims (2, 1): call 2 is the left leg of t_1^0, whose image {2, 7}
+        # reaches the unit only through index 7.
+        break_image_call(monkeypatch, 2, lambda image: image[:1])
+        rep = counit_law_check(2, 1)
+        assert not rep.passed
+        assert rep.witness == {"generator": 1, "left": [0, 0], "right": [0, 1]}
+
+    def test_counit_law_right_leg(self, monkeypatch):
+        break_image_call(monkeypatch, 1, lambda image: [])
+        rep = counit_law_check(2, 1)
+        assert not rep.passed
+        assert rep.witness == {"generator": 0, "left": [1, 0], "right": [0, 0]}
+
+    def test_counit_kills_relations(self, monkeypatch, qp):
+        # ε kills every generator of (V, V); one altered coefficient at a word
+        # t_i^i t_j^j in each of two rows, and the first label is the witness.
+        real = frt.frt_relation_generators
+        altered = {(1, 0, 1, 0): Fraction(1, 2), (1, 1, 0, 0): 3}
+        word = gen_flat(1, 1, 2) * 4 + gen_flat(0, 0, 2)
+
+        def patched(X, Y):
+            rows = real(X, Y)
+            for label, row in rows:
+                if label in altered:
+                    row[word] = row.get(word, 0) + altered[label]
+            return rows
+
+        monkeypatch.setattr(frt, "frt_relation_generators", patched)
+        rep = counit_check(qp)
+        assert not rep.passed
+        assert rep.witness == {"generator": [1, 0, 1, 0], "value": Fraction(1, 2)}
 
 
 def dense(image, total):
