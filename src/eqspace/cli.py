@@ -10,8 +10,8 @@ are imported by the handlers that run them.  No construction holds its
 output: product and hom read their inputs whole and then hand each row
 of R⊠S to the writer as spaces._boxtimes_structure makes it, and dual
 hands the reader spaces._dual_columns to build each structure matrix,
-so it builds the lists of -Rᵀ from the rows of R as they are read,
-never holds R, and writes the lists.  Each reads its inputs
+so it packs the rows of -Rᵀ from the rows of R as they are read,
+never holds R, and writes the packed rows.  Each reads its inputs
 before it opens --out, so --out may name an input.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
@@ -24,6 +24,7 @@ option winning.  A run imports no argument-parsing library.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from types import SimpleNamespace
 
 from .fileio import SpaceFormatError, _read_space, _write_space, read_relations, read_space
@@ -63,7 +64,9 @@ def _cmd_product(args: SimpleNamespace) -> int:
 def _cmd_dual(args: SimpleNamespace) -> int:
     # dagger(read_space(a)), with no R held.
     dim, structure = _read_space(args.a, _dual_columns)
-    _write_space(args.out, dim, {n: (map(_pairs, cols), h) for n, (cols, h) in structure.items()})
+    _write_space(args.out, dim, {
+        n: (map(_pairs, cols, repeat(entries)), h) for n, (cols, h, entries) in structure.items()
+    })
     return EXIT_PASS
 
 

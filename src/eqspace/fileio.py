@@ -20,7 +20,7 @@ holds one row and the nonzeros, not the text and every row as strings,
 about twice the file.  Each row goes on, as it is decoded, to the
 function that builds its matrix: read_space and read_relations keep the
 rows as they are, and the dual command's, spaces._dual_columns, scatters
-each row into the lists of -Rᵀ, so that command never holds R.
+each row into the packed rows of -Rᵀ, so that command never holds R.
 
 A file is accepted or rejected as decoding it whole with json.loads and
 then checking it would be, duplicate keys included: the last one wins, so
@@ -45,7 +45,7 @@ from .matrix import Matrix, Scalar
 from .spaces import EquippedSpace
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
-_CHUNK = 1 << 16  # characters read from a file at a time
+_CHUNK = 1 << 14  # characters read from a file at a time
 _scan = json.JSONDecoder().raw_decode
 _blank = json.decoder.WHITESPACE.match
 
@@ -289,7 +289,7 @@ def _read_space(path, build):
         if degree in structure:
             raise SpaceFormatError(f"duplicate degree {degree}")
         message = f"matrix must be a list of {dim}^{degree} rows"
-        rows, width = structure[degree] = _streamed(entry.get("matrix"), message)
+        rows, width, *_ = structure[degree] = _streamed(entry.get("matrix"), message)
         if len(rows) != width or _power(dim, degree, width) != width:
             raise SpaceFormatError(message)
         if degree == 1 and any(rows):

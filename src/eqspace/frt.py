@@ -300,7 +300,14 @@ def _tensor_ideal_dim(A: PresentedAlgebra, B: PresentedAlgebra) -> int:
 
 
 def counit_check(V: EquippedSpace) -> VerificationReport:
-    """Counit t_i^j -> delta(i,j) kills every generating relation vector."""
+    """Counit t_i^j -> delta(i,j) kills every generating relation vector.
+
+    On the generator (i, j, n, m) of (V, V) the counit is R[(n,m),(i,j)]
+    from the R term less the same entry from the S term, 0 for every R, so
+    the check cannot fail on any input.  What it checks is the row builder,
+    _generator_rows: a coefficient at a wrong word, as from a transposed S,
+    shows here.
+    """
     _require_quadratic(V)
     dV = V.dim
     g_count = dV * dV

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
+from sys import byteorder
 
 from .matrix import Matrix, Scalar
 
@@ -155,53 +156,58 @@ def _boxtimes_structure(V: EquippedSpace, W: EquippedSpace) -> tuple[int, dict]:
     }
 
 
-def _dual_columns(rows: Iterable[dict[int, Scalar]], width: int) -> tuple[list, int]:
+def _dual_columns(rows: Iterable[dict[int, Scalar]], width: int) -> tuple[list, int, list]:
     """-Rᵀ, the dual's structure at one degree, for R of these sparse rows and width.
 
-    Row j of -Rᵀ is a list of its nonzeros laid flat, i, -R[i,j], ..., in
-    ascending i (see _pairs), with their width, the number of rows of R.
-    One pass reads each row once, as it comes, so the file reader never
-    holds R.  Each distinct entry, by value and type, is negated once and
-    the negation shared.  An entry object is looked up by its id first,
-    which hashes no Fraction: the reader and boxtimes share one object per
-    distinct value.  The call holds each object it keys by id, so no id is
-    reused while it runs, even for rows made and dropped one at a time.
+    Row j of -Rᵀ is a bytearray of its nonzeros in ascending i, each the
+    pair i, c of native 4-byte unsigned ints, where -R[i,j] is entries[c]
+    (see _pairs).  The call gives the rows, their width, the number of rows
+    of R, and entries.  One pass reads each row once, as it comes, so the
+    file reader never holds R.  Each distinct entry, by value and type, is
+    negated once and given one code.  An entry object is looked up by its
+    id first, which hashes no Fraction: the reader and boxtimes share one
+    object per distinct value.  The call holds each object it keys by id,
+    so no id is reused while it runs, even for rows made and dropped one at
+    a time.
     """
-    cols: list[list] = [[] for _ in range(width)]
-    by_id: dict[int, Scalar] = {}
+    cols = [bytearray() for _ in range(width)]
+    by_id: dict[int, bytes] = {}
     held: list[Scalar] = []  # every x keyed in by_id
-    by_value: dict[tuple[Scalar, type], Scalar] = {}
+    by_value: dict[tuple[Scalar, type], bytes] = {}
+    entries: list[Scalar] = []
     i = -1
     for i, row in enumerate(rows):
+        at = i.to_bytes(4, byteorder)
         for j, x in row.items():
-            y = by_id.get(id(x))
-            if y is None:
+            code = by_id.get(id(x))
+            if code is None:
                 key = (x, type(x))  # 2 == Fraction(2) and they hash alike; each keeps its type
-                y = by_value.get(key)
-                if y is None:
-                    y = by_value[key] = -x
-                by_id[id(x)] = y
+                code = by_value.get(key)
+                if code is None:
+                    code = by_value[key] = len(entries).to_bytes(4, byteorder)
+                    entries.append(-x)
+                by_id[id(x)] = code
                 held.append(x)
             col = cols[j]
-            col.append(i)
-            col.append(y)
-    return cols, i + 1
+            col += at
+            col += code
+    return cols, i + 1, entries
 
 
-def _pairs(flat: list) -> Iterator:
-    """The (column, entry) pairs of a row that _dual_columns lays flat.
+def _pairs(col: bytearray, entries: list[Scalar]) -> Iterator:
+    """The (column, entry) pairs of a row that _dual_columns packs.
 
-    Two list slots a nonzero take a third to a quarter of what a dict or a
-    list of pairs takes.
+    Eight bytes a nonzero take half of two list slots, and a sixth to an
+    eighth of what a dict or a list of pairs takes.
     """
-    it = iter(flat)
-    return zip(it, it)
+    it = iter(memoryview(col).cast("I"))
+    return zip(it, map(entries.__getitem__, it))
 
 
 def _dual(rows: Iterable[dict[int, Scalar]], width: int) -> Matrix:
-    """-Rᵀ as a Matrix, for R of these sparse rows and width, from _dual_columns's lists."""
-    cols, height = _dual_columns(rows, width)
-    return Matrix._trusted(map(dict, map(_pairs, cols)), height)
+    """-Rᵀ as a Matrix, for R of these sparse rows and width, from _dual_columns's rows."""
+    cols, height, entries = _dual_columns(rows, width)
+    return Matrix._trusted(map(dict, map(_pairs, cols, repeat(entries))), height)
 
 
 def dagger(V: EquippedSpace) -> EquippedSpace:

@@ -337,6 +337,29 @@ class TestVerifyCommand:
         assert "PASS  manin-relations-in-frt" in out
         assert out.strip().endswith("overall: PASS")
 
+    def test_pretty_prints_a_failing_witness(self, tmp_path, monkeypatch, capsys):
+        # A negation that keeps the sign breaks only coev-kron-identity; each
+        # failing check is followed by its witness line.
+        for name in ("a.json", "b.json"):
+            shutil.copy(INPUTS / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Matrix, "__neg__", lambda self: self)
+        argv = ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0", "--pretty"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "FAIL  coev-kron-identity[v]\n"
+            '      witness: {"degree": 2, "image": [0, 0, 0, 0, 0, 1, -2, 0, 0, "-3/2", 3, 0, 0, 0, 0, 0]}\n'
+            "FAIL  coev-kron-identity[w]\n"
+            '      witness: {"degree": 2, "image": [1, 0, 0, 0, 0, 1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0]}\n'
+            "PASS  coev-morphism[v]\n"
+            "PASS  coev-morphism[w]\n"
+            "PASS  ev-morphism[v]\n"
+            "PASS  ev-morphism[w]\n"
+            "PASS  snake-identity[v]\n"
+            "PASS  snake-identity[w]\n"
+            "overall: FAIL\n"
+        )
+
     def test_reports_are_byte_identical_for_fixed_seed(self, tmp_path, capsys):
         qp_path = write_qp(tmp_path / "qp.json")
         out = tmp_path / "report.json"

@@ -172,6 +172,32 @@ class TestShiftedJimboClosedForms:
             A = apply_U(V)
             assert manin_hom_relations(A, A).dim == comb(n + 1, 2) * comb(n, 2)
 
+    @pytest.mark.parametrize("n, top", [(2, 6), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("shift", [Fraction(1, 2), -2], ids=["exterior", "affine"])
+    def test_frt_series_is_polynomial(self, n, top, shift):
+        # The FRT algebra of a Hecke-type Ř_q has the series of a polynomial
+        # algebra in the n² generators t_i^j.
+        V = shifted_jimbo_space(n, 2, shift)
+        A = PresentedAlgebra(n * n, {2: frt_relations(V, V)})
+        assert A.hilbert(top) == [comb(k + n * n - 1, k) for k in range(top + 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shift", [Fraction(1, 2), -2], ids=["exterior", "affine"])
+    def test_U_epi_dimensions(self, n, shift):
+        # U(V⊠V) and U(V)∘U(V) both have series h(k)², h(k) the series of
+        # U(V): C(n, k) for the exterior algebra, C(n+k−1, k) for affine space.
+        def h(k):
+            return comb(n, k) if shift == Fraction(1, 2) else comb(n + k - 1, k)
+
+        V = shifted_jimbo_space(n, 2, shift)
+        rep = check_U_epi(V, V, 3)
+        assert rep.passed
+        assert rep.dimensions == {
+            f"{kind}_ideal_{k}": n ** (2 * k) - h(k) ** 2
+            for k in (2, 3)
+            for kind in ("product", "circle")
+        }
+
 
 class TestHomEqualsFrt:
     def test_zero_structures(self):

@@ -16,10 +16,10 @@ from eqspace import (
     hom_space,
 )
 from eqspace import spaces, suites
-from eqspace.fileio import write_space
+from eqspace.fileio import read_space, write_space
 from eqspace.sampling import random_equipped, random_matrix, random_rational
 from eqspace.spaces import boxtimes_degree
-from eqspace.suites import _pairing_rows_sum, _zigzags, snake_identity
+from eqspace.suites import _pairing_rows_sum, _zigzags, coev_kron_identity, snake_identity
 from oracles import (
     boxtimes_conjugation,
     check_morphism,
@@ -38,7 +38,7 @@ from oracles import (
     snake_reference,
     space_to_dict,
 )
-from test_golden import _unsigned_dual
+from test_golden import INPUTS, _unsigned_dual
 
 
 class TestConstruction:
@@ -162,6 +162,16 @@ class TestBoxtimes:
 
 
 class TestDagger:
+    def test_row_indices_past_one_byte(self):
+        # _dual_columns packs each row index in four bytes; indices that
+        # need two and three of them come back whole and in order.
+        rows = [{} for _ in range(70_001)]
+        rows[300], rows[70_000] = {3: 5}, {0: Fraction(1, 2), 3: -5}
+        got = spaces._dual(rows, 4)
+        assert got.rows == 4 and got.cols == 70_001
+        assert got.nonzeros == ({70_000: Fraction(-1, 2)}, {}, {}, {300: -5, 70_000: 5})
+        assert list(got.nonzeros[3]) == [300, 70_000]
+
     def test_involution_on_the_nose(self):
         rng = random.Random(3)
         V = random_equipped(rng, 2, (2, 3))
@@ -366,6 +376,17 @@ class TestEvCoev:
         rep = snake_identity(EquippedSpace(2, {}))
         assert not rep.passed
         assert rep.witness == {"on_dual": [[2, 0], [0, 2]], "on_primal": [[2, 0], [0, 2]]}
+
+    def test_coev_kron_identity_failure_witness(self, monkeypatch):
+        # With a negation that keeps the sign, the image is the sum of the
+        # pairing rows of R_nᵀ⊠R_n; ev and coev take -Rᵀ from _dual and pass.
+        monkeypatch.setattr(Matrix, "__neg__", lambda self: self)
+        V = read_space(INPUTS / "a.json")
+        assert ev_map(V).passed and coev_map(V).passed
+        image = [0, 0, 0, 0, 0, 1, -2, 0, 0, Fraction(-3, 2), 3, 0, 0, 0, 0, 0]
+        assert coev_kron_identity(V) == VerificationReport(
+            "coev-kron-identity", False, witness={"degree": 2, "image": image}
+        )
 
 
 class TestHomSpace:
