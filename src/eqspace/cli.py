@@ -4,15 +4,16 @@ Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
 invariant violation, 4 resource cap exceeded (running out of memory and
-a size too large to index included).  Start-up loads only the modules
-that product, dual and hom run; the algebra, report and suite modules
-are imported by the handlers that run them.  No construction holds its
-output: product and hom read their inputs whole and then hand each row
-of R⊠S to the writer as spaces._boxtimes_structure makes it, and dual
-hands the reader spaces._dual_columns to build each structure matrix,
-so it packs the rows of -Rᵀ from the rows of R as they are read,
-never holds R, and writes the packed rows.  Each reads its inputs
-before it opens --out, so --out may name an input.
+a size too large to index included).  Start-up loads only the file
+formats; each handler imports the modules it runs, and hilbert the
+report module only for --out.  The construct commands apply the row
+rules of the rows module to the sparse rows of their files and build no
+Matrix or EquippedSpace.  None holds its output: product and hom read
+their inputs whole, hom its source space as -Rᵀ, and hand each row of
+R⊠S to the writer as rows._boxtimes_structure makes it; dual hands the
+reader rows._dual_columns, so it packs the rows of -Rᵀ from the rows of
+R as they are read, never holds R, and writes the packed rows.  Each
+reads its inputs before it opens --out, so --out may name an input.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
 options; parse_args reads argv and writes the -h text from it.  It
@@ -27,9 +28,8 @@ import sys
 from itertools import repeat
 from types import SimpleNamespace
 
-from .fileio import SpaceFormatError, _read_space, _write_space, read_relations, read_space
+from .fileio import SpaceFormatError, _kept, _read_space, _write_space, read_relations, read_space
 from .fileio import write_space
-from .spaces import EquippedSpace, _boxtimes_structure, _dual_columns, _pairs, dagger
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -55,14 +55,23 @@ def _emit_report(report: dict, out: str | None, pretty: bool) -> None:
     sys.stdout.write(render_report_text(report) if pretty else text)
 
 
+def _rows(structure: dict) -> dict:
+    """Per degree, the rows of the matrix that _read_space(path, _kept) read."""
+    return {n: rows for n, (rows, _) in structure.items()}
+
+
 def _cmd_product(args: SimpleNamespace) -> int:
     # boxtimes(V, W), with no row of R⊠S held after it is written.
-    _write_space(args.out, *_boxtimes_structure(read_space(args.a), read_space(args.b)))
+    from .rows import _boxtimes_structure
+    dV, R = _read_space(args.a, _kept)
+    dW, S = _read_space(args.b, _kept)
+    _write_space(args.out, *_boxtimes_structure(dV, _rows(R), dW, _rows(S)))
     return EXIT_PASS
 
 
 def _cmd_dual(args: SimpleNamespace) -> int:
     # dagger(read_space(a)), with no R held.
+    from .rows import _dual_columns, _pairs
     dim, structure = _read_space(args.a, _dual_columns)
     _write_space(args.out, dim, {
         n: (map(_pairs, cols, repeat(entries)), h) for n, (cols, h, entries) in structure.items()
@@ -71,16 +80,17 @@ def _cmd_dual(args: SimpleNamespace) -> int:
 
 
 def _cmd_hom(args: SimpleNamespace) -> int:
-    # hom_space(W, V) = dagger(W) ⊠ V, written as product writes.
-    W = read_space(args.w)
-    V = read_space(args.v)
-    _write_space(args.out, *_boxtimes_structure(dagger(W), V), note=GENERATOR_NOTE)
+    # hom_space(W, V) = dagger(W) ⊠ V, written as product writes, with no R of W held.
+    from .rows import _boxtimes_structure, _dual_columns, _dual_rows
+    dW, W = _read_space(args.w, _dual_columns)
+    dV, R = _read_space(args.v, _kept)
+    W = {n: _dual_rows(cols, entries) for n, (cols, _, entries) in W.items()}
+    _write_space(args.out, *_boxtimes_structure(dW, W, dV, _rows(R)), note=GENERATOR_NOTE)
     return EXIT_PASS
 
 
 def _cmd_hilbert(args: SimpleNamespace) -> int:
     from .algebras import apply_U
-    from .report import VerificationReport, dumps_canonical, report_to_dict
     if args.max_degree < 0:
         raise SpaceFormatError("--max-degree must be nonnegative")
     if args.max_degree > HILBERT_CAP and not args.cap_override:
@@ -92,6 +102,7 @@ def _cmd_hilbert(args: SimpleNamespace) -> int:
     V = read_space(args.space)
     series = apply_U(V).hilbert(args.max_degree)
     if args.out:
+        from .report import VerificationReport, dumps_canonical, report_to_dict
         dims = {str(n): dim for n, dim in enumerate(series)}
         record = VerificationReport("hilbert-series", True, dimensions=dims)
         _write_text(args.out, dumps_canonical(report_to_dict(args.argv, [record])))
@@ -108,7 +119,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise SpaceFormatError("--trials must be nonnegative")
     V = read_space(args.v)
     W = read_space(args.w)
-    U: EquippedSpace | None = read_space(args.u) if args.u else None
+    U = read_space(args.u) if args.u else None
     if args.suite in ("bialgebra", "all") and U is None:
         sys.stderr.write(
             "error: the bialgebra checks need a third space file (the middle object)\n"
@@ -126,6 +137,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 def _cmd_project(args: SimpleNamespace) -> int:
     from .algebras import structure_projector
+    from .spaces import EquippedSpace
     dim, degree, rel = read_relations(args.relations)
     projector = structure_projector(rel)
     write_space(args.out, EquippedSpace(dim, {degree: projector}))

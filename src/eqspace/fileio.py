@@ -18,9 +18,12 @@ Reading streams a file row by row (_Reader), and each row becomes its
 nonzeros at once, each distinct string parsed once per file.  So reading
 holds one row and the nonzeros, not the text and every row as strings,
 about twice the file.  Each row goes on, as it is decoded, to the
-function that builds its matrix: read_space and read_relations keep the
-rows as they are, and the dual command's, spaces._dual_columns, scatters
-each row into the packed rows of -Rᵀ, so that command never holds R.
+function that builds its matrix: read_space, read_relations and the
+product command keep the rows as they are, and the dual command's,
+rows._dual_columns, scatters each row into the packed rows of -Rᵀ, so
+that command never holds R, nor hom the R of its source space.  The
+module loads the matrix and spaces modules only in read_space, and linalg
+only in read_relations, so the construct commands compile none of them.
 
 A file is accepted or rejected as decoding it whole with json.loads and
 then checking it would be, duplicate keys included: the last one wins, so
@@ -40,9 +43,6 @@ from fractions import Fraction
 from itertools import compress, repeat, starmap
 from operator import is_not
 from os import PathLike
-
-from .matrix import Matrix, Scalar
-from .spaces import EquippedSpace
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 _CHUNK = 1 << 14  # characters read from a file at a time
@@ -265,6 +265,8 @@ def _streamed(value: object, message: str) -> tuple:
 
 
 def read_space(path: str | PathLike) -> EquippedSpace:
+    from .matrix import Matrix
+    from .spaces import EquippedSpace
     dim, structure = _read_space(path, _kept)
     return EquippedSpace(dim, dict(zip(structure, starmap(Matrix._trusted, structure.values()))))
 
@@ -273,8 +275,8 @@ def _read_space(path, build):
     """The dimension of the space a file holds, and per degree what build makes of its matrix.
 
     The checks read the number, width and zeros of the rows build keeps,
-    which -Rᵀ shares with R, so with spaces._dual_columns it rejects what
-    read_space rejects.
+    which -Rᵀ shares with R, so with rows._dual_columns it rejects what
+    read_space rejects: everything EquippedSpace would.
     """
     data = _load(path, {"structure": [{"matrix": build}]})
     dim = _int_field(data, "dim", 1)

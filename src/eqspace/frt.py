@@ -24,8 +24,8 @@ from itertools import product
 
 from .algebras import PresentedAlgebra, _combine
 from .linalg import Subspace, _scaled, column_space
-from .matrix import Matrix, Scalar
-from .report import Record, VerificationReport
+from .matrix import Matrix, Record, Scalar
+from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes, dagger
 from .tensors import decode_index
 

@@ -21,8 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .matrix import Matrix, Scalar, Vector, _as_row
-from .report import Record
+from .matrix import Matrix, Record, Scalar, Vector, _as_row
 
 
 def _scaled(row: dict[int, Scalar]) -> tuple[int, dict[int, int]]:

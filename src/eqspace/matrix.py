@@ -5,8 +5,11 @@ row the package takes is checked by ``_as_row``, which raises TypeError on
 any other entry type (bool, float, str, Decimal, zeros included) and on a
 sparse row's column that is not exactly int, so equality tests carry zero
 tolerance.  A ``Matrix`` keeps only its nonzeros, row by row, and has the
-operations that the commands run: negation and transpose.  Elimination is
-in linalg, which constructions never load.
+operations that the checks run: negation and transpose.  Elimination is
+in linalg.  The construct commands load neither module: they run the row
+rules of the rows module on the sparse rows of their files.  ``Record``,
+the immutable value that subspaces, comultiplications and check outcomes
+are, is here too, so elimination loads no report code.
 """
 
 from __future__ import annotations
@@ -136,3 +139,40 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._trusted(({},) * rows, cols)
 
+
+class Record:
+    """Immutable value whose fields are the public names in ``__slots__``.
+
+    Equality, hash and repr go over those fields.  A subclass sets each slot
+    once in ``__init__`` through ``_set``; assignment afterwards raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _items(self) -> list[tuple[str, object]]:
+        return [(f, getattr(self, f)) for f in self.__slots__ if not f.startswith("_")]
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._items()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in self._items())
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(v for _, v in self._items())

@@ -1,11 +1,12 @@
-"""Value records, the check outcome type and the canonical report format.
+"""The check outcome type and the canonical report format.
 
 Report serialization is canonical: checks sorted by name, keys sorted,
 fixed indentation; identical inputs give identical bytes.  A report spells
 a value by what it is, not by its Python type: an integer (int or
 integral Fraction) is a JSON number and any other rational the string
-"p/q".  The command line imports this module only in the handlers that
-report, so product, dual and hom never compile it.
+"p/q".  The command line imports this module only where it reports, in
+verify and in hilbert with --out, so the construct commands and a hilbert
+table on stdout never compile it.
 """
 
 from __future__ import annotations
@@ -14,43 +15,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-
-class Record:
-    """Immutable value whose fields are the public names in ``__slots__``.
-
-    Equality, hash and repr go over those fields.  A subclass sets each slot
-    once in ``__init__`` through ``_set``; assignment afterwards raises
-    AttributeError.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _items(self) -> list[tuple[str, object]]:
-        return [(f, getattr(self, f)) for f in self.__slots__ if not f.startswith("_")]
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._items() == other._items()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._items()))
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={v!r}" for f, v in self._items())
-        return f"{type(self).__name__}({args})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(v for _, v in self._items())
+from .matrix import Record
 
 
 class VerificationReport(Record):

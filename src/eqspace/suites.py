@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from .matrix import Matrix, Scalar
 from .report import VerificationReport
-from .spaces import EquippedSpace, _boxtimes_row, _dual
+from .rows import _boxtimes_row
+from .spaces import EquippedSpace, _dual
 from .tensors import phi_inverse
 
 

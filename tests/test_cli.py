@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import eqspace
-from eqspace import EquippedSpace, Matrix, VerificationReport
+from eqspace import EquippedSpace, Matrix, VerificationReport, boxtimes, hom_space
 from eqspace import cli
 from eqspace.cli import main
 from eqspace.fileio import SpaceFormatError, parse_rational, read_space, write_space
@@ -188,6 +188,21 @@ class TestConstructionCommands:
         assert main(["dual", qp_path, "--out", str(once)]) == 0
         assert main(["dual", str(once), "--out", str(twice)]) == 0
         assert (tmp_path / "qp.json").read_bytes() == twice.read_bytes()
+
+    @pytest.mark.parametrize("command", ["product", "hom"])
+    @pytest.mark.parametrize("first, second", [("graded.json", "a.json"), ("a.json", "graded.json")])
+    def test_mixed_support_equals_the_library(self, tmp_path, command, first, second):
+        # graded.json has degrees 2 and 3 and a.json degree 2 only, so in
+        # either order degree 3 has a zero factor on one side, which the
+        # commands take as zero rows and the library as Matrix.zero.
+        A, B = read_space(INPUTS / first), read_space(INPUTS / second)
+        if command == "product":
+            write_space(tmp_path / "want.json", boxtimes(A, B))
+        else:
+            write_space(tmp_path / "want.json", hom_space(A, B), note=cli.GENERATOR_NOTE)
+        out = tmp_path / "out.json"
+        assert main([command, str(INPUTS / first), str(INPUTS / second), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_hom_embeds_generator_note(self, tmp_path):
         qp_path = write_qp(tmp_path / "qp.json")
@@ -401,6 +416,18 @@ class TestVerifyCommand:
         assert report["checks"][0]["witness"] == {"degree": 2, "vector": [1, 0]}
 
 
+# A construct command, the position of the bad file among its inputs and
+# their number; a.json fills the other position.
+EITHER_INPUT = [("dual", 0, 1), ("product", 0, 2), ("product", 1, 2), ("hom", 0, 2), ("hom", 1, 2)]
+EITHER_IDS = ["dual", "product-first", "product-second", "hom-first", "hom-second"]
+
+
+def construct_argv(command, bad_at, count, bad, out):
+    inputs = [str(INPUTS / "a.json")] * count
+    inputs[bad_at] = str(bad)
+    return [command, *inputs, "--out", str(out)]
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -418,12 +445,13 @@ class TestExitCodes:
         assert main(["verify", cubic, cubic, "--suite", "epi", "--trials", "0"]) == 3
         capsys.readouterr()
 
-    def test_nonzero_degree_one_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, bad_at, count", EITHER_INPUT, ids=EITHER_IDS)
+    def test_nonzero_degree_one_exits_two(self, tmp_path, capsys, command, bad_at, count):
         # A space file cannot hold one: it is malformed input, not an invariant break.
         data = {"dim": 2, "structure": [{"degree": 1, "matrix": [["0", "1"], ["-1", "0"]]}]}
         path = tmp_path / "degree1.json"
         path.write_text(json.dumps(data))
-        assert main(["dual", str(path), "--out", str(tmp_path / "out.json")]) == 2
+        assert main(construct_argv(command, bad_at, count, path, tmp_path / "out.json")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: degree-1 structure must be the zero matrix\n"
@@ -530,11 +558,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe", b"[" * 200000], ids=["not-utf8", "nested-too-deep"]
     )
-    def test_undecodable_input_exits_two(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("command, bad_at, count", EITHER_INPUT, ids=EITHER_IDS)
+    def test_undecodable_input_exits_two(self, tmp_path, capsys, command, bad_at, count, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         out = tmp_path / "out.json"
-        assert main(["dual", str(path), "--out", str(out)]) == 2
+        assert main(construct_argv(command, bad_at, count, path, out)) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -662,8 +691,9 @@ class TestImportBudget:
     HEAVY = {"eqspace.algebras", "eqspace.epi", "eqspace.frt", "eqspace.suites", "eqspace.sampling"}
     FORBIDDEN = {"argparse", "gettext", "locale", "typing", "pathlib", "dataclasses"}
     # The eqspace.* modules each subcommand loads, and no others.
-    DUAL = {"eqspace.cli", "eqspace.fileio", "eqspace.matrix", "eqspace.spaces"}
-    ALGEBRA = DUAL | {"eqspace.linalg", "eqspace.report", "eqspace.algebras"}
+    START = {"eqspace.cli", "eqspace.fileio"}
+    DUAL = START | {"eqspace.rows"}
+    ALGEBRA = START | {"eqspace.matrix", "eqspace.spaces", "eqspace.linalg", "eqspace.algebras"}
     LOADS = {
         "product": DUAL | {"eqspace.tensors"},
         "hom": DUAL | {"eqspace.tensors"},
@@ -689,17 +719,27 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("case", ["product", "dual", "hom"])
     def test_constructions_load_no_algebra_or_suite(self, case, tmp_path):
-        # No elimination, report or algebra module: a construction compiles none.
+        # No elimination, report or algebra module: a construction compiles
+        # none, and it runs the row rules on the rows a file holds, so it
+        # compiles neither Matrix nor EquippedSpace.
         loaded = self.loaded_by(case, tmp_path)
         assert not loaded & self.HEAVY
+        assert not loaded & {"eqspace.matrix", "eqspace.spaces"}
         assert self.package_modules(loaded) == self.LOADS[case]
 
-    @pytest.mark.parametrize("case", ["hilbert", "project"])
+    @pytest.mark.parametrize("case", ["hilbert-stdout", "project"], ids=["hilbert", "project"])
     def test_algebra_commands_load_no_frt_or_suite(self, case, tmp_path):
-        # Beyond what dual loads, elimination, the report and the algebra
-        # module; neither the tensor index tables nor the rigidity checks.
+        # The matrices, spaces, elimination and the algebra module; neither
+        # the row rules, the tensor index tables, the report nor the
+        # rigidity checks.
         loaded = self.loaded_by(case, tmp_path)
-        assert self.package_modules(loaded) == self.LOADS[case]
+        assert "eqspace.report" not in loaded
+        assert self.package_modules(loaded) == self.LOADS[CASES[case][0][0]]
+
+    def test_only_hilbert_out_loads_the_report(self, tmp_path):
+        # The golden hilbert case writes its table as a report with --out.
+        loaded = self.loaded_by("hilbert", tmp_path)
+        assert self.package_modules(loaded) == self.LOADS["hilbert"] | {"eqspace.report"}
 
     def test_verify_loads_no_dataclasses(self, tmp_path):
         loaded = self.loaded_by("verify-all", tmp_path)

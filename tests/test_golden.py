@@ -55,6 +55,8 @@ CASES = {
     "product-zeros": (["product", "zeros.json", "a.json", "--out", OUT], 0),
     "project": (["project", "rel.json", "--out", OUT], 0),
     "hilbert": (["hilbert", "a.json", "--max-degree", "4", "--out", OUT], 0),
+    # Without --out the table is only printed, and no report module is loaded.
+    "hilbert-stdout": (["hilbert", "a.json", "--max-degree", "4"], 0),
     "verify-all": (
         ["verify", "a.json", "b.json", "u.json", "--suite", "all", "--seed", "7",
          "--trials", "2"],
