@@ -21,9 +21,10 @@ I_n is never assembled: containment in it, or (in frt) in a tensor sum of
 two such ideals, is a test that the normal form vanishes.
 
 A word's rule is the integer pair (m, nf), m·w = sum of nf[t]·t over
-normal words t with m > 0 least: the elimination's canonical integer rows
-as they stand, or ``_combine``'s sums over the lcm of their m, so the
-quotient side makes no Fraction.
+normal words t with m > 0 least, nf holding nonzeros only: the
+elimination's canonical integer rows as they stand, or ``_combine``'s sums
+over the lcm of their m, so the quotient side makes no Fraction, and the
+rows each degree builds go to the elimination core as they are, unchecked.
 
 Degrees and word normal forms are memoized per instance; instances are
 intended to be confined to one thread (the caches are not locked).
@@ -46,7 +47,7 @@ def _combine(terms: Iterable[tuple[int, Rule, int, int]]) -> Rule:
     """c·nf/m summed over terms (c, (m, nf), a, b), each word t of nf put at a·t + b.
 
     Returns (M, M·sum), M the lcm of the m, rescaling the sum so far when
-    an m does not divide it; zeros are kept and no gcd is taken.
+    an m does not divide it; the sum holds nonzeros only, and no gcd is taken.
     """
     scale = 1
     acc: dict[int, int] = {}
@@ -59,7 +60,7 @@ def _combine(terms: Iterable[tuple[int, Rule, int, int]]) -> Rule:
         for t, e in nf.items():
             k = a * t + b
             acc[k] = acc.get(k, 0) + c * e
-    return scale, acc
+    return scale, {k: v for k, v in acc.items() if v}
 
 
 class _Degree:
@@ -141,7 +142,7 @@ class PresentedAlgebra:
                 for r in rel_rows:
                     _, row = _combine((c, nfs[u], d, x) for c, u, x in r)
                     rows.append({column[k]: v for k, v in row.items()})
-        return _Degree(linalg._rref_rows(rows, len(codes)), codes)
+        return _Degree(linalg._rref_rows(rows), codes)
 
     def _word_nf(self, n: int, w: int) -> Rule:
         """Integer rule of the degree-n word w, memoized: NF(u·x) = NF(NF(u)⊗x).
@@ -167,7 +168,7 @@ class PresentedAlgebra:
             scale, nf = _combine((e, self._word_nf(n, t * d + x), 1, 0) for t, e in nf.items())
             m *= scale
             g = gcd(m, *nf.values())
-            rule = self._degrees[n].rules[w] = (m // g, {t: e // g for t, e in nf.items() if e})
+            rule = self._degrees[n].rules[w] = (m // g, {t: e // g for t, e in nf.items()})
         return rule
 
     def graded_dim(self, n: int) -> int:

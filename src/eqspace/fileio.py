@@ -54,7 +54,7 @@ class SpaceFormatError(Exception):
     """Input file does not follow the documented schema."""
 
 
-def parse_rational(text: str) -> Scalar:
+def parse_rational(text: str) -> int | Fraction:
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise SpaceFormatError(f"not a rational string: {text!r}")
@@ -101,7 +101,7 @@ class _Reader:
 
     def __init__(self, f):
         self.f, self.text, self.pos, self.done, self.eof = f, "", 0, 0, False
-        self.memo: dict[str, Scalar] = {}  # nonzeros, of strings parse_rational accepted
+        self.memo: dict[str, int | Fraction] = {}  # nonzeros, of strings parse_rational accepted
         self.zeros: set[str] = set()  # the other strings it accepted
 
     def _fail(self, msg: object) -> None:
@@ -212,7 +212,7 @@ class _Reader:
                 except SpaceFormatError as exc:
                     problems.append(exc)
 
-    def _row(self, row: object, width: int) -> dict[int, Scalar]:
+    def _row(self, row: object, width: int) -> dict[int, int | Fraction]:
         """row, a list of width rational strings, as its nonzeros {column: value}.
 
         A cell that is the "0" object json's scanner makes of every plain
@@ -264,7 +264,8 @@ def _streamed(value: object, message: str) -> tuple:
     return value
 
 
-def read_space(path: str | PathLike) -> EquippedSpace:
+def read_space(path: str | PathLike):
+    """The EquippedSpace a space file holds."""
     from .matrix import Matrix
     from .spaces import EquippedSpace
     dim, structure = _read_space(path, _kept)
@@ -299,8 +300,8 @@ def _read_space(path, build):
     return dim, structure
 
 
-def write_space(path: str | PathLike, V: EquippedSpace, note: str | None = None) -> None:
-    """Write V as the bytes report.dumps_canonical gives, without the JSON encoder."""
+def write_space(path: str | PathLike, V, note: str | None = None) -> None:
+    """Write EquippedSpace V as report.dumps_canonical would, without the JSON encoder."""
     structure = {n: (map(dict.items, m.nonzeros), m.cols) for n, m in V.structure_items()}
     _write_space(path, V.dim, structure, note)
 
@@ -313,7 +314,7 @@ def _write_space(path, dim, structure, note=None):
     """
     note_line = "" if note is None else f'  "generators": {json.dumps(note)},\n'
     spelled: dict[int, str] = {}
-    held: list[Scalar] = []  # every x keyed in spelled
+    held: list[int | Fraction] = []  # every x keyed in spelled
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{\n  "dim": {dim},\n{note_line}  "structure": [')
         for k, n in enumerate(sorted(structure)):
@@ -334,8 +335,8 @@ def _write_space(path, dim, structure, note=None):
         f.write("\n  ]\n}\n" if structure else "]\n}\n")
 
 
-def read_relations(path: str | PathLike) -> tuple[int, int, Subspace]:
-    """Read a relation-basis file: dim, degree and the spanned subspace."""
+def read_relations(path: str | PathLike) -> tuple:
+    """Read a relation-basis file: dim, degree and the spanned Subspace."""
     from .linalg import Subspace
     data = _load(path, {"basis": _kept})
     dim = _int_field(data, "dim", 1)

@@ -267,10 +267,9 @@ def _first_outside_tensor(
         _, both = _combine(
             (c, A._word_nf(n, u), size, t)
             for code, c in right.items()
-            if c
             for u, t in [divmod(code, size)]
         )
-        if any(both.values()):
+        if both:
             return i
     return None
 

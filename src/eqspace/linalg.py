@@ -7,8 +7,9 @@ dict from column to nonzero entry: elimination works on sparse primitive
 integer rows, each row operation divided by the gcd of its entries, so its
 cost follows the nonzeros and never the ambient dimension.  Only
 ``Subspace`` divides the canonical integer rows by their leads; the
-quotient algebras keep them as integer rewrite rules.  Every row taken is
-checked by ``matrix._as_row``, so only ints and Fractions enter.
+quotient algebras keep them as integer rewrite rules.  Rows enter through
+``Subspace.from_rows``, which checks each by ``matrix._as_row``, so only ints
+and Fractions enter; the core ``_rref_rows`` takes nonzero integer entries.
 Containment in a span is ``Subspace.first_outside``; containment in a
 tensor sum X⊗k^b + k^a⊗Y of relation ideals is tested on the quotient
 side, by normal forms in the frt module.
@@ -50,36 +51,34 @@ def _cancel(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, in
     return _primitive(out)
 
 
-def _rref_rows(raw_rows: Iterable[Vector], ncols: int) -> list[dict[int, int]]:
+def _rref_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     """Canonical reduced row echelon form as sparse primitive integer rows.
 
-    A row is a sequence of ncols entries or a dict from column to entry;
-    every entry given is type-checked, and zero entries and zero rows are
-    dropped.  Working rows are sparse primitive integer rows
-    ``{column: int}``: denominators are cleared per row, and every row
-    operation's result is divided by the gcd of its entries.  The forward
-    pass buckets rows by leading column and pops the columns in ascending
-    order from a heap.  In each bucket the row of least ``|lead|`` is the
-    pivot, to limit growth; it clears the column from the bucket's other
-    rows, which move to the buckets of their new leading columns.  The
-    backward pass clears, in each pivot row, only the other pivot columns
-    it holds.  Each returned row has its columns in ascending order and a
-    positive lead, so dividing it by its lead gives the unique RREF row;
-    the pivot strategy never affects the result, and no step visits a
+    Each row is a dict from column to nonzero int, unchecked: outside rows
+    come through ``Subspace.from_rows``.  Working rows are made primitive,
+    and every row operation's result is divided by the gcd of its entries.
+    The forward pass buckets rows by leading column and pops the columns in
+    ascending order from a heap.  In each bucket the row of least ``|lead|``
+    is the pivot, to limit growth; it clears the column from the bucket's
+    other rows, which move to the buckets of their new leading columns.
+    The backward pass clears, in each pivot row, only the other pivot
+    columns it holds.  Each returned row has its columns in ascending order
+    and a positive lead, so dividing it by its lead gives the unique RREF
+    row; the pivot strategy never affects the result, and no step visits a
     column that no row holds.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
-    for r in raw_rows:
-        if row := _primitive(_scaled(_as_row(r, ncols))[1]):
+    for r in rows:
+        if row := _primitive(r):
             buckets.setdefault(min(row), []).append(row)
     heap = list(buckets)
     heapify(heap)
     pivot_rows: dict[int, dict[int, int]] = {}
     while heap:
         col = heappop(heap)
-        rows = buckets.pop(col)
-        prow = min(rows, key=lambda r: abs(r[col]))
-        for row in rows:
+        bucket = buckets.pop(col)
+        prow = min(bucket, key=lambda r: abs(r[col]))
+        for row in bucket:
             if row is not prow and (row := _cancel(row, prow, col)):
                 lead = min(row)
                 if lead not in buckets:
@@ -124,7 +123,7 @@ class Subspace(Record):
     def from_rows(cls, ambient_dim: int, rows: Iterable[Vector]) -> "Subspace":
         """Span of rows, each a sequence of ambient_dim entries or a dict as in Matrix.nonzeros."""
         basis: list[dict[int, Scalar]] = []
-        for row in _rref_rows(rows, ambient_dim):
+        for row in _rref_rows(_scaled(_as_row(r, ambient_dim))[1] for r in rows):
             lead = next(iter(row.values()))
             basis.append(row if lead == 1 else {j: Fraction(x, lead) for j, x in row.items()})
         span = object.__new__(cls)
@@ -133,7 +132,7 @@ class Subspace(Record):
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim))
+        return cls.from_rows(ambient_dim, ())
 
     @property
     def dim(self) -> int:

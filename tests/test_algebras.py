@@ -18,6 +18,7 @@ from eqspace import (
 )
 from eqspace import linalg
 from eqspace.algebras import _Degree
+from eqspace.linalg import _scaled
 from eqspace.frt import _first_outside_tensor
 from eqspace.sampling import random_equipped, random_matrix
 from conftest import DJ_MATRIX, PRIMES, QP_MATRIX, jimbo_matrix, qcomm_space, random_quadratic
@@ -258,14 +259,17 @@ class TestLeastRelationDegree:
             assert A.graded_dim(1) == d
             calls = []
             real = linalg._rref_rows
+            # The stand-in records the degree being built: the cache holds the lower ones.
             monkeypatch.setattr(
-                linalg, "_rref_rows", lambda rows, n: calls.append(n) or real(rows, n)
+                linalg, "_rref_rows", lambda rows: calls.append(len(A._degrees)) or real(rows)
             )
             assert A.graded_dim(2) == d * d - rel.dim
-            assert calls == ([] if rel.dim else [d * d])
+            assert calls == ([] if rel.dim else [2])
             monkeypatch.undo()
             # The recursion eliminates rel's rows again in the coordinates B_1×V.
-            recursion = _Degree(linalg._rref_rows(rel.basis.nonzeros, d * d), range(d * d))
+            recursion = _Degree(
+                linalg._rref_rows(_scaled(r)[1] for r in rel.basis.nonzeros), range(d * d)
+            )
             assert A._degree(2).words == recursion.words
             assert A._degree(2).rules == recursion.rules
             words, _ = oracle_normal_forms({2: rel.basis.cells}, d, 2, [])
@@ -279,10 +283,35 @@ class TestLeastRelationDegree:
         assert A.graded_dim(1) == 2
         calls = []
         real = linalg._rref_rows
-        monkeypatch.setattr(linalg, "_rref_rows", lambda r, n: calls.append(n) or real(r, n))
+        monkeypatch.setattr(
+            linalg, "_rref_rows", lambda rows: calls.append(len(A._degrees)) or real(rows)
+        )
         assert A.hilbert(4) == oracle_graded_dims(2, rows, 4)
         # Degree 2 is the relation span; degrees 3 and 4 eliminate in B_{n-1}×V.
-        assert calls == [2 * A.graded_dim(2), 2 * A.graded_dim(3)]
+        assert calls == [3, 4]
+
+    def test_the_core_gets_nonzero_integer_entries(self, monkeypatch):
+        # These draws make _combine sums that cancel at some words, so rows
+        # with a zero entry reach the core unless _combine drops them.
+        rng = random.Random(67)
+        cases = []
+        for _ in range(3):
+            rows = {2: random_rows(rng, 4, 1), 3: random_rows(rng, 8, rng.randint(1, 3))}
+            relations = {m: Subspace.from_rows(2**m, r) for m, r in rows.items()}
+            cases.append((PresentedAlgebra(2, relations), oracle_graded_dims(2, rows, 5)))
+        real = linalg._rref_rows
+        seen = []
+
+        def core(rows):
+            rows = list(rows)
+            seen.extend(x for r in rows for x in r.values())
+            assert all(type(x) is int and x for r in rows for x in r.values())
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "_rref_rows", core)
+        for A, expected in cases:
+            assert A.hilbert(5) == expected
+        assert seen
 
 
 def circle_hilbert(A, B, max_degree):

@@ -3,7 +3,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -631,9 +631,16 @@ def assert_canonical_integer_rows(rows, expected, ncols):
     assert [densify(r, ncols) for r in divided] == [tuple(r) for r in expected]
 
 
+def integer_row(vec):
+    """The nonzeros of the least positive multiple of vec with integer entries."""
+    m = lcm(*(Fraction(x).denominator for x in vec))
+    return {j: int(x * m) for j, x in enumerate(vec) if x}
+
+
 class TestRrefRows:
-    """_rref_rows takes dense and sparse rows and gives canonical integer
-    rows whose division by their leads is the naive oracle's basis."""
+    """Subspace.from_rows takes dense and sparse rows, zeros included, and
+    the core _rref_rows nonzero integer rows; both give the naive oracle's
+    basis, the core as canonical integer rows."""
 
     def test_sparse_and_dense_rows_match_oracle(self):
         rng = random.Random(37)
@@ -643,26 +650,29 @@ class TestRrefRows:
             rows = seeded_cells(rng, rng.randint(0, 8), ncols, density, "mixed")
             if rows and trial % 4 == 0:
                 rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
-            expected = naive_rref(rows, ncols) if rows else []
+            expected = [tuple(r) for r in naive_rref(rows, ncols)] if rows else []
             # Sparse rows may carry explicit zeros, and a dict may hold only zeros.
             with_zeros = [dict(enumerate(r)) for r in rows] + [{rng.randrange(ncols): 0}]
             for given in (rows, [sparse_row(r) for r in rows], with_zeros):
-                assert_canonical_integer_rows(_rref_rows(given, ncols), expected, ncols)
+                span = Subspace.from_rows(ncols, given)
+                assert [densify(r, ncols) for r in span.basis.nonzeros] == expected
+            ints = [integer_row(r) for r in rows]
+            assert_canonical_integer_rows(_rref_rows(ints), expected, ncols)
             # The same rows with column j at j·2^36: no step may visit every column.
             wide = 2**36
-            basis = _rref_rows(
-                [{j * wide: x for j, x in sparse_row(r).items()} for r in rows], ncols * wide
-            )
+            basis = _rref_rows([{j * wide: x for j, x in r.items()} for r in ints])
             assert all(j % wide == 0 for r in basis for j in r)
             narrow = [{j // wide: x for j, x in r.items()} for r in basis]
             assert_canonical_integer_rows(narrow, expected, ncols)
 
     def test_ties_and_negative_leads_in_one_column(self):
         rows = [[-2, 1, 0, 3], [2, 0, 1, -1], [-2, 3, 5, 0], [4, -1, 0, 0], [-1, 0, 0, 2]]
-        for given in (rows, [sparse_row(r) for r in rows]):
-            basis = _rref_rows(given, 4)
-            assert_canonical_integer_rows(basis, naive_rref(rows, 4), 4)
-            assert [min(r) for r in basis] == [0, 1, 2, 3]
+        basis = _rref_rows([sparse_row(r) for r in rows])
+        assert_canonical_integer_rows(basis, naive_rref(rows, 4), 4)
+        assert [min(r) for r in basis] == [0, 1, 2, 3]
+        span = Subspace.from_rows(4, rows)
+        assert [list(r) for r in span.basis.cells] == naive_rref(rows, 4)
+        assert span.pivot_columns() == [0, 1, 2, 3]
 
     def test_forward_pass_stops_when_every_row_is_a_pivot(self):
         # Without the stop this walks 2^40 columns.

@@ -70,6 +70,36 @@ class TestUnit:
         assert right.structure_at(2) == qp.structure_at(2)
 
 
+class TestMonoidalCoherence:
+    """The package's index encodings make the coherence maps of the rigid
+    monoidal category identities, so each law holds with ==, on random
+    spaces of mixed supports."""
+
+    @staticmethod
+    def triples():
+        for seed in range(20):
+            rng = random.Random(seed)
+            supports = [rng.choice([(2,), (3,), (2, 3)]) for _ in range(3)]
+            yield [random_equipped(rng, rng.randint(1, 2 if 3 in s else 3), s) for s in supports]
+
+    def test_product_is_associative(self):
+        for A, B, C in self.triples():
+            assert boxtimes(boxtimes(A, B), C) == boxtimes(A, boxtimes(B, C))
+
+    def test_hom_from_a_product(self):
+        for A, B, C in self.triples():
+            assert hom_space(boxtimes(A, B), C) == boxtimes(dagger(A), hom_space(B, C))
+
+    def test_hom_into_a_product(self):
+        for A, B, C in self.triples():
+            assert hom_space(C, boxtimes(A, B)) == boxtimes(hom_space(C, A), B)
+
+    def test_hom_into_the_unit_is_the_dual(self):
+        unit = EquippedSpace(1, {})
+        for V, _, _ in self.triples():
+            assert hom_space(V, unit) == dagger(V)
+
+
 class TestBoxtimes:
     def test_zero_structures(self):
         V = EquippedSpace(2, {2: Matrix.zero(4, 4)})
