@@ -12,11 +12,12 @@ has them as a basis.  Since
 and V^{n-m} = span(B_{n-m}) + I_{n-m}, the new part of I_n modulo
 I_{n-1}⊗V is spanned by the products b·r with b in B_{n-m} and r a basis
 row of R_m, each rewritten word by word as u·x -> NF_{n-1}(u)⊗x.  One
-elimination in the coordinates B_{n-1}×V then gives B_n and the rewrite
-rules of degree n (the diamond-lemma recursion; Bergman 1978,
-Polishchuk-Positselski, Quadratic Algebras, ch. 1).  Leading words of a
-sum split as lead(J + H) = lead(J) ⊔ lead(H mod J), so B_n and the normal
-forms are exactly those of the canonical echelon basis of I_n in k^(d^n).
+elimination whose columns are the word codes of B_{n-1}×V then gives B_n
+and the rewrite rules of degree n, the least relation degree included
+(the diamond-lemma recursion; Bergman 1978, Polishchuk-Positselski,
+Quadratic Algebras, ch. 1).  Leading words of a sum split as
+lead(J + H) = lead(J) ⊔ lead(H mod J), so B_n and the normal forms are
+exactly those of the canonical echelon basis of I_n in k^(d^n).
 I_n is never assembled: containment in it, or (in frt) in a tensor sum of
 two such ideals, is a test that the normal form vanishes.
 
@@ -32,7 +33,7 @@ intended to be confined to one thread (the caches are not locked).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from math import gcd
 
 from . import linalg
@@ -66,21 +67,20 @@ def _combine(terms: Iterable[tuple[int, Rule, int, int]]) -> Rule:
 class _Degree:
     """Normal words of one degree and the integer rules of the words met.
 
-    Built from the canonical integer rows of an elimination whose column c
-    stands for the word codes[c]: words are the codes of the non-pivot
-    columns, ascending, and the row a·e_p + sum of x·e_c gives the rule
-    (a, {codes[c]: -x}) of the word codes[p].
+    Built from the canonical integer rows of an elimination whose columns
+    are word codes, and from codes, the ascending codes it runs over: words
+    are the codes that lead no row, and the row a·e_p + sum of x·e_w gives
+    the rule (a, {w: -x}) of the word p.
     """
 
     __slots__ = ("words", "normal", "rules")
 
-    def __init__(self, rows: list[dict[int, int]], codes: Sequence[int]):
+    def __init__(self, rows: list[dict[int, int]], codes: Iterable[int]):
         pivots = {next(iter(row)): row for row in rows}
-        self.words = [codes[c] for c in range(len(codes)) if c not in pivots]
+        self.words = [w for w in codes if w not in pivots]
         self.normal = set(self.words)
         self.rules: dict[int, Rule] = {
-            codes[p]: (row[p], {codes[c]: -x for c, x in row.items() if c != p})
-            for p, row in pivots.items()
+            p: (row[p], {w: -x for w, x in row.items() if w != p}) for p, row in pivots.items()
         }
 
 
@@ -121,13 +121,6 @@ class PresentedAlgebra:
         """B_n and the rules of degree n from those of lower degrees."""
         d = self.gen_dim
         live = sorted(m for m, rel in self.relations.items() if m <= n and rel.dim)
-        if live == [n]:
-            # n is the least relation degree: every word of degree n - 1 is
-            # normal, and the rows below would be the canonical rows of R_n.
-            return _Degree([_scaled(r)[1] for r in self.relations[n].basis.nonzeros], range(d**n))
-        prev = self._degree(n - 1)
-        codes = [b * d + x for b in prev.words for x in range(d)]
-        column = {code: c for c, code in enumerate(codes)}
         rows: list[dict[int, int]] = []
         for m in live:
             # Each relation word s splits into its prefix s // d and last letter s % d.
@@ -139,9 +132,9 @@ class PresentedAlgebra:
             for b in self._degree(n - m).words:
                 b *= d ** (m - 1)
                 nfs = {u: self._word_nf(n - 1, b + u) for u in prefixes}
-                for r in rel_rows:
-                    _, row = _combine((c, nfs[u], d, x) for c, u, x in r)
-                    rows.append({column[k]: v for k, v in row.items()})
+                rows.extend(_combine((c, nfs[u], d, x) for c, u, x in r)[1] for r in rel_rows)
+        # The columns are the words of B_{n-1}×V, ascending as B_{n-1} is.
+        codes = (b * d + x for b in self._degree(n - 1).words for x in range(d))
         return _Degree(linalg._rref_rows(rows), codes)
 
     def _word_nf(self, n: int, w: int) -> Rule:

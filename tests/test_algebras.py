@@ -249,7 +249,8 @@ class TestRecursionMatchesOracles:
 
 
 class TestLeastRelationDegree:
-    """At the least relation degree the canonical relation span is the degree's span."""
+    """The least relation degree is no special case: its one elimination, in
+    the word codes of B_{n-1}×V, gets the canonical relation span back."""
 
     def test_no_elimination_and_the_recursion_result(self, monkeypatch):
         rng = random.Random(73)
@@ -264,7 +265,7 @@ class TestLeastRelationDegree:
                 linalg, "_rref_rows", lambda rows: calls.append(len(A._degrees)) or real(rows)
             )
             assert A.graded_dim(2) == d * d - rel.dim
-            assert calls == ([] if rel.dim else [2])
+            assert calls == [2]
             monkeypatch.undo()
             # The recursion eliminates rel's rows again in the coordinates B_1×V.
             recursion = _Degree(
@@ -287,8 +288,8 @@ class TestLeastRelationDegree:
             linalg, "_rref_rows", lambda rows: calls.append(len(A._degrees)) or real(rows)
         )
         assert A.hilbert(4) == oracle_graded_dims(2, rows, 4)
-        # Degree 2 is the relation span; degrees 3 and 4 eliminate in B_{n-1}×V.
-        assert calls == [3, 4]
+        # Every degree from the least relation degree on eliminates in B_{n-1}×V.
+        assert calls == [2, 3, 4]
 
     def test_the_core_gets_nonzero_integer_entries(self, monkeypatch):
         # These draws make _combine sums that cancel at some words, so rows
@@ -299,18 +300,23 @@ class TestLeastRelationDegree:
             rows = {2: random_rows(rng, 4, 1), 3: random_rows(rng, 8, rng.randint(1, 3))}
             relations = {m: Subspace.from_rows(2**m, r) for m, r in rows.items()}
             cases.append((PresentedAlgebra(2, relations), oracle_graded_dims(2, rows, 5)))
+        # Here B_2 and B_3 are not every word, so column indices and word codes differ.
+        cases.append((apply_U(qcomm_space((2, 3, 5), 3)), [comb(k + 2, 2) for k in range(5)]))
         real = linalg._rref_rows
         seen = []
 
-        def core(rows):
+        def core(A, rows):
             rows = list(rows)
             seen.extend(x for r in rows for x in r.values())
             assert all(type(x) is int and x for r in rows for x in r.values())
+            # Every key is a word b·d + x with b in B_{n-1}, n the degree being built.
+            prev = set(A._degrees[len(A._degrees) - 1].words)
+            assert all(k // A.gen_dim in prev for r in rows for k in r)
             return real(rows)
 
-        monkeypatch.setattr(linalg, "_rref_rows", core)
         for A, expected in cases:
-            assert A.hilbert(5) == expected
+            monkeypatch.setattr(linalg, "_rref_rows", lambda rows, A=A: core(A, rows))
+            assert A.hilbert(len(expected) - 1) == expected
         assert seen
 
 
