@@ -13,9 +13,9 @@ from importlib import import_module
 
 _EXPORTS = {
     "algebras": "PresentedAlgebra apply_U structure_projector",
+    "coalgebra": "check_comult_well_defined coassociativity_check counit_check counit_law_check",
     "epi": "check_U_epi check_manin_epi corep_delta_check manin_hom_relations",
-    "frt": "check_comult_well_defined coassociativity_check counit_check counit_law_check"
-    " frt_relations frt_relations_conic verify_hom_equals_frt",
+    "frt": "frt_relations frt_relations_conic verify_hom_equals_frt",
     "linalg": "Subspace column_space",
     "matrix": "Matrix",
     "report": "VerificationReport",

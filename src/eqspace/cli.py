@@ -4,22 +4,23 @@ Subcommands construct spaces (product, dual, hom, project), print exact
 Hilbert tables (hilbert) and run verification suites (verify).  Exit
 codes: 0 pass, 1 verification failure, 2 parse or usage error, 3
 invariant violation, 4 resource cap exceeded (running out of memory and
-a size too large to index included).  Start-up loads only the file
-formats; each handler imports the modules it runs, and hilbert the
-report module only for --out.  The construct commands apply the row
-rules of the rows module to the sparse rows of their files and build no
-Matrix or EquippedSpace.  None holds its output: product and hom read
-their inputs whole, hom its source space as -Rᵀ, and hand each row of
-R⊠S to the writer as rows._boxtimes_structure makes it; dual hands the
-reader rows._dual_columns, so it packs the rows of -Rᵀ from the rows of
-R as they are read, never holds R, and writes the packed rows.  Each
-reads its inputs before it opens --out, so --out may name an input.
+a size too large to index included).  Start-up loads only the argument
+reader and the file formats; each handler imports the modules it runs,
+and hilbert the report module only for --out.  The construct commands
+apply the row rules of the rows module to the sparse rows of their files
+and build no Matrix or EquippedSpace.  None holds its output: product
+and hom read their inputs whole, hom its source space as -Rᵀ, and hand
+each row of R⊠S to the writer as rows._boxtimes_structure makes it; dual
+hands the reader rows._dual_columns, so it packs the rows of -Rᵀ from
+the rows of R as they are read, never holds R, and writes the packed
+rows.  Each reads its inputs before it opens --out, so --out may name an
+input.
 
 One table, COMMANDS, gives each subcommand's handler, positionals and
-options; parse_args reads argv and writes the -h text from it.  It
-accepts ``--opt value``, ``--opt=value``, unique prefixes of option names
-and options on either side of the positionals, the last occurrence of an
-option winning.  A run imports no argument-parsing library.
+options.  arguments.parse_args reads argv by it, and the usage module
+writes the usage and help text from it; only -h and a usage error load
+that module.  Each module is small, as a run without cached bytecode
+peaks while it compiles the largest module it loads.
 """
 
 from __future__ import annotations
@@ -203,135 +204,8 @@ COMMANDS = {
 }
 
 
-def _is_option(token: str) -> bool:
-    """Whether token names an option; "-" and negative numbers are values."""
-    return len(token) > 1 and token[0] == "-" and not (token[1].isdigit() or token[1] == ".")
-
-
-def _is_help(token: str) -> bool:
-    return token == "-h" or (len(token) > 2 and "--help".startswith(token))
-
-
-def _label(name: str, kind: object) -> str:
-    """An option with its metavar: ``--seed SEED``, ``--suite {a,b}``, or a flag's name."""
-    if kind is bool:
-        return name
-    if isinstance(kind, tuple):
-        return name + " {" + ",".join(kind) + "}"
-    return f"{name} {name[2:].upper().replace('-', '_')}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: eqspace [-h] {" + ",".join(COMMANDS) + "} ...\n"
-    _, _, positionals, options = COMMANDS[command]
-    parts = [f"[{name[:-1]}]" if name.endswith("?") else name for name, _ in positionals]
-    for name, kind, default, _ in options:
-        label = _label(name, kind)
-        parts.append(label if default is REQUIRED else f"[{label}]")
-    return f"usage: eqspace {command} [-h] {' '.join(parts)}\n"
-
-
-def _help(command: str | None) -> str:
-    if command is None:
-        summary = "Exact-rational constructions and checks for equipped spaces."
-        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
-        rows.append(("COMMAND -h", "the arguments of one command"))
-    else:
-        _, summary, positionals, options = COMMANDS[command]
-        rows = [(name.rstrip("?"), text) for name, text in positionals]
-        rows.append(("-h, --help", "show this help and exit"))
-        for name, kind, default, text in options:
-            if default is REQUIRED:
-                text += " (required)"
-            elif default is not None and kind is not bool:
-                text += f" (default: {default})"
-            rows.append((_label(name, kind), text))
-    table = "".join(
-        f"  {label:<22}{text}\n" if len(label) < 21 else f"  {label}\n{'':24}{text}\n"
-        for label, text in rows
-    )
-    return f"{_usage(command)}\n{summary}\n\n{table}"
-
-
-def _fail(command: str | None, message: str) -> None:
-    """Print the usage and an error line to stderr and exit 2."""
-    prog = "eqspace" if command is None else f"eqspace {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(EXIT_PARSE)
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The subcommand argv[0] and its arguments, read by the COMMANDS table.
-
-    The namespace has an attribute per positional and option (dashes in
-    option names become underscores), plus ``command`` and ``argv``.  A
-    help flag prints help to stdout and raises SystemExit(0); a usage error
-    prints the usage and an ``error:`` line to stderr and raises
-    SystemExit(2).
-    """
-    command = argv[0] if argv else None
-    if command not in COMMANDS:
-        if command is not None and _is_help(command):
-            sys.stdout.write(_help(None))
-            raise SystemExit(EXIT_PASS)
-        if command is None:
-            _fail(None, "the following arguments are required: command")
-        _fail(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
-    _, _, positionals, options = COMMANDS[command]
-    kinds = {name: kind for name, kind, _, _ in options}
-    values = {name: default for name, _, default, _ in options}
-    given: list[str] = []
-    unknown: list[str] = []
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token == "--":
-            given.extend(tokens)
-        elif not _is_option(token):
-            given.append(token)
-        elif _is_help(token):
-            sys.stdout.write(_help(command))
-            raise SystemExit(EXIT_PASS)
-        else:
-            name, has_value, value = token.partition("=")
-            matches = [name] if name in kinds else [n for n in kinds if n.startswith(name)]
-            if not matches or len(name) < 3:
-                unknown.append(token)
-                continue
-            if len(matches) > 1:
-                _fail(command, f"ambiguous option: {name} could match {', '.join(matches)}")
-            name = matches[0]
-            kind = kinds[name]
-            if kind is bool:
-                if has_value:
-                    _fail(command, f"argument {name}: ignored explicit argument {value!r}")
-                value = True
-            elif not has_value:
-                value = next(tokens, None)
-                if value is None or _is_option(value):
-                    _fail(command, f"argument {name}: expected one argument")
-            if kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    _fail(command, f"argument {name}: invalid int value: {value!r}")
-            elif isinstance(kind, tuple) and value not in kind:
-                _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(kind)})")
-            values[name] = value
-    names = [name.rstrip("?") for name, _ in positionals]
-    least = sum(not name.endswith("?") for name, _ in positionals)
-    missing = names[len(given):least] + [n for n, v in values.items() if v is REQUIRED]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    unknown += given[len(names):]
-    if unknown:
-        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
-    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
-    fields.update(zip(names, given + [None] * (len(names) - len(given))))
-    return SimpleNamespace(command=command, argv=argv, **fields)
-
-
 def main(argv: list[str] | None = None) -> int:
+    from .arguments import parse_args
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parse_args(argv)
     try:

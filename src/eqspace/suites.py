@@ -122,15 +122,15 @@ def rigidity_suite(V: EquippedSpace, tag: str) -> list[VerificationReport]:
 def bialgebra_suite(
     V: EquippedSpace, W: EquippedSpace, U: EquippedSpace
 ) -> list[VerificationReport]:
-    from . import frt
+    from . import coalgebra, frt
 
     return [
         frt.verify_hom_equals_frt(V, W),
-        frt.check_comult_well_defined(V, W, U),
-        frt.coassociativity_check(V.dim, W.dim, U.dim, U.dim),
-        frt.counit_law_check(V.dim, W.dim),
-        _tagged(frt.counit_check(V), "v"),
-        _tagged(frt.counit_check(W), "w"),
+        coalgebra.check_comult_well_defined(V, W, U),
+        coalgebra.coassociativity_check(V.dim, W.dim, U.dim, U.dim),
+        coalgebra.counit_law_check(V.dim, W.dim),
+        _tagged(coalgebra.counit_check(V), "v"),
+        _tagged(coalgebra.counit_check(W), "w"),
     ]
 
 

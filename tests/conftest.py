@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from eqspace import EquippedSpace, Matrix
+from eqspace import EquippedSpace, Matrix, boxtimes
+from eqspace.fileio import write_space
 from eqspace.sampling import random_equipped
 
 # Quantum plane structure at q=2: image is span{v0 v1 - 2 v1 v0}.
@@ -94,3 +96,25 @@ def dj():
 @pytest.fixture
 def cubic():
     return EquippedSpace(2, {3: cubic_matrix()})
+
+
+@pytest.fixture(scope="session")
+def product_file(tmp_path_factory):
+    # The dim-9 product of two dense dim-3 spaces, as construct-rigidity
+    # builds it: about 7.8 MB.  The two spaces are a.json and b.json beside it.
+    # Built once per session: the file and construction tests share it.
+    rng = random.Random(1)
+
+    def entry():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2, 3)))
+
+    def dense(size):
+        return Matrix([[entry() for _ in range(size)] for _ in range(size)])
+
+    a, b = (EquippedSpace(3, {2: dense(9), 3: dense(27)}) for _ in range(2))
+    path = tmp_path_factory.mktemp("product") / "prod.json"
+    write_space(path.with_name("a.json"), a)
+    write_space(path.with_name("b.json"), b)
+    write_space(path, boxtimes(a, b))
+    assert path.stat().st_size > 7_000_000
+    return path

@@ -81,7 +81,8 @@ from itertools import product
 from eqspace import frt, spaces
 from eqspace.algebras import _combine, apply_U
 from eqspace.fileio import SpaceFormatError, _int_field, _power, parse_rational
-from eqspace.frt import counit_on_word, gen_flat, gen_split
+from eqspace.coalgebra import counit_on_word
+from eqspace.frt import gen_flat, gen_split
 from eqspace.linalg import Subspace, _scaled, column_space
 from eqspace.matrix import Matrix, _as_row
 from eqspace.report import VerificationReport
@@ -575,7 +576,7 @@ def dense_frt_relation_generators(V, W):
 
 
 def dense_coassociativity(dV, dW, dX, dY):
-    """frt.coassociativity_check over dense word images."""
+    """coalgebra.coassociativity_check over dense word images."""
     s2, s3 = dY * dX, dW * dY
     total = dX * dV * s2 * s3
     for g in range(dW * dV):
@@ -608,7 +609,7 @@ def dense_coassociativity(dV, dW, dX, dY):
 
 
 def dense_counit_law(dV, dW):
-    """frt.counit_law_check over dense word images."""
+    """coalgebra.counit_law_check over dense word images."""
     g_count = dW * dV
     for g in range(g_count):
         left = [0] * g_count
@@ -692,7 +693,7 @@ def _containment_report(name, bad, rows, dims, key="relation", **witness):
 
 
 def tensor_sum_comult_check(V, W, U):
-    """frt.check_comult_well_defined on TensorSum and dense Δ images."""
+    """coalgebra.check_comult_well_defined on TensorSum and dense Δ images."""
     target = TensorSum(frt.frt_relations(V, U), frt.frt_relations(U, W))
     source = frt.frt_relations(V, W)
     dims = {"source": source.dim, "target_ideal": target.dim}

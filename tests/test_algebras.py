@@ -252,7 +252,7 @@ class TestLeastRelationDegree:
     """The least relation degree is no special case: its one elimination, in
     the word codes of B_{n-1}×V, gets the canonical relation span back."""
 
-    def test_no_elimination_and_the_recursion_result(self, monkeypatch):
+    def test_least_degree_runs_one_elimination(self, monkeypatch):
         rng = random.Random(73)
         for d, count in [(2, 1), (2, 3), (3, 2), (3, 9), (2, 0)]:
             rel = Subspace.from_rows(d * d, random_rows(rng, d * d, count))

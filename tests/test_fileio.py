@@ -1,6 +1,6 @@
 """The streaming space and relation readers against the whole-file reference.
 
-read_space and read_relations walk a file _CHUNK characters at a time;
+read_space and read_relations walk a file reader._CHUNK characters at a time;
 read_space_reference and read_relations_reference in oracles.py decode it
 whole with json.loads and validate the decoded object.  On every input here
 the two must accept the same files and build the same values, with the same
@@ -24,7 +24,7 @@ from unittest import mock
 
 import pytest
 
-from eqspace import EquippedSpace, Matrix, cli, fileio
+from eqspace import EquippedSpace, Matrix, cli, reader
 from eqspace.cli import main
 from eqspace.fileio import SpaceFormatError, read_relations, read_space, write_space
 from eqspace.sampling import random_equipped
@@ -40,14 +40,14 @@ def _typed(mat):
     return [sorted((j, type(x).__name__, x) for j, x in row.items()) for row in mat.nonzeros]
 
 
-def outcome(reader, path):
-    """What reader makes of path, with entry types spelled out, or "rejected".
+def outcome(read, path):
+    """What the reading function read makes of path, with entry types spelled out, or "rejected".
 
     Both readers reject a file whose structure breaks an invariant of
     EquippedSpace, as a nonzero degree-1 matrix does, as malformed.
     """
     try:
-        got = reader(path)
+        got = read(path)
     except SpaceFormatError:
         return "rejected"
     if isinstance(got, EquippedSpace):
@@ -117,7 +117,7 @@ def test_golden_inputs_read_as_before():
 def test_chunk_edges(tmp_path, monkeypatch, chunk):
     # Rows, strings, keys and numbers straddle chunk edges; multi-digit and
     # signed numbers sit in dim, degree and an unknown key.
-    monkeypatch.setattr(fileio, "_CHUNK", chunk)
+    monkeypatch.setattr(reader, "_CHUNK", chunk)
     names = ("a.json", "graded.json", "cubic.json", "rel.json", "u.json")
     texts = [
         json.dumps({"dim": 12, "degree": 2, "basis": [], "x": [-1.5e3, 10, 2.25e-2]}),
@@ -245,8 +245,8 @@ def test_trailing_data_and_bom(tmp_path):
 
 def test_non_utf8_after_first_chunk(tmp_path, capsys):
     data = (EXPECTED / "product-graded.out.json").read_bytes()
-    assert len(data) > fileio._CHUNK
-    cut = data.index(b'"0"', fileio._CHUNK)
+    assert len(data) > reader._CHUNK
+    cut = data.index(b'"0"', reader._CHUNK)
     path = write_text(tmp_path, data[:cut] + b'"\xff"' + data[cut + 3 :])
     assert assert_agree(path) == "rejected"
     assert main(["dual", str(path), "--out", str(tmp_path / "out.json")]) == 2
@@ -326,27 +326,6 @@ def test_product_and_hom_write_the_built_bytes(a, b, tmp_path):
     assert_streamed_as_built(a, b, tmp_path)
 
 
-@pytest.fixture(scope="module")
-def product_file(tmp_path_factory):
-    # The dim-9 product of two dense dim-3 spaces, as construct-rigidity
-    # builds it: about 7.8 MB.  The two spaces are a.json and b.json beside it.
-    rng = random.Random(1)
-
-    def entry():
-        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2, 3)))
-
-    def dense(size):
-        return Matrix([[entry() for _ in range(size)] for _ in range(size)])
-
-    a, b = (EquippedSpace(3, {2: dense(9), 3: dense(27)}) for _ in range(2))
-    path = tmp_path_factory.mktemp("product") / "prod.json"
-    write_space(path.with_name("a.json"), a)
-    write_space(path.with_name("b.json"), b)
-    write_space(path, boxtimes(a, b))
-    assert path.stat().st_size > 7_000_000
-    return path
-
-
 def test_dense_product_and_hom_write_the_built_bytes(product_file, tmp_path):
     a, b = product_file.with_name("a.json"), product_file.with_name("b.json")
     assert_streamed_as_built(a, b, tmp_path)
@@ -369,7 +348,7 @@ def test_reading_holds_rows_not_the_file(product_file):
 def test_rows_decoded_once(product_file, monkeypatch):
     # The reader reads on to a row's "]" before it decodes the row, so no
     # row is cut short at the end of a chunk and decoded again.
-    real_scan, scans, failed = fileio._scan, [], []
+    real_scan, scans, failed = reader._scan, [], []
 
     def scan(text, pos):
         try:
@@ -380,7 +359,7 @@ def test_rows_decoded_once(product_file, monkeypatch):
         scans.append(isinstance(value, list))
         return value, end
 
-    monkeypatch.setattr(fileio, "_scan", scan)
+    monkeypatch.setattr(reader, "_scan", scan)
     got = read_space(product_file)
     assert "[" not in failed
     assert sum(scans) == sum(mat.rows for _, mat in got.structure_items()) == 81 + 729

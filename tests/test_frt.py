@@ -25,14 +25,9 @@ from eqspace import (
     manin_hom_relations,
     verify_hom_equals_frt,
 )
-from eqspace import epi, frt, spaces
-from eqspace.frt import (
-    Comultiplication,
-    counit_on_word,
-    frt_relation_generators,
-    gen_flat,
-    gen_split,
-)
+from eqspace import coalgebra, epi, frt, spaces
+from eqspace.coalgebra import Comultiplication, counit_on_word
+from eqspace.frt import frt_relation_generators, gen_flat, gen_split
 from eqspace.suites import suite_checks
 from conftest import (
     PRIMES,
@@ -298,7 +293,7 @@ class TestCoalgebraWitnesses:
     def test_counit_kills_relations(self, monkeypatch, qp):
         # ε kills every generator of (V, V); one altered coefficient at a word
         # t_i^i t_j^j in each of two rows, and the first label is the witness.
-        real = frt.frt_relation_generators
+        real = coalgebra.frt_relation_generators
         altered = {(1, 0, 1, 0): Fraction(1, 2), (1, 1, 0, 0): 3}
         word = gen_flat(1, 1, 2) * 4 + gen_flat(0, 0, 2)
 
@@ -309,7 +304,7 @@ class TestCoalgebraWitnesses:
                     row[word] = row.get(word, 0) + altered[label]
             return rows
 
-        monkeypatch.setattr(frt, "frt_relation_generators", patched)
+        monkeypatch.setattr(coalgebra, "frt_relation_generators", patched)
         rep = counit_check(qp)
         assert not rep.passed
         assert rep.witness == {"generator": [1, 0, 1, 0], "value": Fraction(1, 2)}
@@ -416,7 +411,7 @@ def halved_spans(monkeypatch, keep):
         span = real(X, Y)
         return span if (X, Y) == keep else halved(span)
 
-    for module in (frt, epi):
+    for module in (frt, coalgebra, epi):
         monkeypatch.setattr(module, "frt_relations", patched)
 
 

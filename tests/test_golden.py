@@ -8,6 +8,7 @@ output and ``golden/expected/<case>.out.json`` the expected ``--out``
 file, when the command writes one.  Two failing cases patch the package
 while they run, ``verify-failing`` its suite and
 ``verify-rigidity-unsigned-dual`` its dual, so only this file runs them.
+The help cases exit from the argument parser (SystemExit, code 0).
 To regenerate after an intended change of output bytes, run
 ``python tests/test_golden.py`` from the repository root with ``src`` on
 the path, and review the diff.
@@ -79,6 +80,9 @@ CASES = {
         ["verify", "a.json", "b.json", "--suite", "epi", "--epi-degree", "4", "--trials", "0"],
         0,
     ),
+    # Help goes to stdout and exits 0: the top level's and one command's.
+    "help": (["--help"], 0),
+    "verify-help": (["verify", "-h"], 0),
     "verify-failing": (
         ["verify", "a.json", "b.json", "--suite", "rigidity", "--trials", "0"],
         1,
@@ -122,6 +126,8 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
     try:
         with redirect_stdout(buf):
             code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         suites.suite_checks, suites._dual = saved
     out = workdir / OUT
