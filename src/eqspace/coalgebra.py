@@ -3,8 +3,9 @@
 The comultiplication t_i^j -> sum_k t'_i^k ⊗ t''_k^j and the counit
 t_i^j -> delta(i, j) of the frt module's algebras: coassociativity and
 the counit law symbolically, on generators, and the comultiplication and
-counit on the relation spans.  Only the bialgebra suite runs them, so
-only it loads this module.
+counit on the relation spans.  The bialgebra suite runs them, and the epi
+suite runs the comultiplication out of the unit as its corepresentation
+check, so those two suites load this module.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def check_comult_well_defined(
     left = PresentedAlgebra(delta.left_size, {2: frt_relations(V, U_mid)})
     right = PresentedAlgebra(delta.right_size, {2: frt_relations(U_mid, W)})
     source = frt_relations(V, W)
-    dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right)}
+    dims = {"source": source.dim, "target_ideal": _tensor_ideal_dim(left, right, 2)}
     images = (delta.on_vector(row, 2) for row in source.basis.nonzeros)
     bad = _first_outside_tensor(left, right, 2, images)
     return _containment_report("comultiplication-well-defined", bad, source.basis, dims, "relation")

@@ -4,20 +4,20 @@ They compare the quantum matrix algebra A(R:S) of frt with the algebras
 built from the quotients U(V) and U(W): Manin's hom relations must lie in
 the FRT relation span, the corepresentation v_i -> sum_j t_i^j ⊗ w_j must
 descend to the quotients, and the ideal of U(V⊠W) must lie in the ideal
-of the circle product U(V)∘U(W), degree by degree.  The last two are
-tested as frt tests the comultiplication, by normal forms in a tensor
-product of two quotient algebras (``frt._first_outside_tensor``).
+of the circle product U(V)∘U(W), degree by degree.  The corepresentation
+is the comultiplication of V = hom(1, V) through W, so coalgebra checks
+it; the circle ideal is tested as coalgebra tests the comultiplication,
+by normal forms in a tensor product of two quotient algebras
+(``frt._first_outside_tensor``).
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .algebras import PresentedAlgebra, apply_U
+from .coalgebra import check_comult_well_defined
 from .frt import _containment_report, _first_outside_tensor, _require_quadratic
-from .frt import _tensor_ideal_dim, frt_relations, gen_flat
-from .linalg import Subspace, column_space, kernel
-from .matrix import Scalar
+from .frt import _tensor_ideal_dim, frt_relations
+from .linalg import Subspace, kernel
 from .report import VerificationReport
 from .spaces import EquippedSpace, boxtimes
 from .tensors import phi_table, tau23_table
@@ -26,29 +26,14 @@ from .tensors import phi_table, tau23_table
 def corep_delta_check(V: EquippedSpace, W: EquippedSpace) -> VerificationReport:
     """Well-definedness of v_i -> sum_j t_i^j ⊗ w_j on the relation ideal.
 
-    The squared map sends Im R into rel(R,S)⊗W² + (full)⊗Im S, which is
-    what makes the corepresentation map descend to the quotients.
+    V is hom(1, V), so the map is the comultiplication of A(R:0), 0 the
+    unit's structure, through W.  It must send Im R, the relations of
+    A(R:0), into rel(R,S)⊗W² + (full)⊗Im S, those of A(R:S)⊗A(S:0) =
+    A(R:S)⊗U(W); that is what makes it descend to the quotients.
     """
-    _require_quadratic(V, W)
-    dV, dW = V.dim, W.dim
-    g_count = dW * dV
-    w_total = dW * dW
-    quantum = PresentedAlgebra(g_count, {2: frt_relations(V, W)})
-    target = apply_U(W)
-    im_r = column_space(V.structure_at(2))
-    dims = {"source": im_r.dim, "target_ideal": _tensor_ideal_dim(quantum, target)}
-
-    def image(row: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for code, c in row.items():
-            i1, i2 = divmod(code, dV)
-            for j1, j2 in product(range(dW), repeat=2):
-                gcode = gen_flat(i1, j1, dV) * g_count + gen_flat(i2, j2, dV)
-                out[gcode * w_total + (j1 * dW + j2)] = c
-        return out
-
-    bad = _first_outside_tensor(quantum, target, 2, map(image, im_r.basis.nonzeros))
-    return _containment_report("corepresentation-well-defined", bad, im_r.basis, dims, "relation")
+    rep = check_comult_well_defined(V, EquippedSpace(1), W)
+    name = "corepresentation-well-defined"
+    return VerificationReport(name, rep.passed, rep.witness, rep.dimensions)
 
 
 def manin_hom_relations(A: PresentedAlgebra, B: PresentedAlgebra) -> Subspace:
@@ -104,9 +89,8 @@ def check_U_epi(V: EquippedSpace, W: EquippedSpace, N: int) -> VerificationRepor
     A, B = apply_U(V), apply_U(W)
     dims: dict[str, int] = {}
     for n in range(2, N + 1):
-        size = left.gen_dim**n
-        dims[f"product_ideal_{n}"] = size - left.graded_dim(n)
-        dims[f"circle_ideal_{n}"] = size - A.graded_dim(n) * B.graded_dim(n)
+        dims[f"product_ideal_{n}"] = left.gen_dim**n - left.graded_dim(n)
+        dims[f"circle_ideal_{n}"] = _tensor_ideal_dim(A, B, n)
         rel = left.relations.get(n)
         if rel is None:
             continue

@@ -9,11 +9,11 @@ generator convention) is presented by the span of the vectors
 over all (i, j, n, m).  The module builds that span directly and checks
 it against the column space of the dagger/boxtimes pipeline.  The
 coalgebra maps, checked at the level of relation vectors, are in
-``coalgebra``, and the epimorphism checks in ``epi``; only the bialgebra
-and epi suites load them.  The images those checks test are sparse;
-``_first_outside_tensor`` tests them in the tensor product of two
-quotient algebras, in integers, by the algebras' integer normal-form
-rules.
+``coalgebra``, which the bialgebra and epi suites load, and the
+epimorphism checks in ``epi``, which only the epi suite loads.  The
+images those checks test are sparse; ``_first_outside_tensor`` tests
+them in the tensor product of two quotient algebras, in integers, by the
+algebras' integer normal-form rules.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ def _first_outside_tensor(
     return None
 
 
-def _tensor_ideal_dim(A: PresentedAlgebra, B: PresentedAlgebra) -> int:
-    """Dimension of I_A(2)⊗full + full⊗I_B(2), the kernel of T_2⊗T_2 -> A_2⊗B_2."""
-    return (A.gen_dim * B.gen_dim) ** 2 - A.graded_dim(2) * B.graded_dim(2)
+def _tensor_ideal_dim(A: PresentedAlgebra, B: PresentedAlgebra, n: int) -> int:
+    """Dimension of I_A(n)⊗full + full⊗I_B(n), the kernel of T_n⊗T_n -> A_n⊗B_n."""
+    return (A.gen_dim * B.gen_dim) ** n - A.graded_dim(n) * B.graded_dim(n)
 
 
 def frt_relations_conic(V: EquippedSpace, W: EquippedSpace, m: int) -> Subspace:

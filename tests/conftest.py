@@ -55,6 +55,19 @@ def shifted_jimbo_space(n, q, shift):
     return EquippedSpace(n, {2: Matrix(shifted)})
 
 
+def bilinear_form_space(E, u):
+    """(kⁿ, e·uᵀ), e and u the n×n arrays E and u flattened as (i, j) -> i·n + j.
+
+    Im R is the line of e, so U of the space is the Dubois-Violette–Launer
+    algebra of the form E, with the one relation Σ E_kl x_k x_l; R is not
+    symmetric unless u is a multiple of e.
+    """
+    n = len(E)
+    e = [x for row in E for x in row]
+    v = [x for row in u for x in row]
+    return EquippedSpace(n, {2: Matrix([[a * b for b in v] for a in e])})
+
+
 def qcomm_space(qs, n):
     """kⁿ whose structure has column (i, j), i < j, equal to e_ij − q e_ji.
 

@@ -575,6 +575,31 @@ def dense_frt_relation_generators(V, W):
     return out
 
 
+def bilinear_form_frt_span(E, u):
+    """frt_relations(V_E, V_E) for V_E = bilinear_form_space(E, u), from E and u alone.
+
+    R = e·uᵀ turns R·T⊗T = T⊗T·R into the relations u_ij·X^{nm} − E_nm·Y_ij
+    over all (i, j, n, m), with X^{nm} = Σ E_kl t_k^n t_l^m and
+    Y_ij = Σ u_kl t_i^k t_j^l.  The generator t_i^j sits at j·d + i and the
+    word t_a t_b at a·d² + b.
+    """
+    d = len(E)
+    g = d * d
+
+    def word(i, j, k, l):
+        """Code of the word t_i^j t_k^l."""
+        return (j * d + i) * g + l * d + k
+
+    rows = []
+    for i, j, n, m in product(range(d), repeat=4):
+        vec = [0] * (g * g)
+        for k, l in product(range(d), repeat=2):
+            vec[word(k, n, l, m)] += u[i][j] * E[k][l]
+            vec[word(i, k, j, l)] -= E[n][m] * u[k][l]
+        rows.append(vec)
+    return Subspace.from_rows(g * g, rows)
+
+
 def dense_coassociativity(dV, dW, dX, dY):
     """coalgebra.coassociativity_check over dense word images."""
     s2, s3 = dY * dX, dW * dY

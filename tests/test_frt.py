@@ -31,6 +31,7 @@ from eqspace.frt import frt_relation_generators, gen_flat, gen_split
 from eqspace.suites import suite_checks
 from conftest import (
     PRIMES,
+    bilinear_form_space,
     cubic_matrix,
     qcomm_space,
     random_quadratic,
@@ -38,6 +39,7 @@ from conftest import (
 )
 from oracles import (
     _containment_report,
+    bilinear_form_frt_span,
     boxtimes_conjugation,
     dense_coassociativity,
     dense_counit_law,
@@ -90,9 +92,10 @@ class TestFrtRelations:
         assert len(labels) == 16
 
     def test_one_suite_call_builds_each_pair_once(self, monkeypatch):
-        # The "all" suite asks for the span of (V, W) four times and for
-        # (V, U) and (U, W) once each; counit_check builds the raw
-        # generators of (V, V) and (W, W) without eliminating them.
+        # The "all" suite asks for the span of (V, W) five times and for
+        # (V, U), (U, W), (V, 1) and (W, 1) once each, 1 the unit with its
+        # 1×1 zero structure; counit_check builds the raw generators of
+        # (V, V) and (W, W) without eliminating them.
         rng = random.Random(2024)
         V, W, U = (random_quadratic(rng, 2) for _ in range(3))
         built = []
@@ -106,8 +109,9 @@ class TestFrtRelations:
         monkeypatch.setattr(frt, "_generator_rows", counting)
         suite_checks("all", V, W, U)
         R, S, T = (X.structure_at(2) for X in (V, W, U))
-        assert sorted(map(built.count, built)) == [1] * 5
-        assert set(built) == {(R, S), (R, T), (T, S), (R, R), (S, S)}
+        zero = Matrix.zero(1, 1)
+        assert sorted(map(built.count, built)) == [1] * 7
+        assert set(built) == {(R, S), (R, T), (T, S), (R, R), (S, S), (R, zero), (S, zero)}
 
 
 def shifted_jimbo_pairs():
@@ -192,6 +196,42 @@ class TestShiftedJimboClosedForms:
             for k in (2, 3)
             for kind in ("product", "circle")
         }
+
+
+class TestBilinearFormSpaces:
+    """V_E = (kⁿ, e·uᵀ) for a nondegenerate integer form E and a nonzero
+    integer u: R is not symmetric, so the FRT rows must put R and S the
+    right way round to equal the span built from E and u alone."""
+
+    @staticmethod
+    def draws(n, seed, count=3):
+        rng = random.Random(seed)
+
+        def draw():
+            return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+        for _ in range(count):
+            E = draw()
+            while oracle_rank(E) < n:
+                E = draw()
+            u = draw()
+            while not any(map(any, u)):
+                u = draw()
+            yield bilinear_form_space(E, u), E, u
+
+    @pytest.mark.parametrize("n, seed", [(2, 211), (3, 223), (4, 227)])
+    def test_span_equals_the_form_oracle(self, n, seed):
+        # U(V_E) has series 1/(1 − n·t + t²): h_k = n·h_{k−1} − h_{k−2}.
+        series = [1, n]
+        while len(series) < 5:
+            series.append(n * series[-1] - series[-2])
+        for V, E, u in self.draws(n, seed):
+            assert apply_U(V).hilbert(4) == series
+            span = frt_relations(V, V)
+            assert span == bilinear_form_frt_span(E, u)
+            assert span.dim == 2 * n * n - 2
+            assert corep_delta_check(V, V).passed
+            assert check_comult_well_defined(V, V, V).passed
 
 
 class TestHomEqualsFrt:
@@ -405,11 +445,16 @@ def halved_spans(monkeypatch, keep):
     The checks then test against a smaller target, so they fail with
     witnesses; the references read the same patched function.
     """
+    halved_where(monkeypatch, lambda pair: pair != keep)
+
+
+def halved_where(monkeypatch, halve):
+    """Patch frt_relations so the pairs (X, Y) that halve accepts get every other basis row."""
     real = frt.frt_relations
 
     def patched(X, Y):
         span = real(X, Y)
-        return span if (X, Y) == keep else halved(span)
+        return halved(span) if halve((X, Y)) else span
 
     for module in (frt, coalgebra, epi):
         monkeypatch.setattr(module, "frt_relations", patched)
@@ -448,7 +493,9 @@ class TestReportsAgainstTensorSum:
         for trial in range(24):
             V, W = random_quadratic(rng, rng.randint(1, 3)), random_quadratic(rng, rng.randint(1, 3))
             if trial % 2:
-                halved_spans(monkeypatch, None)
+                # Only the quantum algebra's span, (V, W): the reference
+                # takes Im R and Im S from the structures.
+                halved_where(monkeypatch, lambda pair: pair == (V, W))
             rep = corep_delta_check(V, W)
             assert rep == tensor_sum_corep_check(V, W)
             failing += not rep.passed

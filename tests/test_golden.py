@@ -80,6 +80,14 @@ CASES = {
         ["verify", "a.json", "b.json", "--suite", "epi", "--epi-degree", "4", "--trials", "0"],
         0,
     ),
+    # Two shifted Jimbo spaces at n = q = 2, shifts 1/2 and -2: no span is
+    # full, so the corepresentation (source 3, target ideal 55) and the
+    # comultiplication (13 and 226) test relations that could fail.
+    "verify-jimbo": (
+        ["verify", "jimbo-half.json", "jimbo-affine.json", "jimbo-half.json", "--suite", "all",
+         "--trials", "0"],
+        0,
+    ),
     # Help goes to stdout and exits 0: the top level's and one command's.
     "help": (["--help"], 0),
     "verify-help": (["verify", "-h"], 0),
