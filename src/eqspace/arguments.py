@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .cli import COMMANDS, EXIT_PARSE, EXIT_PASS, REQUIRED
+from .cli import COMMANDS, EXIT_PARSE, EXIT_PASS, REQUIRED, _stdout
 
 
 def _is_option(token: str) -> bool:
@@ -27,7 +27,7 @@ def _is_help(token: str) -> bool:
 def _show_help(command: str | None) -> None:
     """Print the help of command, or of eqspace when it is None, and exit 0."""
     from .usage import _help
-    sys.stdout.write(_help(command))
+    _stdout().write(_help(command))
     raise SystemExit(EXIT_PASS)
 
 

@@ -21,10 +21,17 @@ options.  arguments.parse_args reads argv by it, and the usage module
 writes the usage and help text from it; only -h and a usage error load
 that module.  Each module is small, as a run without cached bytecode
 peaks while it compiles the largest module it loads.
+
+main(argv) is the in-process call: it returns the exit code.  run() is
+the process entry point of ``python -m eqspace`` and of the installed
+``eqspace``: it calls main(), freezes the heap so that the interpreter's
+shutdown collections skip it, and exits with the code.
 """
 
 from __future__ import annotations
 
+import errno
+import gc
 import sys
 from itertools import repeat
 from types import SimpleNamespace
@@ -48,12 +55,20 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
+def _stdout():
+    """sys.stdout, or, when fd 1 was closed at start, an OSError that main
+    reports as it reports an unwritable --out."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    return sys.stdout
+
+
 def _emit_report(report: dict, out: str | None, pretty: bool) -> None:
     from .report import dumps_canonical, render_report_text
     text = dumps_canonical(report)
     if out:
         _write_text(out, text)
-    sys.stdout.write(render_report_text(report) if pretty else text)
+    _stdout().write(render_report_text(report) if pretty else text)
 
 
 def _rows(structure: dict) -> dict:
@@ -107,7 +122,7 @@ def _cmd_hilbert(args: SimpleNamespace) -> int:
         dims = {str(n): dim for n, dim in enumerate(series)}
         record = VerificationReport("hilbert-series", True, dimensions=dims)
         _write_text(args.out, dumps_canonical(report_to_dict(args.argv, [record])))
-    sys.stdout.write(" ".join(str(x) for x in series) + "\n")
+    _stdout().write(" ".join(str(x) for x in series) + "\n")
     return EXIT_PASS
 
 
@@ -207,8 +222,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     from .arguments import parse_args
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parse_args(argv)
     try:
+        args = parse_args(argv)
         return COMMANDS[args.command][0](args)
     except SpaceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -228,5 +243,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
 
 
+def run() -> None:
+    """Run main() as the process: freeze the heap, then exit with main()'s code.
+
+    gc.freeze() moves every object the run imported or made to the
+    permanent generation, which the collections of interpreter shutdown
+    skip; atexit handlers, the flush of stdout and stderr and the exit
+    status still run as on a plain exit.  main() freezes nothing, as a
+    long-lived caller would keep its cyclic garbage forever.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ import pytest
 from eqspace import EquippedSpace, Matrix, boxtimes
 from eqspace.fileio import write_space
 from eqspace.sampling import random_equipped
+from oracles import oracle_rank
 
 # Quantum plane structure at q=2: image is span{v0 v1 - 2 v1 v0}.
 QP_MATRIX = Matrix(
@@ -66,6 +67,24 @@ def bilinear_form_space(E, u):
     e = [x for row in E for x in row]
     v = [x for row in u for x in row]
     return EquippedSpace(n, {2: Matrix([[a * b for b in v] for a in e])})
+
+
+def bilinear_form_draws(n, seed, count=3):
+    """Yield count triples (V_E, E, u): E a nondegenerate and u a nonzero
+    integer n×n array, entries drawn from -3..3 by random.Random(seed)."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+    for _ in range(count):
+        E = draw()
+        while oracle_rank(E) < n:
+            E = draw()
+        u = draw()
+        while not any(map(any, u)):
+            u = draw()
+        yield bilinear_form_space(E, u), E, u
 
 
 def qcomm_space(qs, n):

@@ -585,9 +585,8 @@ class TestExitCodes:
         # 3^(10^8) has about 48 million digits: the power past the largest
         # index is refused before it is taken, so the run ends in seconds.
         (tmp_path / "rel.json").write_text(json.dumps({"dim": 3, "degree": 10**8, "basis": []}))
-        script = "import sys\nfrom eqspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         argv = ["project", "rel.json", "--out", "out.json"]
-        proc = run_python(script, argv, tmp_path, timeout=10)
+        proc = run_python(RUN, argv, tmp_path, timeout=10)
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr == "error: size cannot be indexed (resource cap exceeded)\n"
         assert not (tmp_path / "out.json").exists()
@@ -692,7 +691,11 @@ def test_witness_value_is_spelled_by_what_it_is():
     assert data["checks"][0]["witness"]["vector"] == [2, 2, "-3/2"]
 
 
-def run_python(script, argv=(), cwd=None, flags=(), timeout=300, **kwargs):
+# The process entry point, as python -m eqspace and the eqspace script run it.
+RUN = "from eqspace.cli import run\nrun()\n"
+
+
+def run_python(script, argv=(), cwd=None, flags=(), timeout=300, text=True, **kwargs):
     """script run by a fresh interpreter on this eqspace, with interpreter flags."""
     src_dir = str(Path(eqspace.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
@@ -701,7 +704,7 @@ def run_python(script, argv=(), cwd=None, flags=(), timeout=300, **kwargs):
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
-        text=True,
+        text=text,
         timeout=timeout,
         **kwargs,
     )
@@ -840,12 +843,10 @@ class TestArgumentForms:
     """The argument table's parser, run as a program on the golden inputs:
     exit code, output and no traceback."""
 
-    CLI = "import sys\nfrom eqspace.cli import main\nsys.exit(main())\n"
-
     def run(self, argv, tmp_path):
         for src in INPUTS.iterdir():
             shutil.copy(src, tmp_path / src.name)
-        proc = run_python(self.CLI, argv, tmp_path)
+        proc = run_python(RUN, argv, tmp_path)
         assert "Traceback" not in proc.stderr
         return proc
 
@@ -932,6 +933,98 @@ class TestArgumentForms:
         assert out.startswith(f"usage: eqspace {command} [-h]")
         for name, *_ in cli.COMMANDS[command][3]:
             assert f"\n  {name}" in out
+
+
+class TestProcessEntry:
+    """run(), the process entry point, exits as main() returns: the same
+    exit code and bytes, with the heap frozen and atexit handlers run."""
+
+    MAIN = "import sys\nfrom eqspace.cli import main\nsys.exit(main())\n"
+    # verify-failing patches the suite as run_case does, before either entry runs.
+    FAILING = (
+        f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import eqspace.suites, test_golden\n"
+        "eqspace.suites.suite_checks = test_golden._identity_is_not_a_morphism\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def buffered(self, monkeypatch):
+        # Unbuffered, every write reaches the pipe at once, and an exit that
+        # skipped the final flush of stdout would go unseen.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+    def run(self, script, argv, workdir, **kwargs):
+        """Exit code, stdout, stderr and --out bytes (or None) of script run in workdir."""
+        workdir.mkdir()
+        for src in INPUTS.iterdir():
+            shutil.copy(src, workdir / src.name)
+        proc = run_python(script, argv, workdir, text=False, **kwargs)
+        out = workdir / "out.json"
+        return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+    @staticmethod
+    def close_stdout():
+        os.close(1)
+
+    # One argv per exit code; help and the usage error leave main by SystemExit.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (CASES["hilbert"][0], 0),
+            (CASES["help"][0], 0),
+            (CASES["verify-failing"][0], 1),
+            (["verify", "a.json", "b.json", "--suite", "nope"], 2),
+            (CASES["verify-non-quadratic"][0], 3),
+            (["hilbert", "a.json", "--max-degree", "9", "--out", "out.json"], 4),
+        ],
+        ids=["hilbert", "help", "verify-failing", "usage-error", "verify-non-quadratic", "over-cap"],
+    )
+    def test_run_exits_as_main_returns(self, tmp_path, argv, code):
+        prefix = self.FAILING if code == 1 else ""
+        by_main = self.run(prefix + self.MAIN, argv, tmp_path / "main")
+        by_run = self.run(prefix + RUN, argv, tmp_path / "run")
+        assert by_main[0] == code, by_main[2]
+        assert by_run == by_main
+
+    def test_atexit_runs_on_a_frozen_heap(self, tmp_path):
+        script = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n" + RUN
+        )
+        code, stdout, stderr, _ = self.run(script, CASES["hilbert-stdout"][0], tmp_path / "work")
+        assert code == 0, stderr
+        assert stdout == (EXPECTED / "hilbert-stdout.stdout").read_bytes() + b"frozen: True\n"
+
+    def test_main_freezes_nothing(self, tmp_path, monkeypatch, capsys):
+        import gc
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(INPUTS / "a.json", tmp_path / "a.json")
+        before = gc.get_freeze_count()
+        assert main(CASES["hilbert-stdout"][0]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "a.json", "b.json", "u.json", "--suite", "all", "--trials", "0"],
+            CASES["hilbert-stdout"][0],
+            ["--help"],
+        ],
+        ids=["verify", "hilbert", "help"],
+    )
+    def test_closed_stdout_exits_two(self, tmp_path, argv):
+        # Started with fd 1 closed, the interpreter has no sys.stdout: the
+        # write fails as an unwritable --out does, with one error line.
+        code, _, stderr, _ = self.run(RUN, argv, tmp_path / "work", preexec_fn=self.close_stdout)
+        assert code == 2
+        assert stderr == b"error: cannot write output: [Errno 9] standard output is closed\n"
+
+    def test_closed_stdout_leaves_construction_alone(self, tmp_path):
+        argv = CASES["dual"][0]
+        code, _, stderr, written = self.run(RUN, argv, tmp_path / "work", preexec_fn=self.close_stdout)
+        assert code == 0 and stderr == b""
+        assert written == (EXPECTED / "dual.out.json").read_bytes()
 
 
 class TestCompileBudget:

@@ -28,10 +28,11 @@ from eqspace import (
 from eqspace import coalgebra, epi, frt, spaces
 from eqspace.coalgebra import Comultiplication, counit_on_word
 from eqspace.frt import frt_relation_generators, gen_flat, gen_split
+from eqspace.linalg import kernel
 from eqspace.suites import suite_checks
 from conftest import (
     PRIMES,
-    bilinear_form_space,
+    bilinear_form_draws,
     cubic_matrix,
     qcomm_space,
     random_quadratic,
@@ -203,35 +204,34 @@ class TestBilinearFormSpaces:
     integer u: R is not symmetric, so the FRT rows must put R and S the
     right way round to equal the span built from E and u alone."""
 
-    @staticmethod
-    def draws(n, seed, count=3):
-        rng = random.Random(seed)
+    DRAWS = [(2, 211), (3, 223), (4, 227)]
 
-        def draw():
-            return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-
-        for _ in range(count):
-            E = draw()
-            while oracle_rank(E) < n:
-                E = draw()
-            u = draw()
-            while not any(map(any, u)):
-                u = draw()
-            yield bilinear_form_space(E, u), E, u
-
-    @pytest.mark.parametrize("n, seed", [(2, 211), (3, 223), (4, 227)])
+    @pytest.mark.parametrize("n, seed", DRAWS)
     def test_span_equals_the_form_oracle(self, n, seed):
         # U(V_E) has series 1/(1 − n·t + t²): h_k = n·h_{k−1} − h_{k−2}.
         series = [1, n]
         while len(series) < 5:
             series.append(n * series[-1] - series[-2])
-        for V, E, u in self.draws(n, seed):
+        for V, E, u in bilinear_form_draws(n, seed):
             assert apply_U(V).hilbert(4) == series
             span = frt_relations(V, V)
             assert span == bilinear_form_frt_span(E, u)
             assert span.dim == 2 * n * n - 2
             assert corep_delta_check(V, V).passed
             assert check_comult_well_defined(V, V, V).passed
+
+    @pytest.mark.parametrize("n, seed", DRAWS)
+    def test_quadratic_dual_inverts_the_series(self, n, seed):
+        # U(V_E)^! = T(kⁿ)/(e^⊥) has series 1 + n·t + t², so with U(V_E)'s
+        # 1/(1 − n·t + t²) the Koszul relation h(t)·h^!(−t) = 1 holds.
+        for V, _, _ in bilinear_form_draws(n, seed):
+            dual = PresentedAlgebra(n, {2: kernel(column_space(V.structure_at(2)).basis)})
+            h, h_dual = apply_U(V).hilbert(5), dual.hilbert(5)
+            assert h_dual == [1, n, 1, 0, 0, 0]
+            assert [
+                sum(h[i] * (-1) ** (k - i) * h_dual[k - i] for i in range(k + 1))
+                for k in range(6)
+            ] == [1, 0, 0, 0, 0, 0]
 
 
 class TestHomEqualsFrt:

@@ -29,6 +29,8 @@ import pytest
 import eqspace.cli as cli
 import eqspace.suites as suites
 from eqspace import Matrix
+from eqspace.fileio import write_space
+from conftest import bilinear_form_draws
 from oracles import check_morphism
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +87,15 @@ CASES = {
     # comultiplication (13 and 226) test relations that could fail.
     "verify-jimbo": (
         ["verify", "jimbo-half.json", "jimbo-affine.json", "jimbo-half.json", "--suite", "all",
+         "--trials", "0"],
+        0,
+    ),
+    # Three spaces (k², e·uᵀ) of nondegenerate bilinear forms, the draws
+    # bilinear_form_draws(2, 229) makes: R is not symmetric, and the
+    # comultiplication (source 7, target ideal 175) tests relations that
+    # could fail.
+    "verify-bilinear": (
+        ["verify", "bilinear-v.json", "bilinear-w.json", "bilinear-u.json", "--suite", "all",
          "--trials", "0"],
         0,
     ),
@@ -154,6 +165,12 @@ def test_golden_case(name, tmp_path, monkeypatch, capsys):
         assert written == expected_file.read_bytes()
     else:
         assert written is None
+
+
+def test_bilinear_inputs_are_the_seeded_draws(tmp_path):
+    for name, (V, _, _) in zip("vwu", bilinear_form_draws(2, 229)):
+        write_space(tmp_path / name, V)
+        assert (tmp_path / name).read_bytes() == (INPUTS / f"bilinear-{name}.json").read_bytes()
 
 
 def _regenerate() -> None:
